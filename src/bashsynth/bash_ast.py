@@ -69,8 +69,11 @@ PLACEHOLDER_BY_TOKEN: dict[str, PlaceholderKind] = {
 # argument marker, the single supported redirect operator, and the stdin dash.
 PRESERVED_LITERALS = frozenset({"{}", ">", "-"})
 
-# Generator-side placeholders ("[File]") pass through templatization untouched.
-_BRACKET_PLACEHOLDER = re.compile(r"\[[A-Za-z]+\]$")
+# A placeholder in command text: a generator-side bracket name (group 1 is
+# "File" in "[File]") or a parser token ("_FILE") not glued to a preceding
+# word character or bracket. Both branches start with a literal, which lets
+# the regex engine skip ahead to "[" or "_" instead of trying every position.
+PLACEHOLDER_RE = re.compile(r"\[([A-Za-z]+)\]|_(?<![\w\[]_)[A-Z]+\b")
 
 _EXEC_FLAGS = frozenset({"-exec", "-ok", "-execdir", "-okdir"})
 _EXEC_CLOSERS = frozenset({";", "\\;", "+"})
@@ -580,7 +583,10 @@ def templatize(ast: BashAst) -> BashAst:
     """
 
     def swap(p: ParamNode) -> ParamNode:
-        if p.literal in PRESERVED_LITERALS or _BRACKET_PLACEHOLDER.fullmatch(p.literal):
+        if p.literal in PRESERVED_LITERALS:
+            return p
+        m = PLACEHOLDER_RE.fullmatch(p.literal)
+        if m is not None and m[1]:
             return p
         return ParamNode(p.category.token, p.category)
 

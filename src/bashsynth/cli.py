@@ -150,17 +150,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_scale(args: argparse.Namespace) -> int:
     entries = dataset_io.read_templates(args.infile)
-    if args.parser_form:
-        entries = [
-            dataset_io.TemplateEntry(
-                id=e.id,
-                cmd=syntax_kb.to_parser_template(e.cmd),
-                utilities=e.utilities,
-                flags=e.flags,
-                pipe_partner=e.pipe_partner,
-            )
-            for e in entries
-        ]
+    entries = [
+        dataset_io.TemplateEntry(
+            id=e.id,
+            cmd=syntax_kb.to_parser_template(e.cmd),
+            utilities=e.utilities,
+            flags=e.flags,
+            pipe_partner=e.pipe_partner,
+        )
+        for e in entries
+    ]
     profile = scaler_mod.load_profile(args.profile or scaler_mod.default_profile_path())
     try:
         scaled = scaler_mod.scale(
@@ -393,8 +392,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--profile", default=None, help="distribution profile JSON")
     p.add_argument("--tolerance", type=float, default=scaler_mod.DEFAULT_TOLERANCE)
-    p.add_argument("--parser-form", action=argparse.BooleanOptionalAction, default=True,
-                   help="convert [Kind] placeholders to parser tokens first")
     p.set_defaults(func=cmd_scale)
 
     def add_llm(p: argparse.ArgumentParser) -> None:

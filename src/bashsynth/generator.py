@@ -1,7 +1,9 @@
 """Template generation: flag combinations and single-pipe joins.
 
-Templates carry generator-side placeholders like ``[File]``; they convert
-to parser placeholders via ``syntax_kb.to_parser_template`` downstream.
+Templates carry generator-side placeholders like ``[File]``; each parameter
+node is categorized with the parser kind its generator kind maps to
+(``syntax_kb.to_parser_kind``), so a template's AST matches what parsing its
+parser form (``syntax_kb.to_parser_template``) with the KB's hints yields.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .bash_ast import BashAst, FlagNode, Item, ParamNode, UtilityNode, categorize, render
-from .syntax_kb import FlagSpec, UtilitySpec
+from .bash_ast import BashAst, FlagNode, Item, ParamNode, UtilityNode, render
+from .syntax_kb import FlagSpec, GenArgKind, UtilitySpec, to_parser_kind
 
 __all__ = [
     "SpecError",
@@ -61,9 +63,8 @@ class DedupResult:
     duplicate_rate: float
 
 
-def _placeholder_param(kind_value: str) -> ParamNode:
-    literal = f"[{kind_value}]"
-    return ParamNode(literal, categorize(literal))
+def _placeholder_param(kind: GenArgKind) -> ParamNode:
+    return ParamNode(kind.bracket, to_parser_kind(kind))
 
 
 def _stage_for(spec: UtilitySpec, flag_subset: Sequence[FlagSpec]) -> UtilityNode:
@@ -73,10 +74,10 @@ def _stage_for(spec: UtilitySpec, flag_subset: Sequence[FlagSpec]) -> UtilityNod
             continue
         if slot == "FLAGS":
             for fs in flag_subset:
-                arg = _placeholder_param(fs.arg.value) if fs.arg else None
+                arg = _placeholder_param(fs.arg) if fs.arg else None
                 items.append(FlagNode(fs.token, arg))
         else:
-            items.append(_placeholder_param(slot))
+            items.append(_placeholder_param(GenArgKind(slot)))
     return UtilityNode(spec.name, tuple(items))
 
 

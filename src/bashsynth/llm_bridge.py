@@ -35,9 +35,6 @@ __all__ = [
     "ReplayTransport",
     "RecordingTransport",
     "LlmSession",
-    "gen_commands",
-    "backtranslate",
-    "pipeline",
     "GENERATION_PROMPT",
     "TRANSLATION_PROMPT",
 ]
@@ -126,7 +123,10 @@ class HttpTransport:
             raise AuthError(f"endpoint returned {resp.status_code}")
         if resp.status_code >= 400:
             raise TransportError(f"endpoint returned {resp.status_code}")
-        body = resp.json()
+        try:
+            body = resp.json()
+        except ValueError as exc:
+            raise TransportError(f"endpoint returned a non-JSON body: {exc}") from exc
         try:
             return body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -351,23 +351,3 @@ class LlmSession:
                 out_file.close()
         return records
 
-
-def gen_commands(
-    config: LlmConfig, n: int, transport: Transport | None = None
-) -> list[str]:
-    return LlmSession(config, transport).gen_commands(n)
-
-
-def backtranslate(
-    config: LlmConfig, cmd: str, transport: Transport | None = None
-) -> str:
-    return LlmSession(config, transport).backtranslate(cmd)
-
-
-def pipeline(
-    config: LlmConfig,
-    n: int,
-    transport: Transport | None = None,
-    out_path: str | Path | None = None,
-) -> list[DatasetRecord]:
-    return LlmSession(config, transport).pipeline(n, out_path)

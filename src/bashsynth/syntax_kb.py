@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import yaml
 
-from .bash_ast import PlaceholderKind, UtilityHints
+from .bash_ast import PLACEHOLDER_RE, PlaceholderKind, UtilityHints
 
 __all__ = [
     "SchemaError",
@@ -26,6 +26,7 @@ __all__ = [
     "UtilitySpec",
     "SyntaxKb",
     "to_parser_kind",
+    "rewrite_placeholders",
     "load_specs",
     "save_specs",
     "import_manpage",
@@ -91,6 +92,39 @@ _TO_PARSER: dict[GenArgKind, PlaceholderKind] = {
 def to_parser_kind(kind: GenArgKind) -> PlaceholderKind:
     """Total, deterministic mapping onto the parser's placeholder set."""
     return _TO_PARSER[kind]
+
+
+# "File" -> "_FILE", for rewriting generator templates into parser form.
+_TOKEN_BY_BRACKET = {kind.value: parser.token for kind, parser in _TO_PARSER.items()}
+
+# Parser token -> fixture pool: the first generator kind mapping onto it
+# (reversed, so earlier kinds overwrite later ones): "_NUMBER" -> "Quantity".
+POOL_BY_TOKEN = {
+    parser.token: kind.value for kind, parser in reversed(_TO_PARSER.items())
+}
+
+
+def rewrite_placeholders(text: str, swap: Callable[[str], str | None]) -> str:
+    """Rewrite every placeholder in ``text`` in one left-to-right pass.
+
+    ``swap`` gets the bracket name ("File" for ``[File]``) or the parser
+    token ("_FILE"); a string replaces the placeholder, None keeps it.
+    """
+
+    def sub(m: re.Match[str]) -> str:
+        new = swap(m[1] or m[0])
+        return m[0] if new is None else new
+
+    return PLACEHOLDER_RE.sub(sub, text)
+
+
+def to_parser_template(command: str) -> str:
+    """Rewrite generator placeholders ("[File]") to parser tokens ("_FILE").
+
+    Unknown bracket names and parser tokens are kept, so the rewrite is
+    idempotent.
+    """
+    return rewrite_placeholders(command, _TOKEN_BY_BRACKET.get)
 
 
 @dataclass(frozen=True)
@@ -276,24 +310,6 @@ class SyntaxKb:
                 ),
             )
         return hints
-
-
-# ---------------------------------------------------------------------------
-# Placeholder conversion
-
-_BRACKET_RE = re.compile(r"\[([A-Za-z]+)\]")
-
-
-def to_parser_template(command: str) -> str:
-    """Rewrite generator placeholders ("[File]") to parser tokens ("_FILE")."""
-
-    def swap(m: re.Match[str]) -> str:
-        kind = _GEN_BY_VALUE.get(m.group(1))
-        if kind is None:
-            return m.group(0)
-        return to_parser_kind(kind).token
-
-    return _BRACKET_RE.sub(swap, command)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Instantiate templates with concrete arguments and execute them sandboxed.
 
+Templates may hold generator placeholders (``[File]``) or parser tokens
+(``_FILE``); :func:`instantiate` fills both from the fixture pools in one
+pass, using the placeholder table in ``syntax_kb``.
+
 Execution is opt-in. The subprocess backend runs each command in a fresh
 workspace populated from a fixture manifest, with a reduced environment, a
 hard timeout, and a deny-list for destructive or network-reaching commands.
@@ -23,7 +27,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import bash_ast
-from .generator import GeneratedCommand
+from .syntax_kb import POOL_BY_TOKEN, rewrite_placeholders
 
 __all__ = [
     "MissingFixture",
@@ -121,61 +125,30 @@ def load_manifest(path: str | Path | None = None) -> dict[str, object]:
     return json.loads(text)
 
 
-# Parser placeholder -> fixture pool name, for instantiating _KIND templates.
-_PARSER_TO_POOL = {
-    "FILE": "File",
-    "DIRECTORY": "Directory",
-    "PATH": "Path",
-    "NUMBER": "Quantity",
-    "REGEX": "Pattern",
-    "PERMISSION": "Permission",
-    "SIZE": "Size",
-    "TIMESPAN": "Timespan",
-    "DATETIME": "Datetime",
-}
-
-_BRACKET_RE = re.compile(r"\[([A-Za-z]+)\]")
-_PARSER_TOKEN_RE = re.compile(r"(?<![\w\[])_([A-Z]+)\b")
-
-
-def instantiate(
-    template: GeneratedCommand | bash_ast.BashAst | str,
-    fixtures: Mapping[str, Sequence[str]],
-) -> str:
+def instantiate(template: str, fixtures: Mapping[str, Sequence[str]]) -> str:
     """Replace every placeholder with a concrete fixture value.
 
-    Values are drawn round-robin per kind; unlike partial template fill,
-    full replacement is required here. Raises :class:`MissingFixture` when
-    a needed kind has no values.
+    Bracket placeholders (``[File]``) draw from the pool of that name,
+    parser tokens (``_NUMBER``) from the pool ``syntax_kb.POOL_BY_TOKEN``
+    names, so ``[Quantity]`` and ``_NUMBER`` share one pool. Values are
+    drawn round-robin per pool, left to right; unlike partial template fill,
+    full replacement is required here. Unknown parser tokens are kept.
+    Raises :class:`MissingFixture` when a needed pool has no values.
     """
-    if isinstance(template, GeneratedCommand):
-        text = template.render()
-    elif isinstance(template, bash_ast.BashAst):
-        text = bash_ast.render(template)
-    else:
-        text = template
-
     counters: dict[str, int] = {}
 
-    def draw(pool_name: str) -> str:
-        values = fixtures.get(pool_name)
+    def draw(name: str) -> str | None:
+        pool = POOL_BY_TOKEN.get(name) if name[0] == "_" else name
+        if pool is None:
+            return None
+        values = fixtures.get(pool)
         if not values:
-            raise MissingFixture(pool_name)
-        idx = counters.get(pool_name, 0)
-        counters[pool_name] = idx + 1
+            raise MissingFixture(pool)
+        idx = counters.get(pool, 0)
+        counters[pool] = idx + 1
         return values[idx % len(values)]
 
-    def swap_bracket(m: re.Match[str]) -> str:
-        return draw(m.group(1))
-
-    def swap_parser(m: re.Match[str]) -> str:
-        pool = _PARSER_TO_POOL.get(m.group(1))
-        if pool is None:
-            return m.group(0)
-        return draw(pool)
-
-    text = _BRACKET_RE.sub(swap_bracket, text)
-    return _PARSER_TOKEN_RE.sub(swap_parser, text)
+    return rewrite_placeholders(template, draw)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from bashsynth import bash_ast
 from bashsynth import generator as G
-from bashsynth.syntax_kb import FlagSpec, GenArgKind, UtilitySpec
+from bashsynth.syntax_kb import FlagSpec, GenArgKind, UtilitySpec, to_parser_template
 
 
 def _spec(name: str, n_flags: int, successors=()) -> UtilitySpec:
@@ -75,6 +75,29 @@ class TestGenerateUnpiped:
         object.__setattr__(spec, "template", ())
         with pytest.raises(G.SpecError):
             G.generate_unpiped(spec)
+
+
+def _categories(ast: bash_ast.BashAst) -> list[tuple]:
+    """Per stage, each parameter's and each flag argument's category in order."""
+    out = []
+    for node in ast.walk_utilities():
+        for it in node.items:
+            if isinstance(it, bash_ast.ParamNode):
+                out.append((node.name, None, it.category))
+            elif isinstance(it, bash_ast.FlagNode) and it.arg is not None:
+                out.append((node.name, it.token, it.arg.category))
+    return out
+
+
+class TestPlaceholderKinds:
+    def test_match_parsed_parser_form_for_whole_kb(self, kb, hints):
+        checked = 0
+        for spec in kb.specs():
+            for cmd in G.generate_unpiped(spec):
+                parsed = bash_ast.parse(to_parser_template(cmd.render()), hints)
+                assert _categories(cmd.template) == _categories(parsed), cmd.render()
+                checked += 1
+        assert checked == 1770
 
 
 class TestGeneratePiped:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
 
 from bashsynth import bash_ast
 from bashsynth import llm_bridge as L
@@ -78,6 +79,26 @@ class TestGenCommands:
         assert session.gen_commands(2) == []
         assert transport.calls == 4  # 2 prompts x (1 try + 1 retry)
         assert all(e.error for e in session.audit)
+
+
+class TestHttpTransport:
+    def test_non_json_200_is_retried(self, monkeypatch):
+        def reply(body: bytes):
+            resp = requests.Response()
+            resp.status_code = 200
+            resp._content = body
+            return resp
+
+        good = {"choices": [{"message": {"content": "list files"}}]}
+        replies = [reply(b"<html>busy</html>"), reply(json.dumps(good).encode())]
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: replies.pop(0))
+        session = L.LlmSession(
+            L.LlmConfig(endpoint="http://localhost:9/v1", backoff=0.0)
+        )
+        assert session.backtranslate("ls") == "list files"
+        assert [e.attempt for e in session.audit] == [1, 2]
+        assert "non-JSON" in session.audit[0].error
+        assert session.audit[1].error is None
 
 
 class TestBacktranslate:

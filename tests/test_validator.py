@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bashsynth import validator as V
+from bashsynth.bash_ast import PLACEHOLDER_RE
 from bashsynth.generator import generate_unpiped
+from bashsynth.syntax_kb import GenArgKind, to_parser_template
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +40,107 @@ class TestInstantiate:
 
     def test_generated_command_input(self, kb, fixtures):
         for cmd in generate_unpiped(kb.get("grep"), limit=10, seed=1):
-            concrete = V.instantiate(cmd, fixtures)
+            concrete = V.instantiate(cmd.render(), fixtures)
             assert "[" not in concrete and "]" not in concrete
+
+
+# Reference tables for the oracle, written out by hand.
+ORACLE_POOL = {
+    "_FILE": "File", "_DIRECTORY": "Directory", "_PATH": "Path",
+    "_NUMBER": "Quantity", "_REGEX": "Pattern", "_PERMISSION": "Permission",
+    "_SIZE": "Size", "_TIMESPAN": "Timespan", "_DATETIME": "Datetime",
+}
+ORACLE_TOKEN = {
+    "File": "_FILE", "Directory": "_DIRECTORY", "Path": "_PATH",
+    "Quantity": "_NUMBER", "Permission": "_PERMISSION", "Size": "_SIZE",
+    "Timespan": "_TIMESPAN", "Datetime": "_DATETIME",
+}
+KNOWN_BRACKETS = [k.value for k in GenArgKind]
+UNKNOWN_BRACKETS = ["Gizmo", "Widget"]
+UNKNOWN_TOKENS = ["_FOO", "_GIZMO"]
+# Plain words, including near misses that are not placeholders.
+LITERALS = ["ls", "-l", "a.txt", "x_FILE", "_FILEx", "__FILE", "[_FILE]",
+            "[File", "File]", "_file", "{}", "|", "-"]
+VALUES = ["v1", "two words", "_FILE", "[File]", "1"]
+
+token_st = st.one_of(
+    st.sampled_from(KNOWN_BRACKETS + UNKNOWN_BRACKETS).map(lambda n: ("bracket", n)),
+    st.sampled_from(list(ORACLE_POOL) + UNKNOWN_TOKENS).map(lambda t: ("parser", t)),
+    st.sampled_from(LITERALS).map(lambda w: ("literal", w)),
+)
+
+
+@st.composite
+def fixtures_st(draw):
+    pools = {}
+    for name in KNOWN_BRACKETS + UNKNOWN_BRACKETS[:1]:
+        roll = draw(st.integers(0, 9))
+        if roll == 0:
+            continue  # pool absent
+        pools[name] = [] if roll == 1 else draw(
+            st.lists(st.sampled_from(VALUES), min_size=1, max_size=3)
+        )
+    return pools
+
+
+def _text(tokens) -> str:
+    return " ".join(f"[{v}]" if tag == "bracket" else v for tag, v in tokens)
+
+
+def _oracle_instantiate(tokens, fixtures) -> str:
+    """Token by token: each known placeholder takes its pool's next value."""
+    used: dict[str, int] = {}
+    out = []
+    for tag, v in tokens:
+        if tag == "bracket":
+            pool = v
+        elif tag == "parser":
+            pool = ORACLE_POOL.get(v)
+        else:
+            pool = None
+        if pool is None:
+            out.append(v)
+            continue
+        if not fixtures.get(pool):
+            raise V.MissingFixture(pool)
+        out.append(fixtures[pool][used.get(pool, 0) % len(fixtures[pool])])
+        used[pool] = used.get(pool, 0) + 1
+    return " ".join(out)
+
+
+def _oracle_to_parser(tokens) -> str:
+    out = []
+    for tag, v in tokens:
+        if tag == "bracket":
+            out.append(ORACLE_TOKEN.get(v, "_REGEX" if v in KNOWN_BRACKETS else f"[{v}]"))
+        else:
+            out.append(v)
+    return " ".join(out)
+
+
+class TestPlaceholderOracle:
+    def test_literals_hold_no_placeholder(self):
+        for word in LITERALS:
+            assert PLACEHOLDER_RE.search(word) is None, word
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(token_st, max_size=12), fixtures_st())
+    def test_instantiate(self, tokens, fixtures):
+        try:
+            expected = _oracle_instantiate(tokens, fixtures)
+        except V.MissingFixture as exc:
+            with pytest.raises(V.MissingFixture) as got:
+                V.instantiate(_text(tokens), fixtures)
+            assert got.value.kind == exc.kind
+            return
+        assert V.instantiate(_text(tokens), fixtures) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(token_st, max_size=12))
+    def test_to_parser_template(self, tokens):
+        once = to_parser_template(_text(tokens))
+        assert once == _oracle_to_parser(tokens)
+        assert to_parser_template(once) == once
 
 
 class TestDryRun:
