@@ -9,6 +9,7 @@ backtranslate -> split -> score/stats. Every output file gets a sibling
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -131,6 +132,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 "exit_status": r.exit_status,
                 "wall_time": round(r.wall_time, 4),
                 "verdict": r.verdict,
+                "note": r.note,
             }
         )
         for r in results
@@ -151,13 +153,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_scale(args: argparse.Namespace) -> int:
     entries = dataset_io.read_templates(args.infile)
     entries = [
-        dataset_io.TemplateEntry(
-            id=e.id,
-            cmd=syntax_kb.to_parser_template(e.cmd),
-            utilities=e.utilities,
-            flags=e.flags,
-            pipe_partner=e.pipe_partner,
-        )
+        dataclasses.replace(e, cmd=syntax_kb.to_parser_template(e.cmd))
         for e in entries
     ]
     profile = scaler_mod.load_profile(args.profile or scaler_mod.default_profile_path())
@@ -346,7 +342,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         prog="bashsynth",
         description="Synthesize, validate, scale, and score Bash command datasets.",
         epilog="--config FILE loads a JSON object whose keys mirror flag names "
-        "(dashes as underscores) and act as defaults; explicit flags win. "
+        "(dashes as underscores) and act as defaults; explicit flags win, and "
+        "a key no subcommand defines is an error. "
         "Secrets come from the environment, never from flags or config.",
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -453,6 +450,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_import_man)
 
+    known = {a.dest for p in sub.choices.values() for a in p._actions}
+    unknown = sorted(set(config_defaults) - known)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     # config values become defaults everywhere; applied last so they also
     # rebind the defaults of already-registered options
     if config_defaults:
@@ -479,10 +480,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv, config = _split_config(argv)
+        parser = build_parser(config)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser(config)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -1,22 +1,25 @@
-"""Subsample a command pool to match a target head-utility distribution.
+"""Subsample a command pool to match a target head-utility distribution
+and pipe fraction.
 
-Water-filling rule: find the largest output size T such that every
-constrained utility can supply round(T * target) commands and the
-unconstrained remainder can cover the rest, then sample exactly those
-counts with a seeded shuffle.
+Water-filling over cells (head group x piped/unpiped), the head groups being
+the constrained utilities plus one unconstrained group: find the largest
+output size T at which every constrained utility supplies round(T * share),
+the unconstrained group covers the rest and the cells together supply
+round(T * pipe_fraction) piped commands, then sample exactly those counts
+with a seeded shuffle. Heads and pipes come from ``utilities`` metadata.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence, TypeVar
 
 from . import bash_ast
-from .generator import GeneratedCommand
 
 __all__ = [
     "InfeasibleProfile",
@@ -80,23 +83,20 @@ def default_profile_path() -> Path:
     return Path(resources.files("bashsynth").joinpath("data/profiles/original.json"))
 
 
-def _command_text(item: object) -> str:
-    if isinstance(item, GeneratedCommand):
-        return item.render()
-    if isinstance(item, str):
-        return item
-    cmd = getattr(item, "cmd", None)
-    if cmd is not None:
-        return str(cmd)
-    raise TypeError(f"cannot extract a command from {type(item).__name__}")
-
-
-def _head_and_pipes(text: str) -> tuple[str, int] | None:
+def _head_and_piped(item: object) -> tuple[str, bool] | None:
+    """(head, piped) from ``utilities`` metadata, else from one parse of the
+    item's text; None when that text does not parse."""
+    utilities = getattr(getattr(item, "provenance", item), "utilities", ())
+    if utilities:
+        return utilities[0], len(utilities) > 1
+    text = item if isinstance(item, str) else getattr(item, "cmd", None)
+    if text is None:
+        raise TypeError(f"cannot extract a command from {type(item).__name__}")
     try:
-        ast = bash_ast.parse(text)
+        stages = bash_ast.parse(text).stages
     except bash_ast.ParseError:
         return None
-    return ast.stages[0].name, len(ast.stages) - 1
+    return stages[0].name, len(stages) > 1
 
 
 def scale(
@@ -104,7 +104,6 @@ def scale(
     profile: DistributionProfile,
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
-    command_of: Callable[[T_], str] | None = None,
 ) -> list[T_]:
     """Largest subset of the pool matching the profile within tolerance.
 
@@ -113,87 +112,87 @@ def scale(
     """
     if not pool:
         raise ValueError("empty pool")
-    extract = command_of or _command_text
-
-    by_utility: dict[str, list[int]] = {}
+    shares = profile.proportions
+    pipe_target = profile.pipe_fraction
+    # cells[group] = (unpiped, piped) pool indices; group None collects the
+    # unconstrained heads. Without a pipe target every item counts unpiped.
+    cells: dict[str | None, tuple[list[int], list[int]]] = {
+        group: ([], []) for group in [*sorted(shares), None]
+    }
     for idx, item in enumerate(pool):
-        parsed = _head_and_pipes(extract(item))
-        if parsed is None:
-            continue
-        by_utility.setdefault(parsed[0], []).append(idx)
-
-    if not by_utility:
+        if (parsed := _head_and_piped(item)) is not None:
+            cell = cells[parsed[0] if parsed[0] in shares else None]
+            cell[parsed[1] and pipe_target is not None].append(idx)
+    unpiped = [len(u) for u, _ in cells.values()]
+    piped = [len(p) for _, p in cells.values()]
+    available = [u + p for u, p in zip(unpiped, piped)]
+    if not sum(available):
         raise InfeasibleProfile("no parseable commands in pool")
 
-    constrained = {u: p for u, p in profile.proportions.items()}
-    unconstrained_pool: list[int] = []
-    for utility, indices in by_utility.items():
-        if utility not in constrained:
-            unconstrained_pool.extend(indices)
+    # round() lands within 1/2 of T * share, so `count` items cannot fill
+    # a share at any T above (count + len(shares) + 1) / share.
+    group_shares = [shares[g] for g in cells if g is not None]
+    margins = list(zip(available, [*group_shares, 1.0 - sum(group_shares)]))
+    if pipe_target is not None:
+        margins += [(sum(unpiped), 1.0 - pipe_target), (sum(piped), pipe_target)]
+    upper = sum(available)
+    for count, share in margins:
+        if share > 0:
+            upper = min(upper, int((count + len(shares) + 1) / share))
 
-    total_parseable = sum(len(v) for v in by_utility.values())
-    chosen_size = None
-    takes: dict[str, int] = {}
-    for total in range(total_parseable, 0, -1):
-        candidate = {
-            u: round(total * p) for u, p in constrained.items()
-        }
-        if any(candidate[u] > len(by_utility.get(u, ())) for u in candidate):
+    heads_fit = False
+    for total in range(upper, 0, -1):
+        takes = [round(total * s) for s in group_shares]
+        takes.append(total - sum(takes))
+        if any(t < 0 or t > a for t, a in zip(takes, available)):
             continue
-        rest = total - sum(candidate.values())
-        if rest < 0 or rest > len(unconstrained_pool):
-            continue
-        chosen_size = total
-        takes = candidate
-        break
-
-    if chosen_size is None:
+        heads_fit = True
+        want = round(total * pipe_target) if pipe_target is not None else 0
+        least = [max(0, t - u) for t, u in zip(takes, unpiped)]
+        most = [min(t, p) for t, p in zip(takes, piped)]
+        if sum(least) <= want <= sum(most):
+            break
+    else:
+        if heads_fit:
+            raise InfeasibleProfile(f"no output size meets pipe_fraction {pipe_target}")
         raise InfeasibleProfile("no output size satisfies the profile")
 
-    for utility, target in constrained.items():
-        realized = takes.get(utility, 0) / chosen_size
-        if abs(realized - target) > tolerance:
-            raise InfeasibleProfile(
-                f"{utility}: realized {realized:.4f} vs target {target:.4f} "
-                f"exceeds tolerance {tolerance}"
-            )
+    checks = list(zip(sorted(shares), takes, group_shares))
+    if pipe_target is not None:
+        checks.append(("pipe_fraction", want, pipe_target))
+    misses = [
+        f"{name}: realized {count / total:.4f} vs target {target:.4f} "
+        f"exceeds tolerance {tolerance}"
+        for name, count, target in checks if abs(count / total - target) > tolerance
+    ]
+    if misses:
+        raise InfeasibleProfile("; ".join(misses))
 
+    # Each group first takes the piped commands its unpiped cell cannot
+    # cover, then the rest of the piped quota goes to groups in order.
+    spare = want - sum(least)
     rng = random.Random(seed)
     selected: list[int] = []
-    for utility in sorted(takes):
-        indices = list(by_utility.get(utility, ()))
-        rng.shuffle(indices)
-        selected.extend(indices[: takes[utility]])
-    rest = chosen_size - sum(takes.values())
-    remainder = list(unconstrained_pool)
-    rng.shuffle(remainder)
-    selected.extend(remainder[:rest])
-
+    for group, take, low, high in zip(cells.values(), takes, least, most):
+        extra = min(spare, high - low)
+        spare -= extra
+        for indices, count in zip(group, (take - low - extra, low + extra)):
+            rng.shuffle(indices)
+            selected.extend(indices[:count])
     selected.sort()
     return [pool[i] for i in selected]
 
 
-def profile_of(
-    dataset: Sequence, command_of: Callable[[object], str] | None = None
-) -> DistributionProfile:
-    """Realized head-utility proportions and pipe fraction of a dataset."""
+def profile_of(dataset: Sequence) -> DistributionProfile:
+    """Realized head-utility proportions and pipe fraction of a dataset,
+    read from ``utilities`` metadata where the items carry it."""
     if not dataset:
         raise ValueError("empty dataset")
-    extract = command_of or _command_text
-
-    heads: dict[str, int] = {}
-    piped = 0
-    for item in dataset:
-        parsed = _head_and_pipes(extract(item))
-        if parsed is None:
-            raise bash_ast.ParseError(f"unparseable command: {extract(item)!r}")
-        head, pipes = parsed
-        heads[head] = heads.get(head, 0) + 1
-        if pipes > 0:
-            piped += 1
-
+    parsed = [_head_and_piped(item) for item in dataset]
+    if None in parsed:
+        raise bash_ast.ParseError(f"unparseable command: {dataset[parsed.index(None)]!r}")
     n = len(dataset)
     return DistributionProfile(
-        proportions={u: c / n for u, c in sorted(heads.items())},
-        pipe_fraction=piped / n,
+        proportions={u: c / n for u, c in sorted(Counter(h for h, _ in parsed).items())},
+        pipe_fraction=sum(piped for _, piped in parsed) / n,
     )

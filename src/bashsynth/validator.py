@@ -319,13 +319,17 @@ def run_batch(
 
 
 def validity_rate(results: Sequence[ValidationResult]) -> RateTable:
-    """Fraction of valid verdicts, overall and per head utility."""
+    """Fraction of valid verdicts, overall and per head utility: the first
+    stage's utility, or the first word of a command that does not parse."""
     if not results:
         return RateTable(0.0, {})
     per: dict[str, list[int]] = {}
     valid_total = 0
     for r in results:
-        head = r.command.strip().split(" ", 1)[0] if r.command.strip() else ""
+        try:
+            head = bash_ast.parse(r.command).stages[0].name
+        except bash_ast.ParseError:
+            head = next(iter(r.command.split()), "")
         per.setdefault(head, []).append(1 if r.verdict else 0)
         valid_total += 1 if r.verdict else 0
     return RateTable(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 from bashsynth import dataset_io as D
 from bashsynth.cli import EXEC_OPT_IN_ENV, main
+from bashsynth.scaler import default_profile_path, load_profile, profile_of
 
 from conftest import make_replay_entries
 
@@ -96,6 +97,17 @@ def test_stage_composability(tmp_path, capsys):
     ) == 0
     entries = D.read_templates(scaled)
     assert entries and all("_" in e.cmd or "[" not in e.cmd for e in entries)
+    assert abs(profile_of(entries).proportions["find"] - 0.6) <= 0.02
+
+    # the shipped profile holds both dimensions: head share and pipe fraction
+    default_scaled = tmp_path / "default_scaled.jsonl"
+    assert main(
+        ["scale", "--in", str(survivors), "--out", str(default_scaled), "--seed", "1"]
+    ) == 0
+    realized = profile_of(D.read_templates(default_scaled))
+    target = load_profile(default_profile_path())
+    assert abs(realized.proportions["find"] - target.proportions["find"]) <= 0.02
+    assert abs(realized.pipe_fraction - target.pipe_fraction) <= 0.02
 
     # scaled templates become records once NL arrives; fake it for the rest
     dataset = tmp_path / "dataset.jsonl"
@@ -118,6 +130,36 @@ def test_stage_composability(tmp_path, capsys):
     assert main(["stats", "--in", str(dataset), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["total"] == len(entries)
+
+
+def test_validate_writes_note(tmp_path):
+    templates = tmp_path / "templates.jsonl"
+    D.write_templates(
+        [D.TemplateEntry(id="x", cmd='grep "broken', utilities=("grep",))], templates
+    )
+    out = tmp_path / "results.jsonl"
+    assert main(
+        ["validate", "--in", str(templates), "--out", str(out),
+         "--workspace", str(tmp_path / "ws")]
+    ) == 0
+    (result,) = [json.loads(l) for l in out.read_text().splitlines()]
+    assert result["verdict"] is False
+    assert result["note"].startswith("dry_run:")
+
+
+def test_scale_infeasible_pipe_fraction_exits_1(tmp_path, capsys):
+    templates = tmp_path / "templates.jsonl"
+    D.write_templates(
+        [D.TemplateEntry(id=str(i), cmd=f"ls /d{i}", utilities=("ls",))
+         for i in range(20)],
+        templates,
+    )
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"proportions": {}, "pipe_fraction": 0.5}))
+    code = main(["scale", "--in", str(templates), "--out", str(tmp_path / "s.jsonl"),
+                 "--profile", str(profile)])
+    assert code == 1
+    assert "pipe_fraction" in capsys.readouterr().err
 
 
 def test_stats_json(tmp_path, capsys):
@@ -247,3 +289,16 @@ def test_config_file_sets_defaults(tmp_path):
     assert main(["--config", str(config), "generate", "--utility", "grep",
                  "--limit", "2", "--out", str(out_flag)]) == 0
     assert len(D.read_templates(out_flag)) == 2
+
+
+def test_config_unknown_keys_rejected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"parser_form": False, "no_such_key": 1}))
+    out = tmp_path / "t.jsonl"
+    code = main(["--config", str(config), "generate", "--utility", "cd",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no_such_key" in err and "parser_form" in err
+    assert not out.exists()
+    assert not (tmp_path / "t.jsonl.manifest.json").exists()

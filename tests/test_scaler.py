@@ -1,8 +1,14 @@
 from __future__ import annotations
 
-import pytest
+import itertools
+from unittest import mock
 
-from bashsynth.dataset_io import DatasetRecord
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bashsynth import bash_ast
+from bashsynth.dataset_io import DatasetRecord, TemplateEntry
 from bashsynth.generator import generate_unpiped
 from bashsynth.scaler import (
     DistributionProfile,
@@ -17,6 +23,22 @@ from bashsynth.scaler import (
 
 def _pool(find: int, ls: int) -> list[str]:
     return [f"find /d{i}" for i in range(find)] + [f"ls /d{i}" for i in range(ls)]
+
+
+def _entry(i: int, head: str, piped: bool) -> TemplateEntry:
+    if piped:
+        return TemplateEntry(str(i), f"{head} /d{i} | sort", (head, "sort"))
+    return TemplateEntry(str(i), f"{head} /d{i}", (head,))
+
+
+def _entries(cells: dict[tuple[str, bool], int]) -> list[TemplateEntry]:
+    kinds = [kind for kind, count in cells.items() for _ in range(count)]
+    return [_entry(i, head, piped) for i, (head, piped) in enumerate(kinds)]
+
+
+def _no_parse():
+    """TemplateEntry items carry their heads; scale() must not parse them."""
+    return mock.patch.object(bash_ast, "parse", side_effect=AssertionError("parsed"))
 
 
 class TestProfile:
@@ -101,6 +123,137 @@ class TestScale:
         ]
         out = scale(pool, DistributionProfile({"find": 0.5}), seed=3)
         assert all(isinstance(r, DatasetRecord) for r in out)
+
+
+class TestPipeFraction:
+    def test_both_dimensions_met(self):
+        pool = _entries({("find", False): 50, ("find", True): 200,
+                         ("ls", False): 40, ("ls", True): 300})
+        profile = DistributionProfile({"find": 0.6344}, pipe_fraction=0.3136)
+        with _no_parse():
+            out = scale(pool, profile, seed=1)
+            realized = profile_of(out)
+        assert abs(realized.proportions["find"] - 0.6344) <= 0.02
+        assert abs(realized.pipe_fraction - 0.3136) <= 0.02
+        # 90 unpiped commands bound the output at 90 / (1 - 0.3136)
+        assert len(out) == 131
+
+    def test_unmeetable_pipe_fraction_names_it(self):
+        pool = _entries({("find", False): 30, ("ls", False): 30})
+        with pytest.raises(InfeasibleProfile, match="pipe_fraction"):
+            scale(pool, DistributionProfile({"find": 0.5}, pipe_fraction=0.5))
+
+    def test_pipe_tolerance_names_pipe_fraction(self):
+        pool = _entries({("ls", False): 2, ("ls", True): 1})
+        with pytest.raises(InfeasibleProfile, match="pipe_fraction"):
+            scale(pool, DistributionProfile({}, pipe_fraction=0.4))
+
+
+# ---------------------------------------------------------------------------
+# Property tests against brute-force oracles
+
+HEADS = ("find", "ls", "cat")
+
+
+def _parent_scan_size(pool, profile) -> int | None:
+    """The one-dimensional scan down from the pool size, as scale() ran
+    before it honoured pipe_fraction."""
+    heads = [e.utilities[0] for e in pool]
+    by_utility = {u: heads.count(u) for u in set(heads)}
+    unconstrained = sum(c for u, c in by_utility.items() if u not in profile.proportions)
+    for total in range(len(pool), 0, -1):
+        candidate = {u: round(total * p) for u, p in profile.proportions.items()}
+        if any(candidate[u] > by_utility.get(u, 0) for u in candidate):
+            continue
+        rest = total - sum(candidate.values())
+        if 0 <= rest <= unconstrained:
+            return total
+    return None
+
+
+def _oracle_size(pool, profile) -> int | None:
+    """Largest size at which some piped count per head group (enumerated
+    in full) meets the rounded head counts and the rounded pipe count."""
+    groups = [*profile.proportions, None]
+    cells = {g: [0, 0] for g in groups}
+    for e in pool:
+        head = e.utilities[0]
+        cells[head if head in profile.proportions else None][len(e.utilities) > 1] += 1
+    for total in range(len(pool), 0, -1):
+        takes = [round(total * p) for p in profile.proportions.values()]
+        takes.append(total - sum(takes))
+        want = round(total * profile.pipe_fraction)
+        for piped in itertools.product(*(range(cells[g][1] + 1) for g in groups)):
+            if sum(piped) == want and all(
+                0 <= take - x <= cells[g][0] for g, take, x in zip(groups, takes, piped)
+            ):
+                return total
+    return None
+
+
+def _within(size: int, profile: DistributionProfile, tolerance: float) -> bool:
+    targets = [*profile.proportions.values(), profile.pipe_fraction]
+    return all(abs(round(size * t) / size - t) <= tolerance for t in targets)
+
+
+@st.composite
+def pools(draw):
+    counts = {(head, p): draw(st.integers(0, 5)) for head in HEADS for p in (False, True)}
+    kinds = draw(st.permutations([k for k, c in counts.items() for _ in range(c)]))
+    return [_entry(i, head, p) for i, (head, p) in enumerate(kinds)]
+
+
+@st.composite
+def profiles(draw, piped: bool = True):
+    constrained = draw(st.lists(st.sampled_from(HEADS), unique=True))
+    shares = draw(
+        st.lists(st.integers(0, 20), min_size=len(constrained), max_size=len(constrained))
+        .filter(lambda xs: sum(xs) <= 20)
+    )
+    pipe = draw(st.integers(0, 20).map(lambda x: x / 20)) if piped else None
+    return DistributionProfile(
+        {u: x / 20 for u, x in zip(constrained, shares)}, pipe_fraction=pipe
+    )
+
+
+def _scale_or_none(pool, profile, seed, tolerance):
+    try:
+        return scale(pool, profile, seed=seed, tolerance=tolerance)
+    except InfeasibleProfile:
+        return None
+
+
+class TestScaleProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(pools(), profiles(), st.sampled_from([0.02, 0.1, 1.0]), st.integers(0, 3))
+    def test_matches_oracle(self, pool, profile, tolerance, seed):
+        if not pool:
+            return
+        size = _oracle_size(pool, profile)
+        with _no_parse():
+            out = _scale_or_none(pool, profile, seed, tolerance)
+            if size is None or not _within(size, profile, tolerance):
+                assert out is None
+                return
+            assert out is not None and len(out) == size
+            realized = profile_of(out)
+            assert _scale_or_none(pool, profile, seed, tolerance) == out
+        ids = [e.id for e in out]
+        assert len(set(ids)) == len(ids)
+        assert set(ids) <= {e.id for e in pool}
+        for utility, target in profile.proportions.items():
+            assert abs(realized.proportions.get(utility, 0.0) - target) <= tolerance
+        assert abs(realized.pipe_fraction - profile.pipe_fraction) <= tolerance
+
+    @settings(max_examples=150, deadline=None)
+    @given(pools(), profiles(piped=False), st.integers(0, 3))
+    def test_no_pipe_target_keeps_parent_size(self, pool, profile, seed):
+        if not pool:
+            return
+        size = _parent_scan_size(pool, profile)
+        with _no_parse():
+            out = _scale_or_none(pool, profile, seed, 1.0)
+        assert (None if out is None else len(out)) == size
 
 
 class TestProfileOf:

@@ -256,6 +256,17 @@ class TestValidityRate:
         assert table.per_utility["ls"] == 1.0
         assert table.overall == pytest.approx(2 / 3)
 
+    def test_head_comes_from_the_parse(self):
+        results = [
+            V.ValidationResult("ls\t-l", 0, 0.1, True),
+            V.ValidationResult("ls -a", 1, 0.1, False),
+        ]
+        assert V.validity_rate(results).per_utility == {"ls": 0.5}
+
+    def test_unparseable_head_is_first_word(self):
+        results = [V.ValidationResult('grep\t"open', 1, 0.0, False)]
+        assert V.validity_rate(results).per_utility == {"grep": 0.0}
+
     def test_empty_input(self):
         table = V.validity_rate([])
         assert table.overall == 0.0
