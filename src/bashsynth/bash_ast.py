@@ -197,70 +197,36 @@ def _walk_nested(node: UtilityNode) -> Iterator[UtilityNode]:
 # Tokenizer
 
 
+# A word is a run of pieces: plain characters, '...', "...", a backslash
+# pair (a trailing backslash stands alone), a "$" not followed by "(", and a
+# one-level "$(...)" whose body holds no unquoted parenthesis and no "$(".
+# Every piece is told apart by its first character and the loops are
+# unrolled (plain* (piece plain*)*), so a failed match backtracks in linear
+# time without possessive quantifiers, which Python 3.10 lacks.
+_SPECIAL = r"""'[^']*'|"[^"]*"|\\(?:.|\Z)|\$(?!\()"""
+_BODY = rf"""[^()'"\\$]*(?:(?:{_SPECIAL})[^()'"\\$]*)*"""
+_PIECE = rf"""{_SPECIAL}|\$\({_BODY}\)"""
+_PLAIN = r"""[^\s|()'"\\$]"""
+_TOKEN_RE = re.compile(
+    rf"(\||(?:{_PLAIN}|{_PIECE}){_PLAIN}*(?:(?:{_PIECE}){_PLAIN}*)*)", re.DOTALL
+)
+_LEFTOVER_ERRORS = {
+    "'": "unbalanced quote",
+    '"': "unbalanced quote",
+    "(": "subshell groups are not supported",
+    ")": "subshell groups are not supported",
+    "$": "unbalanced or nested command substitution",
+}
+
+
 def _scan_tokens(source: str) -> list[str]:
-    """Split a command into tokens, keeping quotes and $(...) groups intact."""
-    tokens: list[str] = []
-    buf: list[str] = []
-    quote = ""
-    depth = 0
-    i, n = 0, len(source)
-
-    def flush() -> None:
-        if buf:
-            tokens.append("".join(buf))
-            buf.clear()
-
-    while i < n:
-        ch = source[i]
-        if quote:
-            buf.append(ch)
-            if ch == quote:
-                quote = ""
-            i += 1
-            continue
-        if ch in "'\"":
-            quote = ch
-            buf.append(ch)
-            i += 1
-            continue
-        if ch == "\\" and i + 1 < n:
-            buf.append(ch)
-            buf.append(source[i + 1])
-            i += 2
-            continue
-        if ch == "$" and i + 1 < n and source[i + 1] == "(":
-            depth += 1
-            buf.append("$(")
-            i += 2
-            continue
-        if depth:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            buf.append(ch)
-            i += 1
-            continue
-        if ch in "()":
-            raise ParseError("subshell groups are not supported")
-        if ch == "|":
-            flush()
-            tokens.append("|")
-            i += 1
-            continue
-        if ch.isspace():
-            flush()
-            i += 1
-            continue
-        buf.append(ch)
-        i += 1
-
-    if quote:
-        raise ParseError("unbalanced quote")
-    if depth:
-        raise ParseError("unbalanced command substitution")
-    flush()
-    return tokens
+    """Split a command into tokens, keeping quotes and $(...) groups intact;
+    a pipe is a token of its own."""
+    parts = _TOKEN_RE.split(source)
+    gaps = "".join(parts[::2])
+    if gaps and not gaps.isspace():
+        raise ParseError(_LEFTOVER_ERRORS[gaps.lstrip()[0]])
+    return parts[1::2]
 
 
 def _is_flag(token: str) -> bool:
@@ -345,12 +311,25 @@ def categorize(literal: str, context: ParamContext | None = None) -> Placeholder
 # Parser
 
 
+# Parsed top-level stages keyed by (id(hints), stage tokens). Each value
+# holds its hints object, so no other object can take that id while the
+# entry lives: a hit is always a node parsed with these very hints. dict
+# get, set and clear are each atomic under the GIL, so threads parsing at
+# once may lose an entry to a clear or insert one twice, but never read a
+# node parsed with other hints. The bound can be overshot by one entry per
+# thread inserting at the same moment.
+_STAGE_CACHE_SIZE = 4096
+_stage_cache: dict[tuple[int, tuple[str, ...]], tuple[object, UtilityNode]] = {}
+
+
 def parse(source: str, hints: Mapping[str, UtilityHints] | None = None) -> BashAst:
     """Parse a single-line command into a :class:`BashAst`.
 
     ``hints`` (typically from ``SyntaxKb.parser_hints()``) lets the parser
     attach arguments to flags that declare them, expand single-character
     flag clusters, and categorize positional parameters by declared kind.
+    Parsed stages are cached per hints object (by identity) and shared
+    between ASTs, so hints must not be mutated after they are first used.
 
     Raises :class:`ParseError` for empty input, unbalanced quotes, a stage
     with no utility token, or nesting deeper than one level.
@@ -360,18 +339,34 @@ def parse(source: str, hints: Mapping[str, UtilityHints] | None = None) -> BashA
     if "\n" in source.strip():
         raise ParseError("command must be a single line")
 
-    tokens = _scan_tokens(source)
-    stage_tokens: list[list[str]] = [[]]
-    for tok in tokens:
-        if tok == "|":
-            stage_tokens.append([])
+    hints_id = id(hints)
+    stages: list[UtilityNode] = []
+    for tokens in _split_stages(_scan_tokens(source)):
+        key = (hints_id, tokens)
+        hit = _stage_cache.get(key)
+        if hit is None:
+            node = _parse_stage(tokens, hints, depth=0)
+            if len(_stage_cache) >= _STAGE_CACHE_SIZE:
+                _stage_cache.clear()
+            _stage_cache[key] = (hints, node)
         else:
-            stage_tokens[-1].append(tok)
-    if any(not st for st in stage_tokens):
-        raise ParseError("pipeline stage with no utility token")
+            node = hit[1]
+        stages.append(node)
+    return BashAst(stages=tuple(stages), raw=source)
 
-    stages = tuple(_parse_stage(st, hints, depth=0) for st in stage_tokens)
-    return BashAst(stages=stages, raw=source)
+
+def _split_stages(tokens: list[str]) -> list[tuple[str, ...]]:
+    """Split tokens at pipes; every stage must hold at least one token."""
+    stages: list[tuple[str, ...]] = []
+    start = 0
+    for i, tok in enumerate(tokens):
+        if tok == "|":
+            stages.append(tuple(tokens[start:i]))
+            start = i + 1
+    stages.append(tuple(tokens[start:]))
+    if not all(stages):
+        raise ParseError("pipeline stage with no utility token")
+    return stages
 
 
 def _parse_stage(
@@ -407,16 +402,10 @@ def _parse_stage(
                 raise ParseError("nesting deeper than one level")
             if not inner:
                 raise ParseError("empty command substitution")
-            inner_tokens = _scan_tokens(inner)
-            inner_stages: list[list[str]] = [[]]
-            for t in inner_tokens:
-                if t == "|":
-                    inner_stages.append([])
-                else:
-                    inner_stages[-1].append(t)
-            if any(not st for st in inner_stages):
-                raise ParseError("pipeline stage with no utility token")
-            stages = tuple(_parse_stage(st, hints, depth + 1) for st in inner_stages)
+            stages = tuple(
+                _parse_stage(st, hints, depth + 1)
+                for st in _split_stages(_scan_tokens(inner))
+            )
             items.append(Substitution(stages))
             i += 1
             continue

@@ -145,8 +145,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         dataset_io.write_templates(keep, args.survivors)
         _write_manifest(Path(args.survivors), "validate", args)
 
-    table = validator.validity_rate(results)
-    print(f"validity rate: {table.overall:.1%} over {len(results)} commands")
+    rate = sum(r.verdict for r in results) / len(results) if results else 0.0
+    print(f"validity rate: {rate:.1%} over {len(results)} commands")
     return 0
 
 

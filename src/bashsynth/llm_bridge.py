@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -48,7 +49,14 @@ class AuthError(RuntimeError):
 
 
 class TransportError(RuntimeError):
-    """Request failed after exhausting retries, or replay had no answer."""
+    """Request failed after exhausting retries, or replay had no answer.
+
+    ``retry_after`` holds the seconds a 429 or 5xx reply asked the client to
+    wait in its ``Retry-After`` header, or None."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 @dataclass(frozen=True)
@@ -122,7 +130,10 @@ class HttpTransport:
         if resp.status_code in (401, 403):
             raise AuthError(f"endpoint returned {resp.status_code}")
         if resp.status_code >= 400:
-            raise TransportError(f"endpoint returned {resp.status_code}")
+            retry_after = None
+            if resp.status_code == 429 or resp.status_code >= 500:
+                retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
+            raise TransportError(f"endpoint returned {resp.status_code}", retry_after)
         try:
             body = resp.json()
         except ValueError as exc:
@@ -131,6 +142,16 @@ class HttpTransport:
             return body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """Seconds from a ``Retry-After`` header; None for a missing value or the
+    HTTP-date form."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 class ReplayTransport:
@@ -240,7 +261,12 @@ class LlmSession:
                 last_error = exc
                 self._log(task, prompt, "", start, attempt, temperature, str(exc))
                 if attempt < attempts:
-                    time.sleep(self.config.backoff * attempt)
+                    wait = self.config.backoff * attempt
+                    if exc.retry_after is not None:
+                        # The endpoint's ask, capped so a reply cannot stall
+                        # the run for longer than one request may take.
+                        wait = max(wait, min(exc.retry_after, self.config.request_timeout))
+                    time.sleep(wait)
                 continue
             self._log(task, prompt, response, start, attempt, temperature, None)
             return response

@@ -99,6 +99,38 @@ def _head_and_piped(item: object) -> tuple[str, bool] | None:
     return stages[0].name, len(stages) > 1
 
 
+def _pipe_split_cap(
+    shares: Sequence[float], unpiped: Sequence[int], pipe_target: float, upper: int
+) -> int:
+    """Largest size in [0, upper] that can meet the pipe split.
+
+    At size T each group takes within its rounding slack of T * share (the
+    unconstrained group, last, within half a unit per constrained share) and
+    must fill what its unpiped cell lacks with piped commands, which number
+    round(T * pipe_target). The continuous relaxation of that need minus the
+    quota is convex in T and 0 at T = 0, so the sizes meeting it form a
+    prefix of the integers; bisect for its end. The extra half unit on the
+    quota absorbs float error in the products.
+    """
+    slacks = [0.5] * (len(shares) - 1) + [(len(shares) - 1) / 2]
+
+    def fits(total: int) -> bool:
+        need = sum(
+            max(0.0, total * s - u - slack)
+            for s, u, slack in zip(shares, unpiped, slacks)
+        )
+        return need <= total * pipe_target + 1.0
+
+    low, high = 0, upper
+    while low < high:
+        mid = (low + high + 1) // 2
+        if fits(mid):
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
 def scale(
     pool: Sequence[T_],
     profile: DistributionProfile,
@@ -132,13 +164,16 @@ def scale(
     # round() lands within 1/2 of T * share, so `count` items cannot fill
     # a share at any T above (count + len(shares) + 1) / share.
     group_shares = [shares[g] for g in cells if g is not None]
-    margins = list(zip(available, [*group_shares, 1.0 - sum(group_shares)]))
+    cell_shares = [*group_shares, 1.0 - sum(group_shares)]
+    margins = list(zip(available, cell_shares))
     if pipe_target is not None:
         margins += [(sum(unpiped), 1.0 - pipe_target), (sum(piped), pipe_target)]
     upper = sum(available)
     for count, share in margins:
         if share > 0:
             upper = min(upper, int((count + len(shares) + 1) / share))
+    if pipe_target is not None:
+        upper = _pipe_split_cap(cell_shares, unpiped, pipe_target, upper)
 
     heads_fit = False
     for total in range(upper, 0, -1):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 import yaml
 
@@ -296,20 +297,22 @@ class SyntaxKb:
     def specs(self) -> tuple[UtilitySpec, ...]:
         return tuple(self._by_name.values())
 
-    def parser_hints(self) -> dict[str, UtilityHints]:
-        """Hints consumed by ``bash_ast.parse`` for flag args and positionals."""
+    def parser_hints(self) -> Mapping[str, UtilityHints]:
+        """Hints consumed by ``bash_ast.parse`` for flag args and positionals.
+
+        Read-only, since ``parse`` caches what it parsed with them."""
         hints: dict[str, UtilityHints] = {}
         for spec in self._by_name.values():
             hints[spec.name] = UtilityHints(
                 known_flags=frozenset(f.token for f in spec.flags),
-                flag_args={
-                    f.token: to_parser_kind(f.arg) for f in spec.flags if f.arg
-                },
+                flag_args=MappingProxyType(
+                    {f.token: to_parser_kind(f.arg) for f in spec.flags if f.arg}
+                ),
                 positionals=tuple(
                     to_parser_kind(k) for k in spec.positional_kinds
                 ),
             )
-        return hints
+        return MappingProxyType(hints)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,83 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bashsynth import bash_ast as B
-from bashsynth.bash_ast import ParamContext, ParseError, PlaceholderKind
+from bashsynth.bash_ast import ParamContext, ParseError, PlaceholderKind, UtilityHints
+
+
+def _oracle_scan_tokens(source: str) -> tuple[list[str], int]:
+    """The per-character tokenizer that the regex one replaced, kept as the
+    reference. Also returns the deepest $(...)/paren nesting it reached."""
+    tokens: list[str] = []
+    buf: list[str] = []
+    quote = ""
+    depth = deepest = 0
+    i, n = 0, len(source)
+
+    def flush() -> None:
+        if buf:
+            tokens.append("".join(buf))
+            buf.clear()
+
+    while i < n:
+        ch = source[i]
+        if quote:
+            buf.append(ch)
+            if ch == quote:
+                quote = ""
+            i += 1
+            continue
+        if ch in "'\"":
+            quote = ch
+            buf.append(ch)
+            i += 1
+            continue
+        if ch == "\\" and i + 1 < n:
+            buf.append(ch)
+            buf.append(source[i + 1])
+            i += 2
+            continue
+        if ch == "$" and i + 1 < n and source[i + 1] == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+            buf.append("$(")
+            i += 2
+            continue
+        if depth:
+            if ch == "(":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif ch == ")":
+                depth -= 1
+            buf.append(ch)
+            i += 1
+            continue
+        if ch in "()":
+            raise ParseError("subshell groups are not supported")
+        if ch == "|":
+            flush()
+            tokens.append("|")
+            i += 1
+            continue
+        if ch.isspace():
+            flush()
+            i += 1
+            continue
+        buf.append(ch)
+        i += 1
+
+    if quote:
+        raise ParseError("unbalanced quote")
+    if depth:
+        raise ParseError("unbalanced command substitution")
+    flush()
+    return tokens, deepest
 
 
 class TestParse:
@@ -65,6 +138,12 @@ class TestParse:
     def test_substitution_nesting_rejected(self):
         with pytest.raises(ParseError):
             B.parse("echo $(echo $(date))")
+
+    def test_glued_nested_substitution_rejected(self):
+        # Glued inside a word, these once parsed as one plain parameter.
+        for source in ("echo x$(a $(b))", "echo x$((1 + 2))", "x$(a (b))"):
+            with pytest.raises(ParseError):
+                B.parse(source)
 
     def test_subshell_rejected(self):
         with pytest.raises(ParseError):
@@ -273,3 +352,134 @@ def test_property_render_parse_stable(utility, flags, params):
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-/*", min_size=1, max_size=12))
 def test_property_categorize_total(literal):
     assert B.categorize(literal) in PlaceholderKind
+
+
+# Single characters of the alphabet a - | ( ) ' " \ $ { } ; space tab, plus
+# "$(" as one draw so that substitutions, nested or not, come up often.
+_TOKENIZER_CHUNKS = [*"a-|()'\"\\${}; \t", "$("]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(_TOKENIZER_CHUNKS), max_size=20).map("".join))
+@example("x$(a $(b))")
+@example("$(a(b)")
+@example("a\\")
+def test_property_tokenizer_matches_oracle(text):
+    try:
+        expected, deepest = _oracle_scan_tokens(text)
+    except ParseError:
+        expected, deepest = None, 0
+    try:
+        got = B._scan_tokens(text)
+    except ParseError:
+        got = None
+    if deepest > 1:
+        # A $(...) whose body holds a further "(" or "$(": parse rejected
+        # it before, unless it was glued inside a word; now it always does.
+        assert got is None
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "$(" * 10_000,
+        "echo " + "$(a " * 5_000,
+        "$" * 20_000,
+        "'" * 20_001,
+        '"' * 20_001,
+        "echo " + "'a" * 10_000,
+        "$('" * 7_000,
+        "\\" * 20_001,
+        "|" * 20_000,
+        "a|" * 10_000,
+    ],
+)
+def test_hostile_input_is_linear(text):
+    start = time.perf_counter()
+    try:
+        B.parse(text)
+    except ParseError:
+        pass
+    assert time.perf_counter() - start < 1.0
+
+
+class TestStageCache:
+    # Three hints objects that parse this text three different ways.
+    TEXT = "head -n 10 access.log | sort"
+
+    @pytest.fixture
+    def variants(self, hints):
+        fresh = {"head": UtilityHints(positionals=(PlaceholderKind.DIRECTORY,))}
+        return [None, hints, fresh]
+
+    def _uncached(self, text, hints):
+        B._stage_cache.clear()
+        return B.parse(text, hints)
+
+    def test_hints_alternation_matches_uncached_parse(self, variants, corpus_lines):
+        texts = [self.TEXT, *corpus_lines[:50]]
+        expected = {
+            (text, i): self._uncached(text, h)
+            for text in texts
+            for i, h in enumerate(variants)
+        }
+        heads = [expected[(self.TEXT, i)].stages[0] for i in range(3)]
+        assert len(set(heads)) == 3
+        B._stage_cache.clear()
+        for _ in range(2):
+            for text in texts:
+                for i, h in enumerate(variants):
+                    assert B.parse(text, h) == expected[(text, i)], (text, i)
+
+    def test_repeated_stage_is_shared(self, hints):
+        first = B.parse("cat a.txt | sort -r", hints)
+        second = B.parse("ls -l | sort -r", hints)
+        assert first.stages[1] is second.stages[1]
+
+    def test_failed_stage_not_cached(self):
+        B._stage_cache.clear()
+        with pytest.raises(ParseError):
+            B.parse("ls | -la /tmp")
+        assert [key[1] for key in B._stage_cache] == [("ls",)]
+
+    def test_bound(self):
+        B._stage_cache.clear()
+        for i in range(B._STAGE_CACHE_SIZE + 100):
+            B.parse(f"ls d{i} | wc -l")
+            assert len(B._stage_cache) <= B._STAGE_CACHE_SIZE
+
+    def test_threads_with_different_hints(self, variants, corpus_lines, monkeypatch):
+        texts = [self.TEXT, *corpus_lines[:40]]
+        expected = [
+            [self._uncached(text, h) for text in texts] for h in variants
+        ]
+        errors: list[str] = []
+        # A small bound makes the threads clear the cache under each other.
+        monkeypatch.setattr(B, "_STAGE_CACHE_SIZE", 16)
+
+        def work(which: int) -> None:
+            h = variants[which]
+            for _ in range(20):
+                for text, want in zip(texts, expected[which]):
+                    if B.parse(text, h) != want:
+                        errors.append(f"{which}: {text}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            B._stage_cache.clear()
+            threads = [
+                threading.Thread(target=work, args=(i % len(variants),))
+                for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(B._stage_cache) <= 16 + len(threads)

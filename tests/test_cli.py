@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from bashsynth import bash_ast
 from bashsynth import dataset_io as D
 from bashsynth.cli import EXEC_OPT_IN_ENV, main
 from bashsynth.scaler import default_profile_path, load_profile, profile_of
@@ -145,6 +146,27 @@ def test_validate_writes_note(tmp_path):
     (result,) = [json.loads(l) for l in out.read_text().splitlines()]
     assert result["verdict"] is False
     assert result["note"].startswith("dry_run:")
+
+
+def test_validate_parses_each_command_once(tmp_path, capsys, monkeypatch):
+    templates = tmp_path / "templates.jsonl"
+    cmds = ["ls -la", "sort -r [File]", 'grep "broken']
+    D.write_templates(
+        [D.TemplateEntry(id=str(i), cmd=c, utilities=(c.split()[0],))
+         for i, c in enumerate(cmds)],
+        templates,
+    )
+    parsed: list[str] = []
+    real_parse = bash_ast.parse
+    monkeypatch.setattr(
+        bash_ast, "parse", lambda text, *a: parsed.append(text) or real_parse(text, *a)
+    )
+    assert main(
+        ["validate", "--in", str(templates), "--out", str(tmp_path / "r.jsonl"),
+         "--workspace", str(tmp_path / "ws")]
+    ) == 0
+    assert len(parsed) == len(cmds)
+    assert "validity rate: 66.7% over 3 commands" in capsys.readouterr().out
 
 
 def test_scale_infeasible_pipe_fraction_exits_1(tmp_path, capsys):

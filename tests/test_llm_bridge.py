@@ -101,6 +101,49 @@ class TestHttpTransport:
         assert session.audit[1].error is None
 
 
+    @pytest.mark.parametrize(
+        "status, header, expected",
+        [(429, "7", 7.0), (503, "1.5", 1.5), (503, None, None),
+         (503, "Wed, 21 Oct 2015 07:28:00 GMT", None), (404, "7", None)],
+    )
+    def test_retry_after_on_error(self, monkeypatch, status, header, expected):
+        resp = requests.Response()
+        resp.status_code = status
+        if header is not None:
+            resp.headers["Retry-After"] = header
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: resp)
+        transport = L.HttpTransport(L.LlmConfig(endpoint="http://localhost:9/v1"))
+        with pytest.raises(L.TransportError) as info:
+            transport.send({})
+        assert info.value.retry_after == expected
+
+
+class _BusyOnce:
+    supports_concurrency = False
+
+    def __init__(self, retry_after):
+        self.errors = [L.TransportError("endpoint returned 429", retry_after)]
+
+    def send(self, payload):
+        if self.errors:
+            raise self.errors.pop()
+        return "list files"
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize(
+        "retry_after, expected",
+        [(3.0, 3.0), (0.1, 0.5), (None, 0.5), (100.0, 10.0)],
+    )
+    def test_sleep_honours_header(self, monkeypatch, retry_after, expected):
+        sleeps: list[float] = []
+        monkeypatch.setattr(L.time, "sleep", sleeps.append)
+        config = L.LlmConfig(backoff=0.5, request_timeout=10.0)
+        session = L.LlmSession(config, _BusyOnce(retry_after))
+        assert session.backtranslate("ls") == "list files"
+        assert sleeps == [expected]
+
+
 class TestBacktranslate:
     def test_stub_mapping(self, replay_entries):
         session = _session(replay_entries)

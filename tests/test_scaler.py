@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bashsynth import bash_ast
+from bashsynth import scaler as scaler_mod
 from bashsynth.dataset_io import DatasetRecord, TemplateEntry
 from bashsynth.generator import generate_unpiped
 from bashsynth.scaler import (
@@ -147,6 +148,22 @@ class TestPipeFraction:
         pool = _entries({("ls", False): 2, ("ls", True): 1})
         with pytest.raises(InfeasibleProfile, match="pipe_fraction"):
             scale(pool, DistributionProfile({}, pipe_fraction=0.4))
+
+    def test_infeasible_pipe_split_stops_early(self, monkeypatch):
+        # Piped find must make up 0.63 of the output but pipes only 0.31:
+        # no size beyond a handful can meet both, however large the pool.
+        pool = _entries({("find", True): 3000, ("ls", False): 3000})
+        tried: list[int] = []
+
+        def counting_range(*args):
+            for total in range(*args):
+                tried.append(total)
+                yield total
+
+        monkeypatch.setattr(scaler_mod, "range", counting_range, raising=False)
+        with pytest.raises(InfeasibleProfile, match="pipe_fraction"):
+            scale(pool, load_profile(default_profile_path()))
+        assert 0 < len(tried) <= 10
 
 
 # ---------------------------------------------------------------------------

@@ -150,3 +150,11 @@ def test_parser_hints_expose_flag_args(kb):
     assert hints["tar"].flag_args["-f"] is PlaceholderKind.FILE
     assert hints["cd"].positionals == (PlaceholderKind.DIRECTORY,)
     assert "-empty" in hints["find"].known_flags
+
+
+def test_parser_hints_are_read_only(kb):
+    hints = kb.parser_hints()
+    with pytest.raises(TypeError):
+        hints["tar"] = hints["ls"]
+    with pytest.raises(TypeError):
+        hints["tar"].flag_args["-f"] = PlaceholderKind.PATH
