@@ -192,27 +192,24 @@ def _make_session(args: argparse.Namespace) -> llm_bridge.LlmSession:
 def cmd_backtranslate(args: argparse.Namespace) -> int:
     session = _make_session(args)
     entries = dataset_io.read_templates(args.infile)
-    records = []
-    for entry in entries:
-        records.append(
-            dataset_io.DatasetRecord(
-                nl=session.backtranslate(entry.cmd), cmd=entry.cmd, source="llm"
-            )
-        )
-    dataset_io.write_records(records, args.out)
+    try:
+        records = session.backtranslate_records([e.cmd for e in entries], args.out)
+    finally:
+        if args.audit_log:
+            session.write_audit(args.audit_log)
     _write_manifest(Path(args.out), "backtranslate", args)
-    if args.audit_log:
-        session.write_audit(args.audit_log)
     print(f"backtranslated {len(records)} commands")
     return 0
 
 
 def cmd_llm_pipeline(args: argparse.Namespace) -> int:
     session = _make_session(args)
-    records = session.pipeline(args.n, out_path=args.out)
+    try:
+        records = session.pipeline(args.n, out_path=args.out)
+    finally:
+        if args.audit_log:
+            session.write_audit(args.audit_log)
     _write_manifest(Path(args.out), "llm-pipeline", args)
-    if args.audit_log:
-        session.write_audit(args.audit_log)
     print(f"pipeline produced {len(records)} records from {args.n} prompts")
     return 0
 

@@ -19,13 +19,16 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence, TypeVar
 
 import requests
 
 from . import bash_ast
 from .dataset_io import DatasetRecord, record_to_json
 from .generator import dedup
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 __all__ = [
     "AuthError",
@@ -80,6 +83,8 @@ class LlmConfig:
             raise ValueError("max_retries must be >= 0")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+        if self.requests_per_minute is not None and self.requests_per_minute < 1:
+            raise ValueError("requests_per_minute must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -233,7 +238,7 @@ class LlmSession:
         self._last_call = 0.0
 
     def _pace(self) -> None:
-        if not self.config.requests_per_minute:
+        if self.config.requests_per_minute is None:
             return
         interval = 60.0 / self.config.requests_per_minute
         with self._pace_lock:
@@ -314,6 +319,41 @@ class LlmSession:
             "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
         )
 
+    def _map_ordered(
+        self, fn: Callable[[_T], _R], items: Sequence[_T]
+    ) -> Iterator[_R]:
+        """Yield ``fn(item)`` for each item, in input order.
+
+        Up to ``config.concurrency`` calls run at once when the transport
+        supports concurrency; otherwise the calls run one by one. The first
+        exception in input order propagates. Once a call has raised, queued
+        calls for later items never start: only the calls already in flight,
+        at most ``concurrency - 1``, still finish.
+        """
+        if not (self.transport.supports_concurrency and self.config.concurrency > 1):
+            for item in items:
+                yield fn(item)
+            return
+        failed_at = len(items)
+        lock = threading.Lock()
+
+        def guarded(index: int) -> _R | None:
+            nonlocal failed_at
+            if index > failed_at:
+                return None  # never read: the failure at failed_at raises first
+            try:
+                return fn(items[index])
+            except BaseException:
+                with lock:
+                    failed_at = min(failed_at, index)
+                raise
+
+        pool = ThreadPoolExecutor(max_workers=self.config.concurrency)
+        try:
+            yield from pool.map(guarded, range(len(items)))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
     # ------------------------------------------------------------------
 
     def gen_commands(self, n: int) -> list[str]:
@@ -329,12 +369,7 @@ class LlmSession:
             except TransportError:
                 return None
 
-        if self.transport.supports_concurrency and self.config.concurrency > 1:
-            with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
-                raw = list(pool.map(one, range(n)))
-        else:
-            raw = [one(i) for i in range(n)]
-        return [cmd for cmd in raw if cmd]
+        return [cmd for cmd in self._map_ordered(one, range(n)) if cmd]
 
     def backtranslate(self, cmd: str) -> str:
         """English description of one command, at the deterministic temperature."""
@@ -349,6 +384,29 @@ class LlmSession:
                 return line.strip()
         return response.strip()
 
+    def backtranslate_records(
+        self, commands: Sequence[str], out_path: str | Path | None = None
+    ) -> list[DatasetRecord]:
+        """One ``source="llm"`` record per command, in input order.
+
+        With ``out_path``, each record is written and flushed as soon as it
+        and every earlier record are ready, so a failed run keeps every
+        record before the first failed translation.
+        """
+        records: list[DatasetRecord] = []
+        out_file = Path(out_path).open("w", encoding="utf-8") if out_path else None
+        try:
+            for index, nl in enumerate(self._map_ordered(self.backtranslate, commands)):
+                record = DatasetRecord(nl=nl, cmd=commands[index], source="llm")
+                records.append(record)
+                if out_file is not None:
+                    out_file.write(record_to_json(record) + "\n")
+                    out_file.flush()
+        finally:
+            if out_file is not None:
+                out_file.close()
+        return records
+
     def pipeline(self, n: int, out_path: str | Path | None = None) -> list[DatasetRecord]:
         """generate -> dedup -> parse filter -> backtranslate -> records."""
         commands = self.gen_commands(n)
@@ -360,20 +418,4 @@ class LlmSession:
             except bash_ast.ParseError:
                 continue
             survivors.append(cmd)
-
-        records: list[DatasetRecord] = []
-        out_file = Path(out_path).open("w", encoding="utf-8") if out_path else None
-        try:
-            for cmd in survivors:
-                record = DatasetRecord(
-                    nl=self.backtranslate(cmd), cmd=cmd, source="llm"
-                )
-                records.append(record)
-                if out_file is not None:
-                    out_file.write(record_to_json(record) + "\n")
-                    out_file.flush()
-        finally:
-            if out_file is not None:
-                out_file.close()
-        return records
-
+        return self.backtranslate_records(survivors, out_path)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from bashsynth.llm_bridge import GENERATION_PROMPT, TRANSLATION_PROMPT
+from bashsynth.llm_bridge import GENERATION_PROMPT, TRANSLATION_PROMPT, TransportError
 from bashsynth.syntax_kb import SyntaxKb
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -77,3 +79,46 @@ def make_replay_entries() -> list[dict]:
 @pytest.fixture
 def replay_entries() -> list[dict]:
     return make_replay_entries()
+
+
+class SlowTransport:
+    """Answers after a short sleep and counts calls in flight.
+
+    Generation prompts get ``generations`` in turn; a translation prompt
+    gets ``nl: <command>``, or raises at once for a command in ``fail``.
+    Of every three translations started, the first sleeps longest, so
+    replies come back out of order.
+    """
+
+    def __init__(self, generations=(), fail=(), concurrent=True, delay=0.02):
+        self.supports_concurrency = concurrent
+        self.generations = list(generations)
+        self.fail = set(fail)
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+        self.started: list[str] = []  # translated commands, in start order
+
+    def send(self, payload):
+        prompt = payload["messages"][0]["content"]
+        if prompt == GENERATION_PROMPT:
+            with self.lock:
+                return self.generations.pop(0)
+        cmd = prompt.split(": ", 1)[1]
+        with self.lock:
+            position = len(self.started)
+            self.started.append(cmd)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if cmd in self.fail:
+                raise TransportError(f"no translation for {cmd}")
+            time.sleep(self.delay * (3 - position % 3))
+            return f"nl: {cmd}"
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+COMMANDS = [f"echo {i}" for i in range(12)]

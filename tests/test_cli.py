@@ -5,10 +5,11 @@ from pathlib import Path
 
 from bashsynth import bash_ast
 from bashsynth import dataset_io as D
+from bashsynth import llm_bridge as L
 from bashsynth.cli import EXEC_OPT_IN_ENV, main
 from bashsynth.scaler import default_profile_path, load_profile, profile_of
 
-from conftest import make_replay_entries
+from conftest import COMMANDS, SlowTransport, make_replay_entries
 
 
 def _write_dataset(path: Path, rows: list[tuple[str, str]]) -> None:
@@ -260,6 +261,96 @@ def test_backtranslate_offline(tmp_path):
     )
     assert code == 0
     assert D.read_records(out)[0].nl == "list everything"
+
+
+def _translate_entry(cmd: str, nl: str) -> dict:
+    return {
+        "request": {
+            "model": "default",
+            "messages": [{"role": "user", "content": f"Translate to English: {cmd}"}],
+            "temperature": 0.0,
+        },
+        "response": nl,
+    }
+
+
+def _write_log(path: Path, entries: list[dict]) -> None:
+    path.write_text("\n".join(json.dumps(e, ensure_ascii=False) for e in entries) + "\n")
+
+
+def test_backtranslate_concurrent_keeps_input_order(tmp_path, monkeypatch):
+    transport = SlowTransport()
+    monkeypatch.setattr(L, "HttpTransport", lambda config: transport)
+    templates = tmp_path / "templates.jsonl"
+    D.write_templates(
+        [D.TemplateEntry(id=str(i), cmd=c, utilities=("echo",))
+         for i, c in enumerate(COMMANDS)],
+        templates,
+    )
+    out = tmp_path / "records.jsonl"
+    code = main(["backtranslate", "--in", str(templates), "--out", str(out),
+                 "--endpoint", "http://localhost:9/v1"])
+    assert code == 0
+    assert [(r.cmd, r.nl) for r in D.read_records(out)] == [
+        (c, f"nl: {c}") for c in COMMANDS
+    ]
+    assert transport.peak == L.LlmConfig().concurrency
+
+
+def test_backtranslate_failure_keeps_partial_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(L.time, "sleep", lambda seconds: None)
+    log = tmp_path / "replay.jsonl"
+    _write_log(log, [_translate_entry("ls -la", "list everything"),
+                     _translate_entry("du -sh x", "size of x")])
+    templates = tmp_path / "templates.jsonl"
+    D.write_templates(
+        [D.TemplateEntry(id=str(i), cmd=c, utilities=(c.split()[0],))
+         for i, c in enumerate(["ls -la", "sort b.txt", "du -sh x"])],
+        templates,
+    )
+    out = tmp_path / "records.jsonl"
+    audit = tmp_path / "audit.jsonl"
+    code = main(["backtranslate", "--in", str(templates), "--out", str(out),
+                 "--replay", str(log), "--audit-log", str(audit)])
+    assert code == 1
+    assert [(r.cmd, r.nl) for r in D.read_records(out)] == [("ls -la", "list everything")]
+    assert not (tmp_path / "records.jsonl.manifest.json").exists()
+    errors = [json.loads(line)["error"] for line in audit.read_text().splitlines()]
+    assert errors[0] is None and len(errors) == 4 and all(errors[1:])
+
+
+def test_llm_pipeline_failure_writes_audit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(L.time, "sleep", lambda seconds: None)
+    entries = [e for e in make_replay_entries()
+               if e["request"]["messages"][0]["content"]
+               != "Translate to English: grep -w foo a.txt"]
+    log = tmp_path / "replay.jsonl"
+    _write_log(log, entries)
+    out = tmp_path / "records.jsonl"
+    audit = tmp_path / "audit.jsonl"
+    code = main(["llm-pipeline", "--n", "10", "--out", str(out), "--replay", str(log),
+                 "--audit-log", str(audit)])
+    assert code == 1
+    assert "retries exhausted" in capsys.readouterr().err
+    assert [r.cmd for r in D.read_records(out)] == ["ls -la", "find . -name '*.txt'"]
+    lines = [json.loads(line) for line in audit.read_text().splitlines()]
+    # 10 generations, 2 translations, then 3 failed attempts at the third
+    assert [e["task"] for e in lines] == ["generate"] * 10 + ["backtranslate"] * 5
+    assert [e["error"] is not None for e in lines[10:]] == [False, False, True, True, True]
+    assert not (tmp_path / "records.jsonl.manifest.json").exists()
+
+
+def test_rpm_below_one_exits_1(tmp_path, capsys):
+    log = tmp_path / "replay.jsonl"
+    _write_log(log, [_translate_entry("ls -la", "list everything")])
+    templates = tmp_path / "templates.jsonl"
+    D.write_templates([D.TemplateEntry(id="x", cmd="ls -la", utilities=("ls",))], templates)
+    out = tmp_path / "records.jsonl"
+    code = main(["backtranslate", "--in", str(templates), "--out", str(out),
+                 "--replay", str(log), "--rpm", "0"])
+    assert code == 1
+    assert "requests_per_minute must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_import_man_subcommand(tmp_path):

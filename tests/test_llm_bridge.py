@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 import requests
@@ -8,7 +9,7 @@ import requests
 from bashsynth import bash_ast
 from bashsynth import llm_bridge as L
 
-from conftest import REPLAY_TRANSLATIONS, make_replay_entries
+from conftest import COMMANDS, REPLAY_TRANSLATIONS, SlowTransport, make_replay_entries
 
 
 class FailingTransport:
@@ -50,6 +51,15 @@ class TestConfig:
     def test_bad_retries(self):
         with pytest.raises(ValueError):
             L.LlmConfig(max_retries=-1)
+
+    @pytest.mark.parametrize("rpm", [0, -5])
+    def test_bad_requests_per_minute(self, rpm):
+        with pytest.raises(ValueError, match="requests_per_minute"):
+            L.LlmConfig(requests_per_minute=rpm)
+
+    @pytest.mark.parametrize("rpm", [None, 1])
+    def test_requests_per_minute_accepted(self, rpm):
+        assert L.LlmConfig(requests_per_minute=rpm).requests_per_minute == rpm
 
 
 class TestGenCommands:
@@ -210,6 +220,70 @@ class TestPipeline:
         lines = out.read_text().splitlines()
         assert len(lines) == len(records)
         assert json.loads(lines[0])["cmd"] == records[0].cmd
+
+
+class TestConcurrentTranslation:
+    def test_pipeline_records_in_survivor_order(self):
+        # duplicates and an unparseable reply drop out before translation
+        replies = COMMANDS[:6] + ["| sort", COMMANDS[2]] + COMMANDS[6:]
+        transport = SlowTransport(replies)
+        session = L.LlmSession(L.LlmConfig(concurrency=3), transport)
+        generated: list[str] = []
+        gen = session.gen_commands
+        session.gen_commands = lambda n: generated.extend(gen(n)) or generated
+        records = session.pipeline(len(replies))
+        # generation replies are handed out in the order threads ask for them
+        survivors = [c for c in dict.fromkeys(generated) if c != "| sort"]
+        assert sorted(survivors) == sorted(COMMANDS)
+        assert [r.cmd for r in records] == survivors
+        assert [r.nl for r in records] == [f"nl: {c}" for c in survivors]
+        assert transport.peak == 3
+
+    @pytest.mark.parametrize("concurrent, concurrency", [(False, 4), (True, 1)])
+    def test_serial_when_pool_is_off(self, concurrent, concurrency):
+        transport = SlowTransport(concurrent=concurrent, delay=0.005)
+        session = L.LlmSession(L.LlmConfig(concurrency=concurrency), transport)
+        records = session.backtranslate_records(COMMANDS)
+        assert [r.cmd for r in records] == COMMANDS
+        assert transport.started == COMMANDS
+        assert transport.peak == 1
+
+    @pytest.mark.parametrize("k", [0, 2, 7, 11])
+    def test_failure_keeps_earlier_records(self, tmp_path, k):
+        concurrency = 3
+        transport = SlowTransport(fail=[COMMANDS[k]])
+        config = L.LlmConfig(concurrency=concurrency, max_retries=0)
+        session = L.LlmSession(config, transport)
+        out = tmp_path / "records.jsonl"
+        with pytest.raises(L.TransportError, match="retries exhausted"):
+            session.backtranslate_records(COMMANDS, out)
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["cmd"], r["nl"]) for r in lines] == [
+            (c, f"nl: {c}") for c in COMMANDS[:k]
+        ]
+        after = transport.started[transport.started.index(COMMANDS[k]) + 1:]
+        assert len(after) <= concurrency - 1
+        assert transport.in_flight == 0  # calls in flight finished first
+        assert len(session.audit) == len(transport.started)
+
+    def test_first_failure_in_input_order_under_stress(self, tmp_path):
+        commands = [f"echo {i}" for i in range(60)]
+        fail = [commands[i] for i in (17, 23, 41)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(10):
+                transport = SlowTransport(fail=fail, delay=0.0005)
+                config = L.LlmConfig(concurrency=8, max_retries=0)
+                session = L.LlmSession(config, transport)
+                out = tmp_path / f"records{attempt}.jsonl"
+                with pytest.raises(L.TransportError, match="echo 17$"):
+                    session.backtranslate_records(commands, out)
+                written = [json.loads(line)["cmd"] for line in out.read_text().splitlines()]
+                assert written == commands[:17]
+                assert len(session.audit) == len(transport.started)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestReplayTransport:
