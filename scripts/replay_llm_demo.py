@@ -2,10 +2,17 @@
 """Offline LLM pipeline demo against an in-memory stub transport.
 
 Shows the generate -> dedup -> parse-filter -> backtranslate flow without
-any network access, then prints the audit trail.
+any network access and prints the audit trail. The session appends every
+exchange to a log in a temporary directory; the demo then replays that log
+and exits 1 if the replayed records differ from the first run's.
+
+Run: PYTHONPATH=src python scripts/replay_llm_demo.py
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 from bashsynth.llm_bridge import (
     GENERATION_PROMPT,
@@ -49,8 +56,11 @@ def main() -> int:
         for cmd, nl in TRANSLATIONS.items()
     ]
 
-    session = LlmSession(LlmConfig(), ReplayTransport(entries))
-    records = session.pipeline(len(GENERATIONS))
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "exchanges.jsonl"
+        session = LlmSession(LlmConfig(), ReplayTransport(entries), log_path=log)
+        records = session.pipeline(len(GENERATIONS))
+        replayed = LlmSession(LlmConfig(), ReplayTransport(log)).pipeline(len(GENERATIONS))
 
     print(f"{len(GENERATIONS)} prompts -> {len(records)} records\n")
     for record in records:
@@ -58,8 +68,13 @@ def main() -> int:
 
     print(f"\naudit trail ({len(session.audit)} exchanges):")
     for exchange in session.audit:
-        print(f"  [{exchange.task}] t={exchange.temperature} "
+        print(f"  [{exchange.task} #{exchange.index}] t={exchange.temperature} "
               f"attempt={exchange.attempt} -> {exchange.response[:50]!r}")
+
+    if replayed != records:
+        print("\nreplaying the exchange log gave different records")
+        return 1
+    print(f"\nreplaying the exchange log gave the same {len(records)} records")
     return 0
 
 

@@ -103,10 +103,6 @@ class ParamNode:
     literal: str
     category: PlaceholderKind
 
-    @property
-    def is_placeholder(self) -> bool:
-        return self.literal in PLACEHOLDER_BY_TOKEN
-
 
 @dataclass(frozen=True)
 class FlagNode:

@@ -179,24 +179,16 @@ def _make_session(args: argparse.Namespace) -> llm_bridge.LlmSession:
     transport = None
     if args.replay:
         transport = llm_bridge.ReplayTransport(args.replay)
-    elif args.record:
-        transport = llm_bridge.RecordingTransport(
-            llm_bridge.HttpTransport(config), args.record
-        )
     elif not args.endpoint:
         print("error: --endpoint or --replay is required", file=sys.stderr)
         raise SystemExit(2)
-    return llm_bridge.LlmSession(config, transport)
+    return llm_bridge.LlmSession(config, transport, log_path=args.audit_log)
 
 
 def cmd_backtranslate(args: argparse.Namespace) -> int:
     session = _make_session(args)
     entries = dataset_io.read_templates(args.infile)
-    try:
-        records = session.backtranslate_records([e.cmd for e in entries], args.out)
-    finally:
-        if args.audit_log:
-            session.write_audit(args.audit_log)
+    records = session.backtranslate_records([e.cmd for e in entries], args.out)
     _write_manifest(Path(args.out), "backtranslate", args)
     print(f"backtranslated {len(records)} commands")
     return 0
@@ -204,11 +196,7 @@ def cmd_backtranslate(args: argparse.Namespace) -> int:
 
 def cmd_llm_pipeline(args: argparse.Namespace) -> int:
     session = _make_session(args)
-    try:
-        records = session.pipeline(args.n, out_path=args.out)
-    finally:
-        if args.audit_log:
-            session.write_audit(args.audit_log)
+    records = session.pipeline(args.n, out_path=args.out)
     _write_manifest(Path(args.out), "llm-pipeline", args)
     print(f"pipeline produced {len(records)} records from {args.n} prompts")
     return 0
@@ -392,9 +380,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--endpoint", default=None)
         p.add_argument("--model", default="default")
         p.add_argument("--rpm", type=int, default=None, help="requests per minute")
-        p.add_argument("--replay", default=None, help="replay log (offline)")
-        p.add_argument("--record", default=None, help="record exchanges to this log")
-        p.add_argument("--audit-log", default=None)
+        p.add_argument("--replay", default=None,
+                       help="serve replies from an exchange log (offline)")
+        p.add_argument("--audit-log", default=None,
+                       help="append every exchange to this log as it happens")
 
     p = sub.add_parser("backtranslate", help="describe commands in English via LLM")
     p.add_argument("--in", dest="infile", required=True)

@@ -2,9 +2,9 @@
 
 Drives the streamlined generation pipeline: prompt-driven command
 generation at temperature 1, dedup, parse filtering, then back-translation
-to English at temperature 0. Every network exchange lands in an audit log;
-a recorded log replays byte-for-byte without network access, which is how
-the test suite runs.
+to English at temperature 0. A session appends every attempt to one
+exchange log as it completes; that log replays byte-for-byte without network
+access, which is how the test suite runs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "LlmExchange",
     "HttpTransport",
     "ReplayTransport",
-    "RecordingTransport",
     "LlmSession",
     "GENERATION_PROMPT",
     "TRANSLATION_PROMPT",
@@ -96,6 +95,7 @@ class LlmExchange:
     attempt: int
     temperature: float
     error: str | None = None
+    index: int | None = None
 
 
 def _request_key(payload: dict) -> str:
@@ -160,7 +160,13 @@ def _retry_after_seconds(value: str | None) -> float | None:
 
 
 class ReplayTransport:
-    """Serve canned responses keyed by request content, FIFO per key."""
+    """Serve canned responses keyed by request content, FIFO per key.
+
+    Entries are exchange-log lines or hand-written ``{request, response}``
+    pairs; failed attempts (``error`` set) are skipped. A concurrent run logs
+    in completion order, so each key's responses are served in item
+    ``index`` order, which is the order the run produced its results.
+    """
 
     supports_concurrency = False
 
@@ -171,10 +177,13 @@ class ReplayTransport:
                 for line in Path(exchanges).read_text(encoding="utf-8").split("\n")
                 if line.strip()
             ]
-        self._queues: dict[str, deque[str]] = {}
+        replies: dict[str, list[tuple[int | None, str]]] = {}
         for entry in exchanges:
+            if entry.get("error"):
+                continue
             key = _request_key(entry["request"])
-            self._queues.setdefault(key, deque()).append(entry["response"])
+            replies.setdefault(key, []).append((entry.get("index"), entry["response"]))
+        self._queues = {key: deque(_item_order(r)) for key, r in replies.items()}
         self._lock = threading.Lock()
 
     def send(self, payload: dict) -> str:
@@ -188,22 +197,21 @@ class ReplayTransport:
             return queue.popleft()
 
 
-class RecordingTransport:
-    """Wrap a live transport and append request/response pairs to a log."""
-
-    def __init__(self, inner: Transport, path: str | Path):
-        self._inner = inner
-        self._path = Path(path)
-        self._lock = threading.Lock()
-        self.supports_concurrency = inner.supports_concurrency
-
-    def send(self, payload: dict) -> str:
-        response = self._inner.send(payload)
-        line = json.dumps({"request": payload, "response": response}, ensure_ascii=False)
-        with self._lock:
-            with self._path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-        return response
+def _item_order(replies: list[tuple[int | None, str]]) -> list[str]:
+    """Responses with the indexed ones stably sorted by (batch, index) among
+    their own slots; unindexed ones stay where they are. A session's batches
+    run one after another, so an index seen again starts the next batch."""
+    keyed, seen, batch = [], set(), 0
+    for index, response in replies:
+        if index is None:
+            continue
+        if index in seen:
+            batch, seen = batch + 1, set()
+        seen.add(index)
+        keyed.append(((batch, index), response))
+    ordered = iter(sorted(keyed, key=lambda reply: reply[0]))
+    return [response if index is None else next(ordered)[1]
+            for index, response in replies]
 
 
 def _extract_command(text: str) -> str:
@@ -227,13 +235,27 @@ def _extract_command(text: str) -> str:
 
 
 class LlmSession:
-    """One configured connection: retries, rate limiting, audit trail."""
+    """One configured connection: retries, rate limiting, exchange log.
 
-    def __init__(self, config: LlmConfig, transport: Transport | None = None):
+    Every attempt is kept in ``audit`` and, with ``log_path`` (truncated
+    once), appended there as one JSON line the moment it completes, so a
+    killed run keeps every finished exchange. ReplayTransport reads it back.
+    """
+
+    def __init__(
+        self,
+        config: LlmConfig,
+        transport: Transport | None = None,
+        log_path: str | Path | None = None,
+    ):
         self.config = config
         self.transport = transport if transport is not None else HttpTransport(config)
         self.audit: list[LlmExchange] = []
+        self._log_path = Path(log_path) if log_path is not None else None
+        if self._log_path is not None:
+            self._log_path.write_text("", encoding="utf-8")
         self._audit_lock = threading.Lock()
+        self._item = threading.local()  # index of the item _map_ordered is on
         self._pace_lock = threading.Lock()
         self._last_call = 0.0
 
@@ -264,7 +286,7 @@ class LlmSession:
                 raise
             except TransportError as exc:
                 last_error = exc
-                self._log(task, prompt, "", start, attempt, temperature, str(exc))
+                self._log(task, payload, "", start, attempt, str(exc))
                 if attempt < attempts:
                     wait = self.config.backoff * attempt
                     if exc.retry_after is not None:
@@ -273,51 +295,43 @@ class LlmSession:
                         wait = max(wait, min(exc.retry_after, self.config.request_timeout))
                     time.sleep(wait)
                 continue
-            self._log(task, prompt, response, start, attempt, temperature, None)
+            self._log(task, payload, response, start, attempt, None)
             return response
         raise TransportError(f"{task}: retries exhausted: {last_error}")
 
     def _log(
         self,
         task: str,
-        prompt: str,
+        payload: dict,
         response: str,
         start: float,
         attempt: int,
-        temperature: float,
         error: str | None,
     ) -> None:
         exchange = LlmExchange(
             task=task,
-            prompt=prompt,
+            prompt=payload["messages"][0]["content"],
             response=response,
             latency=time.perf_counter() - start,
             attempt=attempt,
-            temperature=temperature,
+            temperature=payload["temperature"],
             error=error,
+            index=getattr(self._item, "index", None),
         )
         with self._audit_lock:
             self.audit.append(exchange)
-
-    def write_audit(self, path: str | Path) -> None:
-        lines = [
-            json.dumps(
-                {
-                    "task": e.task,
-                    "prompt": e.prompt,
-                    "response": e.response,
-                    "latency": round(e.latency, 6),
-                    "attempt": e.attempt,
-                    "temperature": e.temperature,
-                    "error": e.error,
-                },
-                ensure_ascii=False,
-            )
-            for e in self.audit
-        ]
-        Path(path).write_text(
-            "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
-        )
+            if self._log_path is not None:
+                line = {
+                    "task": task,
+                    "index": exchange.index,
+                    "attempt": attempt,
+                    "request": payload,
+                    "response": response,
+                    "error": error,
+                    "latency": round(exchange.latency, 6),
+                }
+                with self._log_path.open("a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(line, ensure_ascii=False) + "\n")
 
     def _map_ordered(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
@@ -328,12 +342,9 @@ class LlmSession:
         supports concurrency; otherwise the calls run one by one. The first
         exception in input order propagates. Once a call has raised, queued
         calls for later items never start: only the calls already in flight,
-        at most ``concurrency - 1``, still finish.
+        at most ``concurrency - 1``, still finish. Each exchange an item's
+        call makes is logged with the item's index.
         """
-        if not (self.transport.supports_concurrency and self.config.concurrency > 1):
-            for item in items:
-                yield fn(item)
-            return
         failed_at = len(items)
         lock = threading.Lock()
 
@@ -341,13 +352,19 @@ class LlmSession:
             nonlocal failed_at
             if index > failed_at:
                 return None  # never read: the failure at failed_at raises first
+            self._item.index = index
             try:
                 return fn(items[index])
             except BaseException:
                 with lock:
                     failed_at = min(failed_at, index)
                 raise
+            finally:
+                self._item.index = None
 
+        if not (self.transport.supports_concurrency and self.config.concurrency > 1):
+            yield from map(guarded, range(len(items)))
+            return
         pool = ThreadPoolExecutor(max_workers=self.config.concurrency)
         try:
             yield from pool.map(guarded, range(len(items)))

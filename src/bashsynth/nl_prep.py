@@ -10,14 +10,13 @@ uses, so the output feeds straight into template filling.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .bash_ast import PlaceholderKind, categorize
 
-__all__ = ["NlRecord", "load_stopwords", "load_lemma_exceptions", "preprocess",
-           "lemmatize", "extract_params", "analyze"]
+__all__ = ["load_stopwords", "load_lemma_exceptions", "preprocess",
+           "lemmatize", "extract_params"]
 
 _STRIP_CHARS = "\"'().,;:!?"
 
@@ -131,17 +130,3 @@ def extract_params(sentence: str) -> list[tuple[PlaceholderKind, str]]:
             out.append((kind, token))
     return out
 
-
-@dataclass(frozen=True)
-class NlRecord:
-    raw: str
-    tokens: tuple[str, ...]
-    extracted: tuple[tuple[PlaceholderKind, str], ...]
-
-
-def analyze(sentence: str) -> NlRecord:
-    return NlRecord(
-        raw=sentence,
-        tokens=tuple(preprocess(sentence)),
-        extracted=tuple(extract_params(sentence)),
-    )

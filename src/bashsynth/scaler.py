@@ -25,7 +25,6 @@ __all__ = [
     "InfeasibleProfile",
     "DistributionProfile",
     "load_profile",
-    "save_profile",
     "default_profile_path",
     "scale",
     "profile_of",
@@ -62,20 +61,6 @@ def load_profile(path: str | Path) -> DistributionProfile:
         pipe_fraction=(
             float(data["pipe_fraction"]) if data.get("pipe_fraction") is not None else None
         ),
-    )
-
-
-def save_profile(profile: DistributionProfile, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(
-            {
-                "proportions": dict(profile.proportions),
-                "pipe_fraction": profile.pipe_fraction,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
     )
 
 

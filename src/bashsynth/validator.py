@@ -32,6 +32,7 @@ from .syntax_kb import POOL_BY_TOKEN, rewrite_placeholders
 __all__ = [
     "MissingFixture",
     "SandboxSetupError",
+    "WORKSPACE_MARKER",
     "SandboxConfig",
     "ValidationResult",
     "RateTable",
@@ -46,6 +47,9 @@ TIMEOUT = "TIMEOUT"
 SPAWN_FAIL = "SPAWN_FAIL"
 
 DEFAULT_TIMEOUT_SECONDS = 0.5
+
+# Marks a workspace root run_batch created; it clears no other non-empty one.
+WORKSPACE_MARKER = ".bashsynth-workspace"
 
 
 class MissingFixture(KeyError):
@@ -179,10 +183,15 @@ def _blocked_reason(command: str, allowlist: frozenset[str]) -> str | None:
     for pattern in _DENY_PATTERNS:
         if pattern.search(command):
             return f"deny-list pattern {pattern.pattern!r}"
-    for segment in command.split("|"):
-        head = segment.strip().split(" ", 1)[0] if segment.strip() else ""
-        if head in _NETWORK_UTILITIES and head not in allowlist:
-            return f"network utility {head!r} not allow-listed"
+    try:
+        heads = [node.name for node in bash_ast.parse(command).walk_utilities()]
+    except bash_ast.ParseError:
+        heads = [segment.split(None, 1)[0] for segment in command.split("|")
+                 if segment.strip()]
+    for head in heads:
+        name = head.rsplit("/", 1)[-1]
+        if name in _NETWORK_UTILITIES and name not in allowlist:
+            return f"network utility {name!r} not allow-listed"
     return None
 
 
@@ -298,9 +307,16 @@ def run_batch(
 
     root = Path(config.workspace)
     try:
+        marked = (root / WORKSPACE_MARKER).exists()
+        if root.is_dir() and not marked and any(root.iterdir()):
+            raise SandboxSetupError(
+                f"refusing to clear {root}: not empty and not a bashsynth "
+                f"workspace (no {WORKSPACE_MARKER})"
+            )
         if root.exists():
             shutil.rmtree(root)
         root.mkdir(parents=True)
+        (root / WORKSPACE_MARKER).touch()
     except OSError as exc:
         raise SandboxSetupError(f"cannot create workspace {root}: {exc}") from exc
 

@@ -86,8 +86,8 @@ class SlowTransport:
 
     Generation prompts get ``generations`` in turn; a translation prompt
     gets ``nl: <command>``, or raises at once for a command in ``fail``.
-    Of every three translations started, the first sleeps longest, so
-    replies come back out of order.
+    Of every three generations, and of every three translations, started,
+    the first sleeps longest, so replies come back out of order.
     """
 
     def __init__(self, generations=(), fail=(), concurrent=True, delay=0.02):
@@ -98,13 +98,21 @@ class SlowTransport:
         self.lock = threading.Lock()
         self.in_flight = 0
         self.peak = 0
+        self.generated = 0
         self.started: list[str] = []  # translated commands, in start order
+
+    def _sleep(self, position: int) -> None:
+        time.sleep(self.delay * (3 - position % 3))
 
     def send(self, payload):
         prompt = payload["messages"][0]["content"]
         if prompt == GENERATION_PROMPT:
             with self.lock:
-                return self.generations.pop(0)
+                position = self.generated
+                self.generated += 1
+                reply = self.generations.pop(0)
+            self._sleep(position)
+            return reply
         cmd = prompt.split(": ", 1)[1]
         with self.lock:
             position = len(self.started)
@@ -114,7 +122,7 @@ class SlowTransport:
         try:
             if cmd in self.fail:
                 raise TransportError(f"no translation for {cmd}")
-            time.sleep(self.delay * (3 - position % 3))
+            self._sleep(position)
             return f"nl: {cmd}"
         finally:
             with self.lock:

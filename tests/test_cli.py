@@ -74,6 +74,20 @@ def test_validate_exec_with_opt_in(tmp_path, monkeypatch):
     assert results and all("verdict" in r for r in results)
 
 
+def test_validate_exec_refuses_foreign_workspace(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(EXEC_OPT_IN_ENV, "1")
+    templates = tmp_path / "templates.jsonl"
+    main(["generate", "--utility", "ls", "--limit", "2", "--out", str(templates)])
+    workspace = tmp_path / "ws"
+    workspace.mkdir()
+    (workspace / "notes.txt").write_text("keep me")
+    code = main(["validate", "--in", str(templates), "--out", str(tmp_path / "r.jsonl"),
+                 "--exec", "--workspace", str(workspace)])
+    assert code == 1
+    assert "not a bashsynth workspace" in capsys.readouterr().err
+    assert (workspace / "notes.txt").read_text() == "keep me"
+
+
 def test_stage_composability(tmp_path, capsys):
     """generate -> validate (dry) -> scale -> split -> stats, no manual edits."""
     templates = tmp_path / "templates.jsonl"
@@ -338,6 +352,38 @@ def test_llm_pipeline_failure_writes_audit(tmp_path, monkeypatch, capsys):
     assert [e["task"] for e in lines] == ["generate"] * 10 + ["backtranslate"] * 5
     assert [e["error"] is not None for e in lines[10:]] == [False, False, True, True, True]
     assert not (tmp_path / "records.jsonl.manifest.json").exists()
+
+
+def _without_latency(path: Path) -> list[dict]:
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    return [{k: v for k, v in line.items() if k != "latency"} for line in lines]
+
+
+def test_replay_run_log_replays_identically(tmp_path):
+    fixture = tmp_path / "fixture.jsonl"
+    _write_log(fixture, make_replay_entries())
+    runs = []
+    for name, replay in (("a", fixture), ("b", tmp_path / "a.log")):
+        out, log = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.log"
+        code = main(["llm-pipeline", "--n", "10", "--out", str(out),
+                     "--replay", str(replay), "--audit-log", str(log)])
+        assert code == 0
+        runs.append((out.read_bytes(), _without_latency(log)))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 15
+
+
+def test_llm_pipeline_log_replays_live_order(tmp_path, monkeypatch):
+    commands = [f"echo {i}" for i in range(6)]
+    monkeypatch.setattr(L, "HttpTransport", lambda config: SlowTransport(commands))
+    live, log = tmp_path / "live.jsonl", tmp_path / "live.log"
+    assert main(["llm-pipeline", "--n", "6", "--out", str(live), "--audit-log", str(log),
+                 "--endpoint", "http://localhost:9/v1"]) == 0
+    replay = tmp_path / "replay.jsonl"
+    assert main(["llm-pipeline", "--n", "6", "--out", str(replay),
+                 "--replay", str(log)]) == 0
+    assert sorted(r.cmd for r in D.read_records(live)) == commands
+    assert replay.read_bytes() == live.read_bytes()
 
 
 def test_rpm_below_one_exits_1(tmp_path, capsys):

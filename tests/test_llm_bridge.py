@@ -31,11 +31,35 @@ class ScriptedTransport:
         self.responses = list(responses)
 
     def send(self, payload):
-        return self.responses.pop(0)
+        reply = self.responses.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
 
-def _session(entries):
-    return L.LlmSession(L.LlmConfig(), L.ReplayTransport(entries))
+def _session(entries, log_path=None):
+    return L.LlmSession(L.LlmConfig(), L.ReplayTransport(entries), log_path=log_path)
+
+
+def _lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _line_of(exchange: L.LlmExchange) -> dict:
+    """The log line an in-memory audit entry should have on disk."""
+    return {
+        "task": exchange.task,
+        "index": exchange.index,
+        "attempt": exchange.attempt,
+        "request": {
+            "model": "default",
+            "messages": [{"role": "user", "content": exchange.prompt}],
+            "temperature": exchange.temperature,
+        },
+        "response": exchange.response,
+        "error": exchange.error,
+        "latency": round(exchange.latency, 6),
+    }
 
 
 class TestConfig:
@@ -192,16 +216,18 @@ class TestPipeline:
         assert _session(replay_entries).pipeline(0) == []
 
     def test_audit_log_complete(self, replay_entries, tmp_path):
-        session = _session(replay_entries)
+        audit_path = tmp_path / "audit.jsonl"
+        audit_path.write_text("left from an earlier run\n")
+        session = _session(replay_entries, log_path=audit_path)
         session.pipeline(10)
         assert len(session.audit) == 15  # 10 generations + 5 translations
-        audit_path = tmp_path / "audit.jsonl"
-        session.write_audit(audit_path)
-        lines = audit_path.read_text().splitlines()
-        assert len(lines) == 15
-        for line in lines:
-            entry = json.loads(line)
-            assert {"task", "prompt", "response", "latency", "attempt"} <= entry.keys()
+        lines = _lines(audit_path)
+        assert lines == [_line_of(e) for e in session.audit]
+        # the prompt number for a generation, the input position for a translation
+        assert [(e["task"], e["index"]) for e in lines] == (
+            [("generate", i) for i in range(10)]
+            + [("backtranslate", i) for i in range(5)]
+        )
 
     def test_replay_reproduces_byte_for_byte(self, tmp_path):
         out_a = tmp_path / "a.jsonl"
@@ -301,26 +327,72 @@ class TestReplayTransport:
             transport.send({"model": "m", "messages": [], "temperature": 0})
 
 
-class TestRecordingTransport:
+class TestExchangeLog:
     def test_records_exchanges(self, tmp_path):
-        inner = ScriptedTransport(["response one"])
-        log = tmp_path / "rec.jsonl"
-        transport = L.RecordingTransport(inner, log)
-        payload = {"model": "m", "messages": [], "temperature": 1.0}
-        assert transport.send(payload) == "response one"
-        entry = json.loads(log.read_text().splitlines()[0])
-        assert entry["request"] == payload
-        assert entry["response"] == "response one"
+        log = tmp_path / "log.jsonl"
+        session = L.LlmSession(
+            L.LlmConfig(concurrency=1), ScriptedTransport(["echo hi", "response one"]),
+            log_path=log,
+        )
+        assert session.gen_commands(1) == ["echo hi"]
+        assert session.backtranslate("ls") == "response one"
+        generated, line = _lines(log)
+        assert (generated["task"], generated["index"]) == ("generate", 0)
+        assert line["request"] == {
+            "model": "default",
+            "messages": [{"role": "user", "content": f"{L.TRANSLATION_PROMPT}: ls"}],
+            "temperature": 0.0,
+        }
+        assert line["response"] == "response one"
+        assert line["index"] is None  # not called through _map_ordered
+        assert line == _line_of(session.audit[1])
 
     def test_recorded_log_replays(self, tmp_path):
-        inner = ScriptedTransport(["echo hi"])
-        log = tmp_path / "rec.jsonl"
-        recording = L.RecordingTransport(inner, log)
-        payload = {
-            "model": "default",
-            "messages": [{"role": "user", "content": L.GENERATION_PROMPT}],
-            "temperature": 1.0,
-        }
-        live = recording.send(payload)
-        replayed = L.ReplayTransport(log).send(payload)
-        assert replayed == live
+        # Generation replies complete out of order at concurrency 3, so the
+        # log holds them in completion order; replay serves them by index.
+        log = tmp_path / "log.jsonl"
+        commands = [f"echo {i}" for i in range(6)]
+        session = L.LlmSession(
+            L.LlmConfig(concurrency=3), SlowTransport(commands), log_path=log
+        )
+        live = session.pipeline(6)
+        assert sorted(r.cmd for r in live) == commands
+        logged = [e["index"] for e in _lines(log) if e["task"] == "generate"]
+        assert sorted(logged) == list(range(6)) and logged != list(range(6))
+        replay = L.LlmSession(L.LlmConfig(concurrency=3), L.ReplayTransport(log))
+        assert replay.pipeline(6) == live
+
+    def test_replay_skips_failed_attempts_and_orders_by_index(self):
+        request = {"model": "m", "messages": [], "temperature": 1.0}
+        transport = L.ReplayTransport([
+            {"request": request, "response": "b", "index": 1, "error": None},
+            {"request": request, "response": "", "index": 0, "error": "503"},
+            {"request": request, "response": "x"},  # no index: keeps its place
+            {"request": request, "response": "a", "index": 0, "error": None},
+        ])
+        assert [transport.send(request) for _ in range(3)] == ["a", "x", "b"]
+        with pytest.raises(L.TransportError, match="replay"):
+            transport.send(request)
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_batches_of_one_session_replay_in_order(self, tmp_path, concurrency):
+        log = tmp_path / "log.jsonl"
+        commands = [f"echo {i}" for i in range(10)]
+        config = L.LlmConfig(concurrency=concurrency)
+        live = L.LlmSession(config, SlowTransport(commands, delay=0.005), log_path=log)
+        batches = [live.gen_commands(6), live.gen_commands(4)]
+        assert sorted(batches[0] + batches[1], key=commands.index) == commands
+        replay = L.LlmSession(config, L.ReplayTransport(log))
+        assert [replay.gen_commands(6), replay.gen_commands(4)] == batches
+
+    def test_auth_error_leaves_logged_lines_on_disk(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        transport = ScriptedTransport(
+            ["ls -la", "du -sh x", "sort b.txt", "list files", L.AuthError("401"),
+             "sort lines"]
+        )
+        session = L.LlmSession(L.LlmConfig(concurrency=3), transport, log_path=log)
+        with pytest.raises(L.AuthError):
+            session.pipeline(3)
+        assert len(session.audit) >= 4  # 3 generations, 1 or 2 translations
+        assert _lines(log) == [_line_of(e) for e in session.audit]

@@ -87,12 +87,12 @@ class TestFillIntegration:
         assert filled.startswith("find")
 
 
-def test_analyze_record():
-    record = N.analyze('Find "foo" in the file bar.txt')
-    assert record.raw.startswith("Find")
-    assert "find" in record.tokens
-    assert (PlaceholderKind.FILE, "bar.txt") in record.extracted
-    assert all(t == t.lower() for t in record.tokens)
+def test_preprocess_and_extract_one_sentence():
+    sentence = 'Find "foo" in the file bar.txt'
+    tokens = N.preprocess(sentence)
+    assert "find" in tokens
+    assert all(t == t.lower() for t in tokens)
+    assert (PlaceholderKind.FILE, "bar.txt") in N.extract_params(sentence)
 
 
 def test_custom_stopword_list():

@@ -17,7 +17,6 @@ from bashsynth.scaler import (
     default_profile_path,
     load_profile,
     profile_of,
-    save_profile,
     scale,
 )
 
@@ -51,11 +50,16 @@ class TestProfile:
         with pytest.raises(ValueError):
             DistributionProfile({}, pipe_fraction=-0.1)
 
-    def test_save_load_round_trip(self, tmp_path):
-        profile = DistributionProfile({"find": 0.6344, "ls": 0.1}, pipe_fraction=0.3)
+    def test_load_profile_from_hand_written_json(self, tmp_path):
         path = tmp_path / "profile.json"
-        save_profile(profile, path)
-        assert load_profile(path) == profile
+        path.write_text('{"proportions": {"find": 0.6344, "ls": 0.1}, "pipe_fraction": 0.3}')
+        assert load_profile(path) == DistributionProfile(
+            {"find": 0.6344, "ls": 0.1}, pipe_fraction=0.3
+        )
+        path.write_text('{"proportions": {"find": 1}, "pipe_fraction": null}')
+        assert load_profile(path) == DistributionProfile({"find": 1.0})
+        path.write_text('{"pipe_fraction": 0.5}')
+        assert load_profile(path) == DistributionProfile({}, pipe_fraction=0.5)
 
     def test_default_profile_loads(self):
         profile = load_profile(default_profile_path())

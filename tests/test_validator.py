@@ -234,6 +234,37 @@ class TestSubprocess:
         blocked = V.run_batch(["curl http://example.com"], self._config(tmp_path))
         assert blocked[0].exit_status == V.SPAWN_FAIL
 
+    @pytest.mark.parametrize(
+        "command, utility",
+        [("find . -exec curl x \\;", "curl"), ("echo $(wget x)", "wget"),
+         ("ls | curl x", "curl"), ("/usr/bin/nc -h", "nc"),
+         ('echo "open | ssh host', "ssh")],  # the last does not parse
+    )
+    def test_network_block_sees_nested_utilities(self, tmp_path, command, utility):
+        [result] = V.run_batch([command], self._config(tmp_path))
+        assert result.exit_status == V.SPAWN_FAIL
+        assert result.note == f"network utility {utility!r} not allow-listed"
+        assert V._blocked_reason(command, frozenset({utility})) is None
+
+    def test_foreign_workspace_refused(self, tmp_path):
+        workspace = tmp_path / "ws"
+        workspace.mkdir()
+        (workspace / "notes.txt").write_text("mine")
+        with pytest.raises(V.SandboxSetupError, match="not a bashsynth workspace"):
+            V.run_batch(["ls"], self._config(tmp_path))
+        assert (workspace / "notes.txt").read_text() == "mine"
+        assert sorted(p.name for p in workspace.iterdir()) == ["notes.txt"]
+
+    def test_own_workspace_is_cleared(self, tmp_path):
+        workspace = tmp_path / "ws"
+        workspace.mkdir()  # an empty directory is accepted
+        V.run_batch(["echo hi > made.txt"], self._config(tmp_path))
+        assert (workspace / V.WORKSPACE_MARKER).is_file()
+        assert (workspace / "run_00000" / "made.txt").is_file()
+        [result] = V.run_batch(["ls made.txt"], self._config(tmp_path))
+        assert result.verdict is False  # the earlier run's files are gone
+        assert (workspace / V.WORKSPACE_MARKER).is_file()
+
     def test_verdict_invariant(self, tmp_path):
         results = V.run_batch(
             ["ls", "sleep 5", "cat no_such_file", "true"], self._config(tmp_path)
