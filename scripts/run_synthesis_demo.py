@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end synthesis demo: generate -> validate -> scale -> split -> stats.
+"""End-to-end synthesis demo: generate -> validate -> scale -> stats -> split -> stats.
 
 Runs entirely through the CLI so each stage reads the previous stage's
 output file. Validation defaults to the dry_run backend; pass --exec to
@@ -51,9 +51,10 @@ def main() -> int:
 
     scaled = work / "scaled.jsonl"
     run(["scale", "--in", str(survivors), "--out", str(scaled), "--seed", seed])
+    run(["stats", "--in", str(scaled), "--format", "json"])
 
-    # Stand-in sentences so the split/stats stages have dataset records to
-    # chew on; a real run would backtranslate the scaled templates first.
+    # Stand-in sentences so the split stage has dataset records to chew on;
+    # a real run would backtranslate the scaled templates first.
     from bashsynth import dataset_io
 
     entries = dataset_io.read_templates(scaled)

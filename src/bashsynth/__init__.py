@@ -15,7 +15,7 @@ from .bash_ast import (  # noqa: F401
     vocabulary,
 )
 from .dataset_io import DatasetRecord, read_records, split_records, stats, write_records  # noqa: F401
-from .generator import GeneratedCommand, dedup, generate_piped, generate_unpiped  # noqa: F401
+from .generator import dedup, generate_piped, generate_unpiped  # noqa: F401
 from .metrics import dataset_accuracy, flag_score, score_pair, utility_score  # noqa: F401
 from .scaler import DistributionProfile, profile_of, scale  # noqa: F401
 from .syntax_kb import GenArgKind, SyntaxKb, UtilitySpec, to_parser_kind  # noqa: F401

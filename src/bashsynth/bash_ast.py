@@ -514,26 +514,7 @@ def render(ast: BashAst) -> str:
 
 
 def _render_stage(node: UtilityNode) -> str:
-    parts = [node.name]
-    for it in node.items:
-        if isinstance(it, FlagNode):
-            if it.arg is None:
-                parts.append(it.token)
-            elif it.glued:
-                parts.append(f"{it.token}={it.arg.literal}")
-            else:
-                parts.append(it.token)
-                parts.append(it.arg.literal)
-        elif isinstance(it, ParamNode):
-            parts.append(it.literal)
-        elif isinstance(it, ExecClause):
-            parts.append(it.flag)
-            parts.append(_render_stage(it.body))
-            if it.closer:
-                parts.append(it.closer)
-        else:
-            parts.append("$(" + " | ".join(_render_stage(s) for s in it.stages) + ")")
-    return " ".join(parts)
+    return " ".join(_stage_tokens(node))
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,14 @@ def _write_manifest(out_path: Path, subcommand: str, args: argparse.Namespace) -
     )
 
 
-def _load_kb(path: str | None) -> syntax_kb.SyntaxKb:
-    return syntax_kb.SyntaxKb.load(path)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    kb = _load_kb(args.specs)
+    kb = syntax_kb.SyntaxKb.load(args.specs)
     names = args.utility or list(kb.utilities)
-    commands: list[generator.GeneratedCommand] = []
+    commands: list[dataset_io.TemplateEntry] = []
     for name in names:
         spec = kb.get(name)
         if spec is None:
@@ -152,10 +148,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_scale(args: argparse.Namespace) -> int:
     entries = dataset_io.read_templates(args.infile)
-    entries = [
-        dataclasses.replace(e, cmd=syntax_kb.to_parser_template(e.cmd))
-        for e in entries
-    ]
     profile = scaler_mod.load_profile(args.profile or scaler_mod.default_profile_path())
     try:
         scaled = scaler_mod.scale(
@@ -164,7 +156,12 @@ def cmd_scale(args: argparse.Namespace) -> int:
     except scaler_mod.InfeasibleProfile as exc:
         print(f"error: infeasible profile: {exc}", file=sys.stderr)
         return 1
-    dataset_io.write_templates(scaled, args.out)
+    # The scaler reads heads from metadata (or the bracket text, which
+    # parses to the same heads), so only the kept templates are rewritten.
+    dataset_io.write_templates(
+        (dataclasses.replace(e, cmd=syntax_kb.to_parser_template(e.cmd)) for e in scaled),
+        args.out,
+    )
     _write_manifest(Path(args.out), "scale", args)
     print(f"kept {len(scaled)} of {len(entries)} templates")
     return 0
@@ -214,7 +211,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    kb = _load_kb(args.specs)
+    kb = syntax_kb.SyntaxKb.load(args.specs)
     hints = kb.parser_hints()
     refs = dataset_io.read_records(args.ref)
 
@@ -247,9 +244,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    kb = _load_kb(args.specs)
-    records = dataset_io.read_records(args.infile)
-    report = dataset_io.stats(records, kb.parser_hints())
+    kb = syntax_kb.SyntaxKb.load(args.specs)
+    commands = dataset_io.read_commands(args.infile)
+    report = dataset_io.stats(commands, kb.parser_hints())
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -262,7 +259,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_templatize(args: argparse.Namespace) -> int:
-    kb = _load_kb(args.specs)
+    kb = syntax_kb.SyntaxKb.load(args.specs)
     hints = kb.parser_hints()
     records = dataset_io.read_records(args.infile)
     out = []
@@ -283,7 +280,7 @@ def cmd_templatize(args: argparse.Namespace) -> int:
 
 
 def cmd_fill(args: argparse.Namespace) -> int:
-    kb = _load_kb(args.specs)
+    kb = syntax_kb.SyntaxKb.load(args.specs)
     hints = kb.parser_hints()
     records = dataset_io.read_records(args.infile)
     filled_records = []
@@ -412,7 +409,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("stats", help="corpus statistics")
+    p = sub.add_parser("stats", help="corpus statistics of records or templates")
     add_common(p, seed=False)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")

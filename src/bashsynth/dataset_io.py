@@ -3,8 +3,9 @@
 Record schema: one JSON object per line with fields ``nl``, ``cmd``,
 ``source`` (original | generated | llm) and optional ``valid``. Template
 corpora (generator output) use ``id``, ``cmd``, ``utilities``, ``flags``,
-``pipe_partner``. A converter accepts the classic two-file layout of one
-sentence file plus one command file matched by line number.
+``pipe_partner``; ``read_commands`` reads the ``cmd`` of either kind. A
+converter accepts the classic two-file layout of one sentence file plus one
+command file matched by line number.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import bash_ast
-from .generator import GeneratedCommand
 
 __all__ = [
     "FormatError",
@@ -27,6 +27,7 @@ __all__ = [
     "read_records",
     "write_records",
     "read_two_file",
+    "read_commands",
     "read_templates",
     "write_templates",
     "CorpusStats",
@@ -71,6 +72,11 @@ class TemplateEntry:
     utilities: tuple[str, ...] = ()
     flags: tuple[str, ...] = ()
     pipe_partner: str | None = None
+
+    def render(self) -> str:
+        # The template text; callers written for rendering generator output
+        # (the benchmark's exec population among them) call this.
+        return self.cmd
 
 
 def record_to_json(record: DatasetRecord) -> str:
@@ -138,33 +144,20 @@ def read_two_file(nl_path: str | Path, cmd_path: str | Path,
 # Template corpora
 
 
-def write_templates(
-    commands: Iterable[GeneratedCommand | TemplateEntry], path: str | Path
-) -> None:
-    lines = []
-    for cmd in commands:
-        if isinstance(cmd, GeneratedCommand):
-            entry = TemplateEntry(
-                id=cmd.id,
-                cmd=cmd.render(),
-                utilities=cmd.provenance.utilities,
-                flags=cmd.provenance.flags,
-                pipe_partner=cmd.provenance.pipe_partner,
-            )
-        else:
-            entry = cmd
-        lines.append(
-            json.dumps(
-                {
-                    "id": entry.id,
-                    "cmd": entry.cmd,
-                    "utilities": list(entry.utilities),
-                    "flags": list(entry.flags),
-                    "pipe_partner": entry.pipe_partner,
-                },
-                ensure_ascii=False,
-            )
+def write_templates(entries: Iterable[TemplateEntry], path: str | Path) -> None:
+    lines = [
+        json.dumps(
+            {
+                "id": entry.id,
+                "cmd": entry.cmd,
+                "utilities": list(entry.utilities),
+                "flags": list(entry.flags),
+                "pipe_partner": entry.pipe_partner,
+            },
+            ensure_ascii=False,
         )
+        for entry in entries
+    ]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -188,6 +181,20 @@ def read_templates(path: str | Path) -> list[TemplateEntry]:
         except (ValueError, KeyError) as exc:
             raise FormatError(f"bad template entry: {exc}", path, lineno) from None
     return entries
+
+
+def read_commands(path: str | Path) -> list[str]:
+    """The ``cmd`` of every line of a record or a template file."""
+    commands: list[str] = []
+    path = Path(path)
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            commands.append(str(json.loads(line)["cmd"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"line has no command: {exc!r}", path, lineno) from None
+    return commands
 
 
 # ---------------------------------------------------------------------------

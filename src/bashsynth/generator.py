@@ -1,9 +1,12 @@
 """Template generation: flag combinations and single-pipe joins.
 
-Templates carry generator-side placeholders like ``[File]``; each parameter
-node is categorized with the parser kind its generator kind maps to
-(``syntax_kb.to_parser_kind``), so a template's AST matches what parsing its
-parser form (``syntax_kb.to_parser_template``) with the KB's hints yields.
+A template is text plus metadata: a ``dataset_io.TemplateEntry`` whose
+``cmd`` carries generator-side placeholders like ``[File]`` and whose
+``utilities``, ``flags`` and ``pipe_partner`` record how it was built. Each
+flag subset's stage is rendered once as text; a piped template joins a head
+and a tail template with " | ". Later stages read only that text and
+metadata; its parser form (``syntax_kb.to_parser_template``) parses with the
+KB's hints to the kinds the spec declares.
 """
 
 from __future__ import annotations
@@ -12,16 +15,14 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .bash_ast import BashAst, FlagNode, Item, ParamNode, UtilityNode, render
-from .syntax_kb import FlagSpec, GenArgKind, UtilitySpec, to_parser_kind
+from .dataset_io import TemplateEntry
+from .syntax_kb import FlagSpec, GenArgKind, UtilitySpec
 
 __all__ = [
     "SpecError",
     "PipeError",
-    "Provenance",
-    "GeneratedCommand",
     "DedupResult",
     "generate_unpiped",
     "generate_piped",
@@ -40,58 +41,37 @@ class PipeError(ValueError):
 
 
 @dataclass(frozen=True)
-class Provenance:
-    utilities: tuple[str, ...]
-    flags: tuple[str, ...]
-    pipe_partner: str | None = None
-
-
-@dataclass(frozen=True)
-class GeneratedCommand:
-    template: BashAst
-    provenance: Provenance
-    id: str
-
-    def render(self) -> str:
-        return render(self.template)
-
-
-@dataclass(frozen=True)
 class DedupResult:
     commands: list
     duplicates: int
     duplicate_rate: float
 
 
-def _placeholder_param(kind: GenArgKind) -> ParamNode:
-    return ParamNode(kind.bracket, to_parser_kind(kind))
+def _entry(
+    cmd: str,
+    utilities: tuple[str, ...],
+    flags: tuple[str, ...],
+    pipe_partner: str | None = None,
+) -> TemplateEntry:
+    cmd_id = hashlib.sha1(cmd.encode("utf-8")).hexdigest()[:12]
+    return TemplateEntry(cmd_id, cmd, utilities, flags, pipe_partner)
 
 
-def _stage_for(spec: UtilitySpec, flag_subset: Sequence[FlagSpec]) -> UtilityNode:
-    items: list[Item] = []
+def _stage_text(spec: UtilitySpec, flag_subset: Sequence[FlagSpec]) -> str:
+    """The utility, then each template slot in order; a flag that takes an
+    argument is followed by its placeholder."""
+    parts = [spec.name]
     for slot in spec.template:
         if slot == "UTILITY":
             continue
         if slot == "FLAGS":
             for fs in flag_subset:
-                arg = _placeholder_param(fs.arg) if fs.arg else None
-                items.append(FlagNode(fs.token, arg))
+                parts.append(fs.token)
+                if fs.arg:
+                    parts.append(fs.arg.bracket)
         else:
-            items.append(_placeholder_param(GenArgKind(slot)))
-    return UtilityNode(spec.name, tuple(items))
-
-
-def _command_from_stages(
-    stages: tuple[UtilityNode, ...], provenance: Provenance
-) -> GeneratedCommand:
-    ast = BashAst(stages=stages)
-    rendered = render(ast)
-    cmd_id = hashlib.sha1(rendered.encode("utf-8")).hexdigest()[:12]
-    return GeneratedCommand(
-        template=BashAst(stages=stages, raw=rendered),
-        provenance=provenance,
-        id=cmd_id,
-    )
+            parts.append(GenArgKind(slot).bracket)
+    return " ".join(parts)
 
 
 def _flag_subsets(spec: UtilitySpec) -> list[tuple[FlagSpec, ...]]:
@@ -104,7 +84,7 @@ def _flag_subsets(spec: UtilitySpec) -> list[tuple[FlagSpec, ...]]:
 
 def generate_unpiped(
     spec: UtilitySpec, limit: int | None = None, seed: int = 0
-) -> list[GeneratedCommand]:
+) -> list[TemplateEntry]:
     """Enumerate templates with 0..3 distinct flags in deterministic order.
 
     Subsets are ordered by size then lexicographic flag token order; when
@@ -120,15 +100,11 @@ def generate_unpiped(
     if limit is not None and limit < len(subsets):
         subsets = random.Random(seed).sample(subsets, limit)
 
-    out = []
-    for subset in subsets:
-        prov = Provenance(
-            utilities=(spec.name,),
-            flags=tuple(f.token for f in subset),
-            pipe_partner=None,
-        )
-        out.append(_command_from_stages((_stage_for(spec, subset),), prov))
-    return out
+    utilities = (spec.name,)
+    return [
+        _entry(_stage_text(spec, subset), utilities, tuple(f.token for f in subset))
+        for subset in subsets
+    ]
 
 
 def generate_piped(
@@ -137,7 +113,7 @@ def generate_piped(
     head_limit: int | None = None,
     tail_limit: int | None = None,
     seed: int = 0,
-) -> list[GeneratedCommand]:
+) -> list[TemplateEntry]:
     """Cross product of head and tail templates joined by one pipe."""
     if tail.name not in head.pipe_successors:
         raise PipeError(f"{tail.name} is not an allowed successor of {head.name}")
@@ -145,29 +121,22 @@ def generate_piped(
     heads = generate_unpiped(head, head_limit, seed)
     tails = generate_unpiped(tail, tail_limit, seed + 1)
 
-    out = []
-    for h in heads:
-        for t in tails:
-            prov = Provenance(
-                utilities=(head.name, tail.name),
-                flags=h.provenance.flags + t.provenance.flags,
-                pipe_partner=tail.name,
-            )
-            out.append(_command_from_stages(h.template.stages + t.template.stages, prov))
-    return out
+    utilities = (head.name, tail.name)
+    return [
+        _entry(f"{h.cmd} | {t.cmd}", utilities, h.flags + t.flags, tail.name)
+        for h in heads
+        for t in tails
+    ]
 
 
-def dedup(
-    commands: Sequence, key: Callable[[object], str] | None = None
-) -> DedupResult:
-    """Order-preserving removal of equal rendered commands."""
-    if key is None:
-        key = lambda c: c.render() if isinstance(c, GeneratedCommand) else str(c)
+def dedup(commands: Sequence) -> DedupResult:
+    """Order-preserving removal of equal commands: a string is its own key,
+    a template or record is keyed by its ``cmd``."""
     seen: set[str] = set()
     unique = []
     dropped = 0
     for cmd in commands:
-        k = key(cmd)
+        k = cmd if isinstance(cmd, str) else cmd.cmd
         if k in seen:
             dropped += 1
             continue

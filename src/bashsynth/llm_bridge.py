@@ -163,9 +163,11 @@ class ReplayTransport:
     """Serve canned responses keyed by request content, FIFO per key.
 
     Entries are exchange-log lines or hand-written ``{request, response}``
-    pairs; failed attempts (``error`` set) are skipped. A concurrent run logs
-    in completion order, so each key's responses are served in item
-    ``index`` order, which is the order the run produced its results.
+    pairs. A failed attempt (``error`` set) keeps its slot and is replayed as
+    a failure: ``send`` raises TransportError with the logged error. A
+    concurrent run logs in completion order, so each key's replies are
+    served in item ``index`` order, which is the order the run produced its
+    results.
     """
 
     supports_concurrency = False
@@ -177,13 +179,10 @@ class ReplayTransport:
                 for line in Path(exchanges).read_text(encoding="utf-8").split("\n")
                 if line.strip()
             ]
-        replies: dict[str, list[tuple[int | None, str]]] = {}
+        by_key: dict[str, list[dict]] = {}
         for entry in exchanges:
-            if entry.get("error"):
-                continue
-            key = _request_key(entry["request"])
-            replies.setdefault(key, []).append((entry.get("index"), entry["response"]))
-        self._queues = {key: deque(_item_order(r)) for key, r in replies.items()}
+            by_key.setdefault(_request_key(entry["request"]), []).append(entry)
+        self._queues = {key: deque(_item_order(e)) for key, e in by_key.items()}
         self._lock = threading.Lock()
 
     def send(self, payload: dict) -> str:
@@ -194,24 +193,29 @@ class ReplayTransport:
                 raise TransportError(
                     f"replay log has no response for request {key[:12]}"
                 )
-            return queue.popleft()
+            entry = queue.popleft()
+        if entry.get("error"):
+            raise TransportError(entry["error"])
+        return entry["response"]
 
 
-def _item_order(replies: list[tuple[int | None, str]]) -> list[str]:
-    """Responses with the indexed ones stably sorted by (batch, index) among
+def _item_order(entries: list[dict]) -> list[dict]:
+    """Entries with the indexed ones stably sorted by (batch, index) among
     their own slots; unindexed ones stay where they are. A session's batches
-    run one after another, so an index seen again starts the next batch."""
+    run one after another, so an index seen again starts the next batch,
+    unless the line is a retry (``attempt`` above 1) of that index."""
     keyed, seen, batch = [], set(), 0
-    for index, response in replies:
+    for entry in entries:
+        index = entry.get("index")
         if index is None:
             continue
-        if index in seen:
+        if index in seen and entry.get("attempt") in (None, 1):
             batch, seen = batch + 1, set()
         seen.add(index)
-        keyed.append(((batch, index), response))
-    ordered = iter(sorted(keyed, key=lambda reply: reply[0]))
-    return [response if index is None else next(ordered)[1]
-            for index, response in replies]
+        keyed.append(((batch, index), entry))
+    ordered = iter(sorted(keyed, key=lambda item: item[0]))
+    return [entry if entry.get("index") is None else next(ordered)[1]
+            for entry in entries]
 
 
 def _extract_command(text: str) -> str:

@@ -71,7 +71,7 @@ def default_profile_path() -> Path:
 def _head_and_piped(item: object) -> tuple[str, bool] | None:
     """(head, piped) from ``utilities`` metadata, else from one parse of the
     item's text; None when that text does not parse."""
-    utilities = getattr(getattr(item, "provenance", item), "utilities", ())
+    utilities = getattr(item, "utilities", ())
     if utilities:
         return utilities[0], len(utilities) > 1
     text = item if isinstance(item, str) else getattr(item, "cmd", None)

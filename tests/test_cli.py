@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -206,6 +207,48 @@ def test_stats_json(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["total"] == 2
     assert report["piped"] == 1
+
+
+def test_stats_reads_template_files(tmp_path, capsys):
+    templates = tmp_path / "templates.jsonl"
+    assert main(
+        ["generate", "--utility", "find", "--utility", "sort", "--piped",
+         "--limit", "20", "--head-limit", "4", "--tail-limit", "4",
+         "--out", str(templates)]
+    ) == 0
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"proportions": {"find": 0.5}}))
+    scaled = tmp_path / "scaled.jsonl"
+    assert main(
+        ["scale", "--in", str(templates), "--out", str(scaled), "--profile", str(profile)]
+    ) == 0
+    for path in (templates, scaled):
+        entries = D.read_templates(path)
+        capsys.readouterr()
+        assert main(["stats", "--in", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["total"] == report["parseable"] == len(entries)
+        assert report["piped"] == sum(len(e.utilities) > 1 for e in entries) > 0
+
+
+def test_stats_rejects_line_without_command(tmp_path, capsys):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"cmd": "ls"}\n{"nl": "list files"}\n')
+    assert main(["stats", "--in", str(path)]) == 1
+    assert f"{path}:2:" in capsys.readouterr().err
+
+
+def test_generate_piped_bytes_pinned(tmp_path):
+    """Every utility and pipe pair of the shipped KB, 8 tail templates each."""
+    out = tmp_path / "t.jsonl"
+    assert main(
+        ["generate", "--piped", "--tail-limit", "8", "--seed", "3", "--out", str(out)]
+    ) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 27210
+    assert hashlib.sha256(data).hexdigest() == (
+        "dedebfa4442973ddc8183accafe5de0bc6bbe5a35c5e352c9e045a1e74d2134a"
+    )
 
 
 def test_templatize_subcommand(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from bashsynth import bash_ast
 from bashsynth import generator as G
+from bashsynth.bash_ast import PLACEHOLDER_RE
 from bashsynth.syntax_kb import FlagSpec, GenArgKind, UtilitySpec, to_parser_template
 
 
@@ -68,7 +69,7 @@ class TestGenerateUnpiped:
 
     def test_flag_count_never_exceeds_three(self, kb):
         for cmd in G.generate_unpiped(kb.get("find")):
-            assert len(cmd.provenance.flags) <= 3
+            assert len(cmd.flags) <= 3
 
     def test_empty_template_rejected(self):
         spec = UtilitySpec("x", ("UTILITY",), ())
@@ -77,15 +78,19 @@ class TestGenerateUnpiped:
             G.generate_unpiped(spec)
 
 
-def _categories(ast: bash_ast.BashAst) -> list[tuple]:
-    """Per stage, each parameter's and each flag argument's category in order."""
+def _declared_slots(node: bash_ast.UtilityNode, hints) -> list[tuple]:
+    """Each positional parameter and each flag argument of a parsed stage,
+    with the kind the hints declare for that slot (None when undeclared)."""
+    h = hints[node.name]
     out = []
-    for node in ast.walk_utilities():
-        for it in node.items:
-            if isinstance(it, bash_ast.ParamNode):
-                out.append((node.name, None, it.category))
-            elif isinstance(it, bash_ast.FlagNode) and it.arg is not None:
-                out.append((node.name, it.token, it.arg.category))
+    positional = 0
+    for it in node.items:
+        if isinstance(it, bash_ast.ParamNode):
+            declared = h.positionals[positional] if positional < len(h.positionals) else None
+            out.append((it, declared))
+            positional += 1
+        elif isinstance(it, bash_ast.FlagNode) and it.arg is not None:
+            out.append((it.arg, h.flag_args.get(it.token)))
     return out
 
 
@@ -94,8 +99,19 @@ class TestPlaceholderKinds:
         checked = 0
         for spec in kb.specs():
             for cmd in G.generate_unpiped(spec):
-                parsed = bash_ast.parse(to_parser_template(cmd.render()), hints)
-                assert _categories(cmd.template) == _categories(parsed), cmd.render()
+                text = to_parser_template(cmd.cmd)
+                (stage,) = bash_ast.parse(text, hints).stages
+                slots = _declared_slots(stage, hints)
+                # every placeholder sits in a declared slot, and every
+                # declared positional slot holds one
+                assert len(slots) == len(PLACEHOLDER_RE.findall(text)), text
+                params = [it for it in stage.items if isinstance(it, bash_ast.ParamNode)]
+                assert len(params) == len(spec.positional_kinds), text
+                for param, declared in slots:
+                    assert param.literal in bash_ast.PLACEHOLDER_BY_TOKEN, text
+                    assert declared is not None, text
+                    assert param.category == declared, text
+                    assert bash_ast.PLACEHOLDER_BY_TOKEN[param.literal] == declared, text
                 checked += 1
         assert checked == 1770
 
@@ -107,7 +123,10 @@ class TestGeneratePiped:
         commands = G.generate_piped(head, tail, 2, 3, seed=0)
         assert len(commands) == 6
         for cmd in commands:
-            assert len(cmd.template.stages) == 2
+            assert cmd.utilities == ("find", "xargs")
+            assert cmd.pipe_partner == "xargs"
+            assert set(cmd.flags) <= set(cmd.cmd.split())
+            assert len(bash_ast.parse(cmd.cmd).stages) == 2
 
     def test_disallowed_successor(self):
         head = _spec("find", 2, successors=("xargs",))

@@ -362,17 +362,59 @@ class TestExchangeLog:
         replay = L.LlmSession(L.LlmConfig(concurrency=3), L.ReplayTransport(log))
         assert replay.pipeline(6) == live
 
-    def test_replay_skips_failed_attempts_and_orders_by_index(self):
+    def test_replay_fails_logged_errors_and_orders_by_index(self):
         request = {"model": "m", "messages": [], "temperature": 1.0}
         transport = L.ReplayTransport([
-            {"request": request, "response": "b", "index": 1, "error": None},
-            {"request": request, "response": "", "index": 0, "error": "503"},
+            {"request": request, "response": "b", "index": 1, "attempt": 1, "error": None},
+            {"request": request, "response": "", "index": 0, "attempt": 1, "error": "503"},
             {"request": request, "response": "x"},  # no index: keeps its place
-            {"request": request, "response": "a", "index": 0, "error": None},
+            {"request": request, "response": "a", "index": 0, "attempt": 2, "error": None},
         ])
+        with pytest.raises(L.TransportError, match="^503$"):
+            transport.send(request)
         assert [transport.send(request) for _ in range(3)] == ["a", "x", "b"]
         with pytest.raises(L.TransportError, match="replay"):
             transport.send(request)
+
+    @pytest.mark.parametrize("attempt, order", [(None, "prq"), (1, "prq"), (2, "rpq")])
+    def test_repeated_index_starts_a_batch_unless_a_retry(self, attempt, order):
+        request = {"model": "m", "messages": [], "temperature": 1.0}
+        transport = L.ReplayTransport([
+            {"request": request, "response": "p", "index": 1},
+            {"request": request, "response": "q", "index": 1, "attempt": attempt},
+            {"request": request, "response": "r", "index": 0},
+        ])
+        assert "".join(transport.send(request) for _ in range(3)) == order
+
+    def test_failed_prompt_replays_at_its_index(self, tmp_path):
+        # Generation calls 2-4 (every attempt of prompt 1) fail live; the
+        # replay must fail prompt 1 too, not hand it prompt 2's reply.
+        class FailsCalls2To4:
+            supports_concurrency = False
+            calls = 0
+
+            def send(self, payload):
+                prompt = payload["messages"][0]["content"]
+                if prompt != L.GENERATION_PROMPT:
+                    return f"describe {prompt}"
+                self.calls += 1
+                if 2 <= self.calls <= 4:
+                    raise L.TransportError(f"call {self.calls} failed")
+                return f"echo {self.calls}"
+
+        log = tmp_path / "log.jsonl"
+        config = L.LlmConfig(backoff=0.0)
+        live = L.LlmSession(config, FailsCalls2To4(), log_path=log)
+        records = live.pipeline(4)
+        assert [r.cmd for r in records] == ["echo 1", "echo 5", "echo 6"]
+        replay = L.LlmSession(config, L.ReplayTransport(log))
+        assert replay.pipeline(4) == records
+
+        def errors(session):
+            return [(e.index, e.error) for e in session.audit if e.error]
+
+        assert errors(live) == [(1, f"call {n} failed") for n in (2, 3, 4)]
+        assert errors(replay) == errors(live)
 
     @pytest.mark.parametrize("concurrency", [1, 3])
     def test_batches_of_one_session_replay_in_order(self, tmp_path, concurrency):

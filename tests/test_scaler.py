@@ -117,7 +117,7 @@ class TestScale:
         )
         out = scale(pool, DistributionProfile({"find": 0.5}), seed=3)
         realized = sum(
-            1 for c in out if c.provenance.utilities[0] == "find"
+            1 for c in out if c.utilities[0] == "find"
         ) / len(out)
         assert abs(realized - 0.5) <= 0.02
 
