@@ -85,19 +85,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.exec_:
-        if os.environ.get(EXEC_OPT_IN_ENV) != "1":
-            print(
-                "refusing to execute commands: set "
-                f"{EXEC_OPT_IN_ENV}=1 to confirm you understand that generated "
-                "commands run on this machine (isolated workspace, deny-list, "
-                f"{validator.DEFAULT_TIMEOUT_SECONDS}s timeout)",
-                file=sys.stderr,
-            )
-            return 2
-        backend = "subprocess"
-    else:
-        backend = "dry_run"
+    if args.exec_ and os.environ.get(EXEC_OPT_IN_ENV) != "1":
+        print(
+            "refusing to execute commands: set "
+            f"{EXEC_OPT_IN_ENV}=1 to confirm you understand that generated "
+            "commands run on this machine (isolated workspace, deny-list, "
+            f"{validator.DEFAULT_TIMEOUT_SECONDS}s timeout)",
+            file=sys.stderr,
+        )
+        return 2
 
     entries = dataset_io.read_templates(args.infile)
     fixtures = validator.load_fixture_values(args.fixtures)
@@ -114,31 +110,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
     config = validator.SandboxConfig(
         workspace=Path(args.workspace),
         timeout=args.timeout,
-        backend=backend,
+        backend="subprocess" if args.exec_ else "dry_run",
         allow_execution=args.exec_,
         manifest=manifest,
         jobs=args.jobs,
     )
     results = validator.run_batch(concrete, config)
 
-    lines = [
-        json.dumps(
-            {
-                "command": r.command,
-                "exit_status": r.exit_status,
-                "wall_time": round(r.wall_time, 4),
-                "verdict": r.verdict,
-                "note": r.note,
-            }
-        )
-        for r in results
-    ]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # one line per result: its fields in order, wall time rounded
+    dataset_io.write_lines(
+        ({**vars(r), "wall_time": round(r.wall_time, 4)} for r in results), args.out
+    )
     _write_manifest(Path(args.out), "validate", args)
 
     if args.survivors:
-        keep = [e for e, r in zip(entries, results) if r.verdict]
-        dataset_io.write_templates(keep, args.survivors)
+        dataset_io.write_templates(
+            (e for e, r in zip(entries, results) if r.verdict), args.survivors
+        )
         _write_manifest(Path(args.survivors), "validate", args)
 
     rate = sum(r.verdict for r in results) / len(results) if results else 0.0
@@ -211,12 +199,10 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    kb = syntax_kb.SyntaxKb.load(args.specs)
-    hints = kb.parser_hints()
+    hints = syntax_kb.SyntaxKb.load(args.specs).parser_hints()
     refs = dataset_io.read_records(args.ref)
 
-    pred_lines = Path(args.pred).read_text(encoding="utf-8").split("\n")
-    preds = [json.loads(line) for line in pred_lines if line.strip()]
+    preds = dataset_io.read_predictions(args.pred)
     if len(refs) != len(preds):
         print(
             f"error: {len(refs)} reference records vs {len(preds)} predictions",
@@ -224,16 +210,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         )
         return 1
 
-    pairs = []
-    for ref, pred in zip(refs, preds):
-        if "candidates" in pred:
-            candidates = [
-                (c["cmd"], float(c.get("confidence", 1.0)))
-                for c in pred["candidates"]
-            ]
-        else:
-            candidates = [(str(pred["cmd"]), 1.0)]
-        pairs.append(metrics.score_pair(ref.cmd, candidates, hints))
+    pairs = [
+        metrics.score_pair(ref.cmd, candidates, hints)
+        for ref, candidates in zip(refs, preds)
+    ]
 
     accuracy = metrics.dataset_accuracy(pairs)
     if args.format == "json":
@@ -244,9 +224,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    kb = syntax_kb.SyntaxKb.load(args.specs)
-    commands = dataset_io.read_commands(args.infile)
-    report = dataset_io.stats(commands, kb.parser_hints())
+    hints = syntax_kb.SyntaxKb.load(args.specs).parser_hints()
+    report = dataset_io.stats(dataset_io.read_commands(args.infile), hints)
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -259,20 +238,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_templatize(args: argparse.Namespace) -> int:
-    kb = syntax_kb.SyntaxKb.load(args.specs)
-    hints = kb.parser_hints()
-    records = dataset_io.read_records(args.infile)
-    out = []
-    for record in records:
-        ast = bash_ast.parse(record.cmd, hints)
-        out.append(
-            dataset_io.DatasetRecord(
-                nl=record.nl,
-                cmd=bash_ast.render(bash_ast.templatize(ast)),
-                source=record.source,
-                valid=record.valid,
-            )
+    hints = syntax_kb.SyntaxKb.load(args.specs).parser_hints()
+    out = [
+        dataclasses.replace(
+            r, cmd=bash_ast.render(bash_ast.templatize(bash_ast.parse(r.cmd, hints)))
         )
+        for r in dataset_io.read_records(args.infile)
+    ]
     dataset_io.write_records(out, args.out)
     _write_manifest(Path(args.out), "templatize", args)
     print(f"templatized {len(out)} records")
@@ -280,8 +252,7 @@ def cmd_templatize(args: argparse.Namespace) -> int:
 
 
 def cmd_fill(args: argparse.Namespace) -> int:
-    kb = syntax_kb.SyntaxKb.load(args.specs)
-    hints = kb.parser_hints()
+    hints = syntax_kb.SyntaxKb.load(args.specs).parser_hints()
     records = dataset_io.read_records(args.infile)
     filled_records = []
     total_unfilled = 0
@@ -290,11 +261,7 @@ def cmd_fill(args: argparse.Namespace) -> int:
         values = nl_prep.extract_params(record.nl)
         filled, unfilled = bash_ast.fill(ast, values)
         total_unfilled += unfilled
-        filled_records.append(
-            dataset_io.DatasetRecord(
-                nl=record.nl, cmd=filled, source=record.source, valid=record.valid
-            )
-        )
+        filled_records.append(dataclasses.replace(record, cmd=filled))
     dataset_io.write_records(filled_records, args.out)
     _write_manifest(Path(args.out), "fill", args)
     print(f"filled {len(filled_records)} records, {total_unfilled} placeholders left")

@@ -1,22 +1,27 @@
 """Line-delimited dataset files, corpus statistics, and seeded splits.
 
-Record schema: one JSON object per line with fields ``nl``, ``cmd``,
-``source`` (original | generated | llm) and optional ``valid``. Template
-corpora (generator output) use ``id``, ``cmd``, ``utilities``, ``flags``,
-``pipe_partner``; ``read_commands`` reads the ``cmd`` of either kind. A
-converter accepts the classic two-file layout of one sentence file plus one
-command file matched by line number.
+A line file is UTF-8 with one JSON object per line; blank lines are
+skipped. ``read_lines`` and ``encode_line`` are the only code that parses
+or formats a line; each typed reader adds its own field checks, and a
+malformed line raises FormatError naming ``path:line``.
+
+Records have ``nl``, ``cmd``, ``source`` (original | generated | llm) and
+optional ``valid``; template corpora (generator output) have ``id``,
+``cmd``, ``utilities``, ``flags``, ``pipe_partner``. ``read_commands``
+reads the ``cmd`` of either kind, ``read_predictions`` a ``score``
+prediction file and ``read_exchanges`` an LLM exchange log. A converter
+accepts the classic two-file layout of one sentence file plus one command
+file matched by line number.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import bash_ast
 
@@ -24,18 +29,21 @@ __all__ = [
     "FormatError",
     "DatasetRecord",
     "TemplateEntry",
+    "encode_line",
+    "write_lines",
+    "read_lines",
     "read_records",
     "write_records",
     "read_two_file",
     "read_commands",
     "read_templates",
     "write_templates",
+    "read_predictions",
+    "read_exchanges",
     "CorpusStats",
     "stats",
     "split_records",
 ]
-
-log = logging.getLogger(__name__)
 
 SOURCES = ("original", "generated", "llm")
 
@@ -64,8 +72,12 @@ class DatasetRecord:
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
 
+    def as_dict(self) -> dict:
+        return {"nl": self.nl, "cmd": self.cmd, "source": self.source,
+                "valid": self.valid}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class TemplateEntry:
     id: str
     cmd: str
@@ -78,48 +90,151 @@ class TemplateEntry:
         # (the benchmark's exec population among them) call this.
         return self.cmd
 
-
-def record_to_json(record: DatasetRecord) -> str:
-    return json.dumps(
-        {"nl": record.nl, "cmd": record.cmd, "source": record.source,
-         "valid": record.valid},
-        ensure_ascii=False,
-    )
+    def as_dict(self) -> dict:
+        return {"id": self.id, "cmd": self.cmd, "utilities": self.utilities,
+                "flags": self.flags, "pipe_partner": self.pipe_partner}
 
 
-def read_records(path: str | Path, strict: bool = True) -> list[DatasetRecord]:
-    """Read dataset records; malformed lines are fatal unless strict=False."""
-    records: list[DatasetRecord] = []
+# ---------------------------------------------------------------------------
+# The line format
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def encode_line(obj: Mapping) -> str:
+    return _ENCODER.encode(obj) + "\n"
+
+
+def write_lines(objects: Iterable[Mapping], path: str | Path) -> None:
+    """Write each object as one line as it arrives."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(encode_line(obj))
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line, one line at a time."""
     path = Path(path)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+                raise FormatError(f"not a JSON line: {exc}", path, lineno) from None
             if not isinstance(obj, dict):
-                raise ValueError("line is not a JSON object")
-            if "nl" not in obj:
-                raise ValueError("missing field 'nl'")
-            if "cmd" not in obj:
-                raise ValueError("missing field 'cmd'")
-            records.append(
-                DatasetRecord(
-                    nl=str(obj["nl"]),
-                    cmd=str(obj["cmd"]),
-                    source=str(obj.get("source", "original")),
-                    valid=obj.get("valid"),
-                )
-            )
-        except ValueError as exc:
-            if strict:
-                raise FormatError(str(exc), path, lineno) from None
-            log.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
-    return records
+                raise FormatError("line is not a JSON object", path, lineno)
+            yield lineno, obj
+
+
+# A schema maps each field to (test, what the test wants, default); a field
+# without a default (_REQUIRED) must be present.
+_REQUIRED = object()
+_TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string", _REQUIRED)
+_STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+            "a list of strings", ())
+_RECORD = {
+    "nl": _TEXT,
+    "cmd": _TEXT,
+    "source": (SOURCES.__contains__, f"one of {SOURCES}", "original"),
+    "valid": (lambda v: v is None or isinstance(v, bool), "true, false or null", None),
+}
+_TEMPLATE = {
+    "id": _TEXT,
+    "cmd": _TEXT,
+    "utilities": _STRINGS,
+    "flags": _STRINGS,
+    "pipe_partner": (lambda v: v is None or isinstance(v, str), "a string or null", None),
+}
+_CANDIDATES = {"candidates": (
+    lambda v: isinstance(v, list) and v and all(isinstance(c, dict) for c in v),
+    "a non-empty list of objects", _REQUIRED)}
+_CANDIDATE = {
+    "cmd": (lambda v: isinstance(v, str), "a string", _REQUIRED),
+    "confidence": (lambda v: type(v) in (int, float) and 0 <= v <= 1,
+                   "a number in [0, 1]", 1.0),
+}
+_EXCHANGE = {
+    "request": (lambda v: isinstance(v, dict), "an object", _REQUIRED),
+    "response": (lambda v: isinstance(v, str), "a string", _REQUIRED),
+    "index": (lambda v: v is None or type(v) is int, "an integer or null", None),
+}
+
+
+def _check(obj: dict, schema: dict, path: Path, lineno: int) -> list:
+    """The schema's fields of ``obj``, in schema order."""
+    values = []
+    for key, (ok, want, default) in schema.items():
+        if key not in obj:
+            if default is _REQUIRED:
+                raise FormatError(f"missing field {key!r}", path, lineno)
+            values.append(default)
+        elif ok(obj[key]):
+            values.append(obj[key])
+        else:
+            raise FormatError(f"field {key!r} must be {want}, not {obj[key]!r:.60}",
+                              path, lineno)
+    return values
+
+
+def _checked(path: str | Path, schema: dict) -> Iterator[list]:
+    path = Path(path)
+    return (_check(obj, schema, path, lineno) for lineno, obj in read_lines(path))
+
+
+# ---------------------------------------------------------------------------
+# Dataset records, template corpora, predictions and exchange logs
+
+
+def read_records(path: str | Path) -> list[DatasetRecord]:
+    return [DatasetRecord(*values) for values in _checked(path, _RECORD)]
 
 
 def write_records(records: Iterable[DatasetRecord], path: str | Path) -> None:
-    lines = [record_to_json(r) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines((r.as_dict() for r in records), path)
+
+
+def read_templates(path: str | Path) -> list[TemplateEntry]:
+    return [
+        TemplateEntry(id_, cmd, tuple(utilities), tuple(flags), partner)
+        for id_, cmd, utilities, flags, partner in _checked(path, _TEMPLATE)
+    ]
+
+
+def write_templates(entries: Iterable[TemplateEntry], path: str | Path) -> None:
+    write_lines((e.as_dict() for e in entries), path)
+
+
+def read_commands(path: str | Path) -> list[str]:
+    """The ``cmd`` of every line of a record or a template file."""
+    return [cmd for cmd, in _checked(path, {"cmd": _TEXT})]
+
+
+def read_predictions(path: str | Path) -> list[list[tuple[str, float]]]:
+    """The ``(cmd, confidence)`` candidates of each line of a ``score``
+    prediction file: its ``candidates``, or its own ``cmd`` at confidence 1.
+    An empty ``cmd`` is a prediction that does not parse."""
+    path = Path(path)
+    out = []
+    for lineno, obj in read_lines(path):
+        # a line without candidates is its own one candidate
+        candidates = (_check(obj, _CANDIDATES, path, lineno)[0] if "candidates" in obj
+                      else [obj])
+        out.append([tuple(_check(c, _CANDIDATE, path, lineno)) for c in candidates])
+    return out
+
+
+def read_exchanges(path: str | Path) -> list[dict]:
+    """The lines of an LLM exchange log, each checked for the fields a
+    replay reads."""
+    path = Path(path)
+    out = []
+    for lineno, obj in read_lines(path):
+        _check(obj, _EXCHANGE, path, lineno)
+        out.append(obj)
+    return out
 
 
 def read_two_file(nl_path: str | Path, cmd_path: str | Path,
@@ -141,63 +256,6 @@ def read_two_file(nl_path: str | Path, cmd_path: str | Path,
 
 
 # ---------------------------------------------------------------------------
-# Template corpora
-
-
-def write_templates(entries: Iterable[TemplateEntry], path: str | Path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "id": entry.id,
-                "cmd": entry.cmd,
-                "utilities": list(entry.utilities),
-                "flags": list(entry.flags),
-                "pipe_partner": entry.pipe_partner,
-            },
-            ensure_ascii=False,
-        )
-        for entry in entries
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def read_templates(path: str | Path) -> list[TemplateEntry]:
-    entries: list[TemplateEntry] = []
-    path = Path(path)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            entries.append(
-                TemplateEntry(
-                    id=str(obj["id"]),
-                    cmd=str(obj["cmd"]),
-                    utilities=tuple(obj.get("utilities", ())),
-                    flags=tuple(obj.get("flags", ())),
-                    pipe_partner=obj.get("pipe_partner"),
-                )
-            )
-        except (ValueError, KeyError) as exc:
-            raise FormatError(f"bad template entry: {exc}", path, lineno) from None
-    return entries
-
-
-def read_commands(path: str | Path) -> list[str]:
-    """The ``cmd`` of every line of a record or a template file."""
-    commands: list[str] = []
-    path = Path(path)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            commands.append(str(json.loads(line)["cmd"]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise FormatError(f"line has no command: {exc!r}", path, lineno) from None
-    return commands
-
-
-# ---------------------------------------------------------------------------
 # Statistics
 
 
@@ -213,20 +271,13 @@ class CorpusStats:
 
     def as_dict(self) -> dict:
         return {
-            "total": self.total,
-            "parseable": self.parseable,
-            "unparseable": self.unparseable,
-            "piped": self.piped,
-            "distinct_utilities": self.distinct_utilities,
+            **vars(self),
             "utility_counts": dict(self.utility_counts),
             "flag_count_hist": {str(k): v for k, v in sorted(self.flag_count_hist.items())},
         }
 
 
-def stats(
-    records: Sequence[DatasetRecord | str],
-    hints=None,
-) -> CorpusStats:
+def stats(commands: Sequence[str], hints=None) -> CorpusStats:
     """Corpus totals, pipe counts, utility histogram, flag-count histogram.
 
     Utilities are counted across all pipeline stages (including nested
@@ -236,8 +287,7 @@ def stats(
     flag_hist: Counter[int] = Counter()
     piped = 0
     unparseable = 0
-    for item in records:
-        cmd = item.cmd if isinstance(item, DatasetRecord) else str(item)
+    for cmd in commands:
         try:
             ast = bash_ast.parse(cmd, hints)
         except bash_ast.ParseError:
@@ -249,8 +299,8 @@ def stats(
             utility_counts[node.name] += 1
             flag_hist[len(node.flags)] += 1
     return CorpusStats(
-        total=len(records),
-        parseable=len(records) - unparseable,
+        total=len(commands),
+        parseable=len(commands) - unparseable,
         unparseable=unparseable,
         piped=piped,
         distinct_utilities=len(utility_counts),

@@ -21,7 +21,6 @@ from .dataset_io import TemplateEntry
 from .syntax_kb import FlagSpec, GenArgKind, UtilitySpec
 
 __all__ = [
-    "SpecError",
     "PipeError",
     "DedupResult",
     "generate_unpiped",
@@ -30,10 +29,6 @@ __all__ = [
 ]
 
 MAX_FLAGS_PER_UTILITY = 3
-
-
-class SpecError(ValueError):
-    """Utility spec unusable for generation."""
 
 
 class PipeError(ValueError):
@@ -91,8 +86,6 @@ def generate_unpiped(
     ``limit`` is below the total, a seeded uniform sample without
     replacement is taken.
     """
-    if not spec.template:
-        raise SpecError(f"{spec.name}: spec has no template")
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0")
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Protocol, Sequence, TypeVar
 import requests
 
 from . import bash_ast
-from .dataset_io import DatasetRecord, record_to_json
+from .dataset_io import DatasetRecord, encode_line, read_exchanges
 from .generator import dedup
 
 _T = TypeVar("_T")
@@ -162,7 +162,8 @@ def _retry_after_seconds(value: str | None) -> float | None:
 class ReplayTransport:
     """Serve canned responses keyed by request content, FIFO per key.
 
-    Entries are exchange-log lines or hand-written ``{request, response}``
+    Entries are exchange-log lines (a path is read through
+    ``dataset_io.read_exchanges``) or hand-written ``{request, response}``
     pairs. A failed attempt (``error`` set) keeps its slot and is replayed as
     a failure: ``send`` raises TransportError with the logged error. A
     concurrent run logs in completion order, so each key's replies are
@@ -174,11 +175,7 @@ class ReplayTransport:
 
     def __init__(self, exchanges: Sequence[dict] | str | Path):
         if isinstance(exchanges, (str, Path)):
-            exchanges = [
-                json.loads(line)
-                for line in Path(exchanges).read_text(encoding="utf-8").split("\n")
-                if line.strip()
-            ]
+            exchanges = read_exchanges(exchanges)
         by_key: dict[str, list[dict]] = {}
         for entry in exchanges:
             by_key.setdefault(_request_key(entry["request"]), []).append(entry)
@@ -243,7 +240,8 @@ class LlmSession:
 
     Every attempt is kept in ``audit`` and, with ``log_path`` (truncated
     once), appended there as one JSON line the moment it completes, so a
-    killed run keeps every finished exchange. ReplayTransport reads it back.
+    killed run keeps every finished exchange. ReplayTransport reads it back;
+    a session replaying it sleeps for neither backoff nor pacing.
     """
 
     def __init__(
@@ -254,6 +252,8 @@ class LlmSession:
     ):
         self.config = config
         self.transport = transport if transport is not None else HttpTransport(config)
+        # A replay contacts no endpoint, so there is nothing to wait for.
+        self._waits = not isinstance(self.transport, ReplayTransport)
         self.audit: list[LlmExchange] = []
         self._log_path = Path(log_path) if log_path is not None else None
         if self._log_path is not None:
@@ -264,7 +264,7 @@ class LlmSession:
         self._last_call = 0.0
 
     def _pace(self) -> None:
-        if self.config.requests_per_minute is None:
+        if self.config.requests_per_minute is None or not self._waits:
             return
         interval = 60.0 / self.config.requests_per_minute
         with self._pace_lock:
@@ -291,7 +291,7 @@ class LlmSession:
             except TransportError as exc:
                 last_error = exc
                 self._log(task, payload, "", start, attempt, str(exc))
-                if attempt < attempts:
+                if attempt < attempts and self._waits:
                     wait = self.config.backoff * attempt
                     if exc.retry_after is not None:
                         # The endpoint's ask, capped so a reply cannot stall
@@ -335,7 +335,7 @@ class LlmSession:
                     "latency": round(exchange.latency, 6),
                 }
                 with self._log_path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(line, ensure_ascii=False) + "\n")
+                    fh.write(encode_line(line))
 
     def _map_ordered(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
@@ -421,7 +421,7 @@ class LlmSession:
                 record = DatasetRecord(nl=nl, cmd=commands[index], source="llm")
                 records.append(record)
                 if out_file is not None:
-                    out_file.write(record_to_json(record) + "\n")
+                    out_file.write(encode_line(record.as_dict()))
                     out_file.flush()
         finally:
             if out_file is not None:

@@ -73,10 +73,8 @@ class SandboxConfig:
     timeout: float = DEFAULT_TIMEOUT_SECONDS
     backend: str = "dry_run"  # "dry_run" | "subprocess"
     allow_execution: bool = False
-    env: Mapping[str, str] | None = None
     manifest: Mapping[str, object] | None = None
     jobs: int = 1
-    network_allowlist: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
@@ -106,27 +104,22 @@ class RateTable:
 # Fixtures
 
 
+def _load_json(path: str | Path | None, shipped: str):
+    """The JSON file at ``path``, or the shipped ``data/sandbox/<shipped>``."""
+    file = (Path(path) if path is not None
+            else resources.files("bashsynth").joinpath(f"data/sandbox/{shipped}"))
+    return json.loads(file.read_text(encoding="utf-8"))
+
+
 def load_fixture_values(path: str | Path | None = None) -> dict[str, list[str]]:
     """Concrete values per generator argument kind, shipped with the repo."""
-    if path is None:
-        text = resources.files("bashsynth").joinpath(
-            "data/sandbox/values.json"
-        ).read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    data = json.loads(text)
+    data = _load_json(path, "values.json")
     return {str(k): [str(v) for v in vs] for k, vs in data.items()}
 
 
 def load_manifest(path: str | Path | None = None) -> dict[str, object]:
     """Workspace manifest: directories to create and files with contents."""
-    if path is None:
-        text = resources.files("bashsynth").joinpath(
-            "data/sandbox/manifest.json"
-        ).read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return json.loads(text)
+    return _load_json(path, "manifest.json")
 
 
 def instantiate(template: str, fixtures: Mapping[str, Sequence[str]]) -> str:
@@ -179,7 +172,7 @@ _NETWORK_UTILITIES = frozenset(
 )
 
 
-def _blocked_reason(command: str, allowlist: frozenset[str]) -> str | None:
+def _blocked_reason(command: str) -> str | None:
     for pattern in _DENY_PATTERNS:
         if pattern.search(command):
             return f"deny-list pattern {pattern.pattern!r}"
@@ -190,7 +183,7 @@ def _blocked_reason(command: str, allowlist: frozenset[str]) -> str | None:
                  if segment.strip()]
     for head in heads:
         name = head.rsplit("/", 1)[-1]
-        if name in _NETWORK_UTILITIES and name not in allowlist:
+        if name in _NETWORK_UTILITIES:
             return f"network utility {name!r} not allow-listed"
     return None
 
@@ -220,19 +213,6 @@ def _provision(run_dir: Path, manifest: Mapping[str, object]) -> None:
         raise SandboxSetupError(f"cannot provision workspace {run_dir}: {exc}") from exc
 
 
-def _reduced_env(run_dir: Path, overrides: Mapping[str, str] | None) -> dict[str, str]:
-    env = {
-        "PATH": "/usr/bin:/bin",
-        "HOME": str(run_dir),
-        "TMPDIR": str(run_dir),
-        "LC_ALL": "C",
-        "LANG": "C",
-    }
-    if overrides:
-        env.update(overrides)
-    return env
-
-
 def _shell() -> str:
     return shutil.which("bash") or "/bin/sh"
 
@@ -240,13 +220,15 @@ def _shell() -> str:
 def _run_one(
     index: int, command: str, config: SandboxConfig, manifest: Mapping[str, object]
 ) -> ValidationResult:
-    reason = _blocked_reason(command, config.network_allowlist)
+    reason = _blocked_reason(command)
     if reason is not None:
         return ValidationResult(command, SPAWN_FAIL, 0.0, False, note=reason)
 
     run_dir = Path(config.workspace) / f"run_{index:05d}"
     _provision(run_dir, manifest)
-    env = _reduced_env(run_dir, config.env)
+    # a reduced environment rooted in the run directory
+    env = {"PATH": "/usr/bin:/bin", "HOME": str(run_dir), "TMPDIR": str(run_dir),
+           "LC_ALL": "C", "LANG": "C"}
 
     start = time.perf_counter()
     try:

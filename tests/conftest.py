@@ -130,3 +130,32 @@ class SlowTransport:
 
 
 COMMANDS = [f"echo {i}" for i in range(12)]
+
+
+_TEMPLATE = '{"id": "a", "cmd": "ls", "utilities": %s, "flags": []}'
+
+# (reader, subcommand, a good line, a malformed line): each malformed line
+# goes to the subcommand's input as line 2, after the good line.
+MALFORMED_LINES = [
+    pytest.param("read_predictions", "score", '{"cmd": "ls"}', "not json",
+                 id="pred-not-json"),
+    pytest.param("read_predictions", "score", '{"cmd": "ls"}', '["ls"]', id="pred-list"),
+    pytest.param("read_predictions", "score", '{"cmd": "ls"}', '{"nl": "list"}',
+                 id="pred-no-cmd"),
+    pytest.param("read_predictions", "score", '{"cmd": "ls"}',
+                 '{"candidates": [{"confidence": 1}]}', id="candidate-no-cmd"),
+    pytest.param("read_predictions", "score", '{"cmd": "ls"}',
+                 '{"candidates": [{"cmd": "ls", "confidence": "high"}]}',
+                 id="candidate-text-confidence"),
+    pytest.param("read_exchanges", "backtranslate",
+                 '{"request": {"model": "default"}, "response": "x"}',
+                 '{"response": "x"}', id="exchange-no-request"),
+    pytest.param("read_templates", "scale", _TEMPLATE % '["ls"]', _TEMPLATE % "null",
+                 id="utilities-null"),
+    pytest.param("read_templates", "scale", _TEMPLATE % '["ls"]', _TEMPLATE % '"find"',
+                 id="utilities-string"),
+    pytest.param("read_records", "split", '{"nl": "list", "cmd": "ls"}',
+                 '{"nl": "list", "cmd": ["ls"]}', id="record-cmd-list"),
+    pytest.param("read_records", "split", '{"nl": "list", "cmd": "ls"}',
+                 '{"nl": "list", "cmd": "ls", "valid": "yes"}', id="record-valid-text"),
+]

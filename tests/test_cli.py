@@ -4,13 +4,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from bashsynth import bash_ast
 from bashsynth import dataset_io as D
 from bashsynth import llm_bridge as L
 from bashsynth.cli import EXEC_OPT_IN_ENV, main
 from bashsynth.scaler import default_profile_path, load_profile, profile_of
 
-from conftest import COMMANDS, SlowTransport, make_replay_entries
+from conftest import COMMANDS, MALFORMED_LINES, SlowTransport, make_replay_entries
 
 
 def _write_dataset(path: Path, rows: list[tuple[str, str]]) -> None:
@@ -164,6 +166,20 @@ def test_validate_writes_note(tmp_path):
     assert result["note"].startswith("dry_run:")
 
 
+def test_validate_results_are_utf8_lines(tmp_path):
+    templates = tmp_path / "templates.jsonl"
+    D.write_templates([D.TemplateEntry(id="x", cmd="echo é", utilities=("echo",))],
+                      templates)
+    out = tmp_path / "results.jsonl"
+    args = ["validate", "--out", str(out), "--workspace", str(tmp_path / "ws")]
+    assert main(args + ["--in", str(templates)]) == 0
+    assert '"command": "echo é"' in out.read_text(encoding="utf-8")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(args + ["--in", str(empty)]) == 0
+    assert out.read_bytes() == b""
+
+
 def test_validate_parses_each_command_once(tmp_path, capsys, monkeypatch):
     templates = tmp_path / "templates.jsonl"
     cmds = ["ls -la", "sort -r [File]", 'grep "broken']
@@ -236,6 +252,29 @@ def test_stats_rejects_line_without_command(tmp_path, capsys):
     path.write_text('{"cmd": "ls"}\n{"nl": "list files"}\n')
     assert main(["stats", "--in", str(path)]) == 1
     assert f"{path}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader, subcommand, good, bad", MALFORMED_LINES)
+def test_malformed_line_exits_1_naming_path_and_line(
+    tmp_path, capsys, reader, subcommand, good, bad
+):
+    bad_file = tmp_path / "bad.jsonl"
+    bad_file.write_text(f"{good}\n{bad}\n")
+    ref = tmp_path / "ref.jsonl"
+    _write_dataset(ref, [("list", "ls"), ("list", "ls")])
+    templates = tmp_path / "templates.jsonl"
+    D.write_templates([D.TemplateEntry(id="x", cmd="ls", utilities=("ls",))], templates)
+    out = str(tmp_path / "out.jsonl")
+    argv = {
+        "score": ["score", "--ref", str(ref), "--pred", str(bad_file)],
+        "backtranslate": ["backtranslate", "--in", str(templates), "--out", out,
+                          "--replay", str(bad_file)],
+        "scale": ["scale", "--in", str(bad_file), "--out", out],
+        "split": ["split", "--in", str(bad_file), "--train", out,
+                  "--test", str(tmp_path / "test.jsonl")],
+    }[subcommand]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad_file}:2: ")
 
 
 def test_generate_piped_bytes_pinned(tmp_path):

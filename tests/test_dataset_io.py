@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import string
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bashsynth import dataset_io as D
+
+from conftest import MALFORMED_LINES
 
 
 def _random_records(n: int, seed: int = 0) -> list[D.DatasetRecord]:
@@ -40,13 +43,42 @@ class TestReadWrite:
         path.write_text('{"nl": "list files"}\n')
         with pytest.raises(D.FormatError, match="cmd"):
             D.read_records(path)
-        assert D.read_records(path, strict=False) == []
 
     def test_malformed_line_number_reported(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"nl": "a", "cmd": "ls"}\nnot json\n')
         with pytest.raises(D.FormatError, match="bad.jsonl:2"):
             D.read_records(path)
+
+    @pytest.mark.parametrize("reader, subcommand, good, bad", MALFORMED_LINES)
+    def test_malformed_line_raises_format_error(self, tmp_path, reader, subcommand,
+                                                good, bad):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{good}\n\n{bad}\n")
+        with pytest.raises(D.FormatError, match=f"^{re.escape(str(path))}:3: ") as info:
+            getattr(D, reader)(path)
+        assert (info.value.path, info.value.line) == (path, 3)
+
+    def test_write_lines_takes_an_iterator(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        D.write_lines(({"cmd": c} for c in ("ls", "echo é")), path)
+        assert path.read_bytes() == '{"cmd": "ls"}\n{"cmd": "echo é"}\n'.encode()
+        D.write_lines(iter(()), path)
+        assert path.read_bytes() == b""
+
+    def test_line_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"cmd": "ls"}\n{"cmd": "\xff"}\n')
+        with pytest.raises(D.FormatError, match=r"bad.jsonl:2: .*can't decode byte 0xff"):
+            D.read_commands(path)
+
+    def test_read_predictions(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"nl": "x", "cmd": "ls", "source": "llm"}\n{"cmd": ""}\n'
+                        '{"candidates": [{"cmd": "ls", "confidence": 0}, {"cmd": "du"}]}\n')
+        assert D.read_predictions(path) == [
+            [("ls", 1.0)], [("", 1.0)], [("ls", 0.0), ("du", 1.0)]
+        ]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -71,12 +71,6 @@ class TestGenerateUnpiped:
         for cmd in G.generate_unpiped(kb.get("find")):
             assert len(cmd.flags) <= 3
 
-    def test_empty_template_rejected(self):
-        spec = UtilitySpec("x", ("UTILITY",), ())
-        object.__setattr__(spec, "template", ())
-        with pytest.raises(G.SpecError):
-            G.generate_unpiped(spec)
-
 
 def _declared_slots(node: bash_ast.UtilityNode, hints) -> list[tuple]:
     """Each positional parameter and each flag argument of a parsed stage,

@@ -312,6 +312,29 @@ class TestConcurrentTranslation:
             sys.setswitchinterval(interval)
 
 
+class FailsCalls2To4:
+    """Fails generation calls 2-4, every attempt of prompt 1 at the default
+    two retries; describes any other prompt."""
+
+    supports_concurrency = False
+
+    def __init__(self):
+        self.calls = 0
+
+    def send(self, payload):
+        prompt = payload["messages"][0]["content"]
+        if prompt != L.GENERATION_PROMPT:
+            return f"describe {prompt}"
+        self.calls += 1
+        if 2 <= self.calls <= 4:
+            raise L.TransportError(f"call {self.calls} failed")
+        return f"echo {self.calls}"
+
+
+def _errors(session):
+    return [(e.index, e.error) for e in session.audit if e.error]
+
+
 class TestReplayTransport:
     def test_round_trip_through_file(self, replay_entries, tmp_path):
         log = tmp_path / "log.jsonl"
@@ -389,19 +412,6 @@ class TestExchangeLog:
     def test_failed_prompt_replays_at_its_index(self, tmp_path):
         # Generation calls 2-4 (every attempt of prompt 1) fail live; the
         # replay must fail prompt 1 too, not hand it prompt 2's reply.
-        class FailsCalls2To4:
-            supports_concurrency = False
-            calls = 0
-
-            def send(self, payload):
-                prompt = payload["messages"][0]["content"]
-                if prompt != L.GENERATION_PROMPT:
-                    return f"describe {prompt}"
-                self.calls += 1
-                if 2 <= self.calls <= 4:
-                    raise L.TransportError(f"call {self.calls} failed")
-                return f"echo {self.calls}"
-
         log = tmp_path / "log.jsonl"
         config = L.LlmConfig(backoff=0.0)
         live = L.LlmSession(config, FailsCalls2To4(), log_path=log)
@@ -409,12 +419,25 @@ class TestExchangeLog:
         assert [r.cmd for r in records] == ["echo 1", "echo 5", "echo 6"]
         replay = L.LlmSession(config, L.ReplayTransport(log))
         assert replay.pipeline(4) == records
+        assert _errors(live) == [(1, f"call {n} failed") for n in (2, 3, 4)]
+        assert _errors(replay) == _errors(live)
 
-        def errors(session):
-            return [(e.index, e.error) for e in session.audit if e.error]
-
-        assert errors(live) == [(1, f"call {n} failed") for n in (2, 3, 4)]
-        assert errors(replay) == errors(live)
+    @pytest.mark.parametrize("rpm", [None, 60])
+    def test_replay_never_sleeps(self, tmp_path, monkeypatch, rpm):
+        # A live run backs off between failed attempts and paces to --rpm;
+        # replaying its log contacts no endpoint, so it waits for neither.
+        sleeps: list[float] = []
+        monkeypatch.setattr(L.time, "sleep", sleeps.append)
+        log = tmp_path / "log.jsonl"
+        config = L.LlmConfig(requests_per_minute=rpm)
+        live = L.LlmSession(config, FailsCalls2To4(), log_path=log)
+        records = live.pipeline(4)
+        assert {0.5, 1.0} <= set(sleeps)  # the backoff after each failure
+        sleeps.clear()
+        replay = L.LlmSession(config, L.ReplayTransport(log))
+        assert replay.pipeline(4) == records
+        assert sleeps == []
+        assert _errors(replay) == _errors(live) != []
 
     @pytest.mark.parametrize("concurrency", [1, 3])
     def test_batches_of_one_session_replay_in_order(self, tmp_path, concurrency):

@@ -244,7 +244,7 @@ class TestSubprocess:
         [result] = V.run_batch([command], self._config(tmp_path))
         assert result.exit_status == V.SPAWN_FAIL
         assert result.note == f"network utility {utility!r} not allow-listed"
-        assert V._blocked_reason(command, frozenset({utility})) is None
+        assert V._blocked_reason(command) == result.note
 
     def test_foreign_workspace_refused(self, tmp_path):
         workspace = tmp_path / "ws"
