@@ -15,7 +15,9 @@ import tempfile
 from pathlib import Path
 
 from bashsynth.llm_bridge import (
+    GEN_TEMPERATURE,
     GENERATION_PROMPT,
+    TRANSLATE_TEMPERATURE,
     TRANSLATION_PROMPT,
     LlmConfig,
     LlmSession,
@@ -49,10 +51,11 @@ TRANSLATIONS = {
 
 
 def main() -> int:
-    entries = [{"request": _request(GENERATION_PROMPT, 1.0), "response": g}
+    entries = [{"request": _request(GENERATION_PROMPT, GEN_TEMPERATURE), "response": g}
                for g in GENERATIONS]
     entries += [
-        {"request": _request(f"{TRANSLATION_PROMPT}: {cmd}", 0.0), "response": nl}
+        {"request": _request(f"{TRANSLATION_PROMPT}: {cmd}", TRANSLATE_TEMPERATURE),
+         "response": nl}
         for cmd, nl in TRANSLATIONS.items()
     ]
 
@@ -68,8 +71,9 @@ def main() -> int:
 
     print(f"\naudit trail ({len(session.audit)} exchanges):")
     for exchange in session.audit:
-        print(f"  [{exchange.task} #{exchange.index}] t={exchange.temperature} "
-              f"attempt={exchange.attempt} -> {exchange.response[:50]!r}")
+        print(f"  [{exchange['task']} #{exchange['index']}] "
+              f"t={exchange['request']['temperature']} "
+              f"attempt={exchange['attempt']} -> {exchange['response'][:50]!r}")
 
     if replayed != records:
         print("\nreplaying the exchange log gave different records")

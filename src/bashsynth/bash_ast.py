@@ -76,7 +76,7 @@ PRESERVED_LITERALS = frozenset({"{}", ">", "-"})
 PLACEHOLDER_RE = re.compile(r"\[([A-Za-z]+)\]|_(?<![\w\[]_)[A-Z]+\b")
 
 _EXEC_FLAGS = frozenset({"-exec", "-ok", "-execdir", "-okdir"})
-_EXEC_CLOSERS = frozenset({";", "\\;", "+"})
+_EXEC_CLOSERS = frozenset({"\\;", "+"})
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class ExecClause:
 
     flag: str
     body: "UtilityNode"
-    closer: str = ";"
+    closer: str = "\\;"
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,6 @@ class UtilityNode:
 @dataclass(frozen=True)
 class BashAst:
     stages: tuple[UtilityNode, ...]
-    raw: str = field(default="", compare=False)
 
     def render(self) -> str:
         return render(self)
@@ -196,13 +195,15 @@ def _walk_nested(node: UtilityNode) -> Iterator[UtilityNode]:
 # A word is a run of pieces: plain characters, '...', "...", a backslash
 # pair (a trailing backslash stands alone), a "$" not followed by "(", and a
 # one-level "$(...)" whose body holds no unquoted parenthesis and no "$(".
+# An unquoted ";", "&" or "<" is no plain character: the grammar is one
+# pipeline, so lists, background jobs and input redirects do not parse.
 # Every piece is told apart by its first character and the loops are
 # unrolled (plain* (piece plain*)*), so a failed match backtracks in linear
 # time without possessive quantifiers, which Python 3.10 lacks.
 _SPECIAL = r"""'[^']*'|"[^"]*"|\\(?:.|\Z)|\$(?!\()"""
 _BODY = rf"""[^()'"\\$]*(?:(?:{_SPECIAL})[^()'"\\$]*)*"""
 _PIECE = rf"""{_SPECIAL}|\$\({_BODY}\)"""
-_PLAIN = r"""[^\s|()'"\\$]"""
+_PLAIN = r"""[^\s|()'"\\$;&<]"""
 _TOKEN_RE = re.compile(
     rf"(\||(?:{_PLAIN}|{_PIECE}){_PLAIN}*(?:(?:{_PIECE}){_PLAIN}*)*)", re.DOTALL
 )
@@ -212,6 +213,9 @@ _LEFTOVER_ERRORS = {
     "(": "subshell groups are not supported",
     ")": "subshell groups are not supported",
     "$": "unbalanced or nested command substitution",
+    ";": "command lists are not supported",
+    "&": "command lists and background jobs are not supported",
+    "<": "input redirection is not supported",
 }
 
 
@@ -348,7 +352,7 @@ def parse(source: str, hints: Mapping[str, UtilityHints] | None = None) -> BashA
         else:
             node = hit[1]
         stages.append(node)
-    return BashAst(stages=tuple(stages), raw=source)
+    return BashAst(stages=tuple(stages))
 
 
 def _split_stages(tokens: list[str]) -> list[tuple[str, ...]]:
@@ -557,7 +561,7 @@ def templatize(ast: BashAst) -> BashAst:
         return ParamNode(p.category.token, p.category)
 
     stages = tuple(_map_params(s, swap) for s in ast.stages)
-    return BashAst(stages=stages, raw=ast.raw)
+    return BashAst(stages=stages)
 
 
 def _quote_if_needed(value: str) -> str:

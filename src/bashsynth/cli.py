@@ -53,6 +53,15 @@ def _write_manifest(out_path: Path, subcommand: str, args: argparse.Namespace) -
     )
 
 
+def _parse_record(path: str, number: int, cmd: str, hints) -> bash_ast.BashAst:
+    """Parse the ``cmd`` of record ``number`` (from 1) of ``path``; a parse
+    error names the file and the record."""
+    try:
+        return bash_ast.parse(cmd, hints)
+    except bash_ast.ParseError as exc:
+        raise bash_ast.ParseError(f"{path}: record {number}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -211,8 +220,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         return 1
 
     pairs = [
-        metrics.score_pair(ref.cmd, candidates, hints)
-        for ref, candidates in zip(refs, preds)
+        metrics.score_pair(_parse_record(args.ref, n, ref.cmd, hints), candidates, hints)
+        for n, (ref, candidates) in enumerate(zip(refs, preds), 1)
     ]
 
     accuracy = metrics.dataset_accuracy(pairs)
@@ -240,10 +249,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_templatize(args: argparse.Namespace) -> int:
     hints = syntax_kb.SyntaxKb.load(args.specs).parser_hints()
     out = [
-        dataclasses.replace(
-            r, cmd=bash_ast.render(bash_ast.templatize(bash_ast.parse(r.cmd, hints)))
-        )
-        for r in dataset_io.read_records(args.infile)
+        dataclasses.replace(r, cmd=bash_ast.render(
+            bash_ast.templatize(_parse_record(args.infile, n, r.cmd, hints))
+        ))
+        for n, r in enumerate(dataset_io.read_records(args.infile), 1)
     ]
     dataset_io.write_records(out, args.out)
     _write_manifest(Path(args.out), "templatize", args)
@@ -256,8 +265,8 @@ def cmd_fill(args: argparse.Namespace) -> int:
     records = dataset_io.read_records(args.infile)
     filled_records = []
     total_unfilled = 0
-    for record in records:
-        ast = bash_ast.parse(record.cmd, hints)
+    for n, record in enumerate(records, 1):
+        ast = _parse_record(args.infile, n, record.cmd, hints)
         values = nl_prep.extract_params(record.nl)
         filled, unfilled = bash_ast.fill(ast, values)
         total_unfilled += unfilled

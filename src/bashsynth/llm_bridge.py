@@ -34,16 +34,19 @@ __all__ = [
     "AuthError",
     "TransportError",
     "LlmConfig",
-    "LlmExchange",
     "HttpTransport",
     "ReplayTransport",
     "LlmSession",
     "GENERATION_PROMPT",
+    "GEN_TEMPERATURE",
     "TRANSLATION_PROMPT",
+    "TRANSLATE_TEMPERATURE",
 ]
 
 GENERATION_PROMPT = "Generate bash command and do not include example"
+GEN_TEMPERATURE = 1.0
 TRANSLATION_PROMPT = "Translate to English"
+TRANSLATE_TEMPERATURE = 0.0
 
 
 class AuthError(RuntimeError):
@@ -66,8 +69,6 @@ class LlmConfig:
     endpoint: str = ""
     model: str = "default"
     auth_env: str = "LLM_API_KEY"
-    gen_temperature: float = 1.0
-    translate_temperature: float = 0.0
     request_timeout: float = 30.0
     max_retries: int = 2
     backoff: float = 0.5
@@ -75,27 +76,12 @@ class LlmConfig:
     concurrency: int = 4
 
     def __post_init__(self) -> None:
-        for temp in (self.gen_temperature, self.translate_temperature):
-            if not 0.0 <= temp <= 2.0:
-                raise ValueError(f"temperature {temp} outside [0, 2]")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         if self.requests_per_minute is not None and self.requests_per_minute < 1:
             raise ValueError("requests_per_minute must be >= 1")
-
-
-@dataclass(frozen=True)
-class LlmExchange:
-    task: str
-    prompt: str
-    response: str
-    latency: float
-    attempt: int
-    temperature: float
-    error: str | None = None
-    index: int | None = None
 
 
 def _request_key(payload: dict) -> str:
@@ -105,15 +91,11 @@ def _request_key(payload: dict) -> str:
 
 
 class Transport(Protocol):
-    supports_concurrency: bool
-
     def send(self, payload: dict) -> str: ...
 
 
 class HttpTransport:
     """POST {model, messages, temperature}; bearer token from env."""
-
-    supports_concurrency = True
 
     def __init__(self, config: LlmConfig):
         self._config = config
@@ -162,16 +144,14 @@ def _retry_after_seconds(value: str | None) -> float | None:
 class ReplayTransport:
     """Serve canned responses keyed by request content, FIFO per key.
 
-    Entries are exchange-log lines (a path is read through
-    ``dataset_io.read_exchanges``) or hand-written ``{request, response}``
-    pairs. A failed attempt (``error`` set) keeps its slot and is replayed as
-    a failure: ``send`` raises TransportError with the logged error. A
-    concurrent run logs in completion order, so each key's replies are
-    served in item ``index`` order, which is the order the run produced its
-    results.
+    Entries are exchange-log lines (a log file is read through
+    ``dataset_io.read_exchanges``; a session's ``audit`` holds the same
+    lines) or hand-written ``{request, response}`` pairs. A failed attempt
+    (``error`` set) keeps its slot and is replayed as a failure: ``send``
+    raises TransportError with the logged error. A concurrent run logs in
+    completion order, so each key's replies are served in item ``index``
+    order, which is the order the run produced its results.
     """
-
-    supports_concurrency = False
 
     def __init__(self, exchanges: Sequence[dict] | str | Path):
         if isinstance(exchanges, (str, Path)):
@@ -238,10 +218,11 @@ def _extract_command(text: str) -> str:
 class LlmSession:
     """One configured connection: retries, rate limiting, exchange log.
 
-    Every attempt is kept in ``audit`` and, with ``log_path`` (truncated
-    once), appended there as one JSON line the moment it completes, so a
-    killed run keeps every finished exchange. ReplayTransport reads it back;
-    a session replaying it sleeps for neither backoff nor pacing.
+    Every attempt becomes one exchange-log line, kept in ``audit`` and, with
+    ``log_path`` (truncated once), appended there the moment it completes,
+    so a killed run keeps every finished exchange. ReplayTransport reads
+    either back; a session replaying it runs its items one at a time and
+    sleeps for neither backoff nor pacing.
     """
 
     def __init__(
@@ -252,9 +233,10 @@ class LlmSession:
     ):
         self.config = config
         self.transport = transport if transport is not None else HttpTransport(config)
-        # A replay contacts no endpoint, so there is nothing to wait for.
-        self._waits = not isinstance(self.transport, ReplayTransport)
-        self.audit: list[LlmExchange] = []
+        # A replay contacts no endpoint, so there is nothing to wait for, and
+        # serves each request's replies in log order, so it runs serially.
+        self._replay = isinstance(self.transport, ReplayTransport)
+        self.audit: list[dict] = []
         self._log_path = Path(log_path) if log_path is not None else None
         if self._log_path is not None:
             self._log_path.write_text("", encoding="utf-8")
@@ -264,7 +246,7 @@ class LlmSession:
         self._last_call = 0.0
 
     def _pace(self) -> None:
-        if self.config.requests_per_minute is None or not self._waits:
+        if self.config.requests_per_minute is None or self._replay:
             return
         interval = 60.0 / self.config.requests_per_minute
         with self._pace_lock:
@@ -291,7 +273,7 @@ class LlmSession:
             except TransportError as exc:
                 last_error = exc
                 self._log(task, payload, "", start, attempt, str(exc))
-                if attempt < attempts and self._waits:
+                if attempt < attempts and not self._replay:
                     wait = self.config.backoff * attempt
                     if exc.retry_after is not None:
                         # The endpoint's ask, capped so a reply cannot stall
@@ -312,28 +294,18 @@ class LlmSession:
         attempt: int,
         error: str | None,
     ) -> None:
-        exchange = LlmExchange(
-            task=task,
-            prompt=payload["messages"][0]["content"],
-            response=response,
-            latency=time.perf_counter() - start,
-            attempt=attempt,
-            temperature=payload["temperature"],
-            error=error,
-            index=getattr(self._item, "index", None),
-        )
+        line = {
+            "task": task,
+            "index": getattr(self._item, "index", None),
+            "attempt": attempt,
+            "request": payload,
+            "response": response,
+            "error": error,
+            "latency": round(time.perf_counter() - start, 6),
+        }
         with self._audit_lock:
-            self.audit.append(exchange)
+            self.audit.append(line)
             if self._log_path is not None:
-                line = {
-                    "task": task,
-                    "index": exchange.index,
-                    "attempt": attempt,
-                    "request": payload,
-                    "response": response,
-                    "error": error,
-                    "latency": round(exchange.latency, 6),
-                }
                 with self._log_path.open("a", encoding="utf-8") as fh:
                     fh.write(encode_line(line))
 
@@ -342,12 +314,12 @@ class LlmSession:
     ) -> Iterator[_R]:
         """Yield ``fn(item)`` for each item, in input order.
 
-        Up to ``config.concurrency`` calls run at once when the transport
-        supports concurrency; otherwise the calls run one by one. The first
-        exception in input order propagates. Once a call has raised, queued
-        calls for later items never start: only the calls already in flight,
-        at most ``concurrency - 1``, still finish. Each exchange an item's
-        call makes is logged with the item's index.
+        Up to ``config.concurrency`` calls run at once, except on a replay,
+        whose calls run one by one. The first exception in input order
+        propagates. Once a call has raised, queued calls for later items
+        never start: only the calls already in flight, at most
+        ``concurrency - 1``, still finish. Each exchange an item's call makes
+        is logged with the item's index.
         """
         failed_at = len(items)
         lock = threading.Lock()
@@ -366,7 +338,7 @@ class LlmSession:
             finally:
                 self._item.index = None
 
-        if not (self.transport.supports_concurrency and self.config.concurrency > 1):
+        if self._replay or self.config.concurrency == 1:
             yield from map(guarded, range(len(items)))
             return
         pool = ThreadPoolExecutor(max_workers=self.config.concurrency)
@@ -385,7 +357,7 @@ class LlmSession:
         def one(_: int) -> str | None:
             try:
                 return _extract_command(
-                    self._call("generate", GENERATION_PROMPT, self.config.gen_temperature)
+                    self._call("generate", GENERATION_PROMPT, GEN_TEMPERATURE)
                 )
             except TransportError:
                 return None
@@ -397,9 +369,7 @@ class LlmSession:
         if not cmd or not cmd.strip():
             raise ValueError("command must be non-empty")
         prompt = f"{TRANSLATION_PROMPT}: {cmd}"
-        response = self._call(
-            "backtranslate", prompt, self.config.translate_temperature
-        )
+        response = self._call("backtranslate", prompt, TRANSLATE_TEMPERATURE)
         for line in response.strip().splitlines():
             if line.strip():
                 return line.strip()

@@ -177,14 +177,13 @@ def _blocked_reason(command: str) -> str | None:
         if pattern.search(command):
             return f"deny-list pattern {pattern.pattern!r}"
     try:
-        heads = [node.name for node in bash_ast.parse(command).walk_utilities()]
-    except bash_ast.ParseError:
-        heads = [segment.split(None, 1)[0] for segment in command.split("|")
-                 if segment.strip()]
-    for head in heads:
-        name = head.rsplit("/", 1)[-1]
+        ast = bash_ast.parse(command)
+    except bash_ast.ParseError as exc:
+        return f"does not parse: {exc}"
+    for node in ast.walk_utilities():
+        name = node.name.rsplit("/", 1)[-1]
         if name in _NETWORK_UTILITIES:
-            return f"network utility {name!r} not allow-listed"
+            return f"network utility {name!r} blocked"
     return None
 
 

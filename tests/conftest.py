@@ -90,8 +90,7 @@ class SlowTransport:
     the first sleeps longest, so replies come back out of order.
     """
 
-    def __init__(self, generations=(), fail=(), concurrent=True, delay=0.02):
-        self.supports_concurrency = concurrent
+    def __init__(self, generations=(), fail=(), delay=0.02):
         self.generations = list(generations)
         self.fail = set(fail)
         self.delay = delay

@@ -60,6 +60,8 @@ def _oracle_scan_tokens(source: str) -> tuple[list[str], int]:
             continue
         if ch in "()":
             raise ParseError("subshell groups are not supported")
+        if ch in ";&<":
+            raise ParseError("command lists, jobs and input redirects are not supported")
         if ch == "|":
             flush()
             tokens.append("|")
@@ -112,6 +114,11 @@ class TestParse:
             B.parse("| grep foo")
         with pytest.raises(ParseError):
             B.parse("ls | | wc")
+
+    def test_quoted_or_escaped_operators_parse(self):
+        ast = B.parse("find . -exec grep ';' {} \\; | grep \"a&b\" 'c<d'")
+        assert [s.name for s in ast.stages] == ["find", "grep"]
+        assert [p.literal for p in ast.stages[1].params] == ['"a&b"', "'c<d'"]
 
     def test_flag_first_token_rejected(self):
         with pytest.raises(ParseError):
@@ -354,9 +361,9 @@ def test_property_categorize_total(literal):
     assert B.categorize(literal) in PlaceholderKind
 
 
-# Single characters of the alphabet a - | ( ) ' " \ $ { } ; space tab, plus
-# "$(" as one draw so that substitutions, nested or not, come up often.
-_TOKENIZER_CHUNKS = [*"a-|()'\"\\${}; \t", "$("]
+# Single characters of the alphabet a - | ( ) ' " \ $ { } ; & < space tab,
+# plus "$(" as one draw so that substitutions, nested or not, come up often.
+_TOKENIZER_CHUNKS = [*"a-|()'\"\\${};&< \t", "$("]
 
 
 @settings(max_examples=1000)
@@ -364,6 +371,7 @@ _TOKENIZER_CHUNKS = [*"a-|()'\"\\${}; \t", "$("]
 @example("x$(a $(b))")
 @example("$(a(b)")
 @example("a\\")
+@example("a\\; 'b;c' \"&<\" $(d; e)")
 def test_property_tokenizer_matches_oracle(text):
     try:
         expected, deepest = _oracle_scan_tokens(text)

@@ -277,6 +277,31 @@ def test_malformed_line_exits_1_naming_path_and_line(
     assert capsys.readouterr().err.startswith(f"error: {bad_file}:2: ")
 
 
+@pytest.mark.parametrize("subcommand", ["templatize", "fill", "score"])
+def test_unparseable_record_exits_1_naming_path_and_record(tmp_path, capsys, subcommand):
+    records = tmp_path / "records.jsonl"
+    _write_dataset(records, [("list", "ls"), ("search", 'grep "broken')])
+    pred = tmp_path / "pred.jsonl"
+    _write_dataset(pred, [("list", "ls"), ("list", "ls")])
+    out = str(tmp_path / "out.jsonl")
+    argv = {
+        "templatize": ["templatize", "--in", str(records), "--out", out],
+        "fill": ["fill", "--in", str(records), "--out", out],
+        "score": ["score", "--ref", str(records), "--pred", str(pred)],
+    }[subcommand]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {records}: record 2: unbalanced quote\n"
+
+
+def test_unparseable_prediction_scores_minus_one(tmp_path, capsys):
+    ref = tmp_path / "ref.jsonl"
+    _write_dataset(ref, [("list", "ls")])
+    pred = tmp_path / "pred.jsonl"
+    _write_dataset(pred, [("search", 'grep "broken')])
+    assert main(["score", "--ref", str(ref), "--pred", str(pred)]) == 0
+    assert capsys.readouterr().out.strip() == "-100.00%"
+
+
 def test_generate_piped_bytes_pinned(tmp_path):
     """Every utility and pipe pair of the shipped KB, 8 tail templates each."""
     out = tmp_path / "t.jsonl"

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
+import time
 
 import pytest
 import requests
@@ -13,8 +15,6 @@ from conftest import COMMANDS, REPLAY_TRANSLATIONS, SlowTransport, make_replay_e
 
 
 class FailingTransport:
-    supports_concurrency = True
-
     def __init__(self, error):
         self.error = error
         self.calls = 0
@@ -25,8 +25,6 @@ class FailingTransport:
 
 
 class ScriptedTransport:
-    supports_concurrency = True
-
     def __init__(self, responses):
         self.responses = list(responses)
 
@@ -45,32 +43,10 @@ def _lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-def _line_of(exchange: L.LlmExchange) -> dict:
-    """The log line an in-memory audit entry should have on disk."""
-    return {
-        "task": exchange.task,
-        "index": exchange.index,
-        "attempt": exchange.attempt,
-        "request": {
-            "model": "default",
-            "messages": [{"role": "user", "content": exchange.prompt}],
-            "temperature": exchange.temperature,
-        },
-        "response": exchange.response,
-        "error": exchange.error,
-        "latency": round(exchange.latency, 6),
-    }
-
-
 class TestConfig:
     def test_temperature_defaults(self):
-        config = L.LlmConfig()
-        assert config.gen_temperature == 1.0
-        assert config.translate_temperature == 0.0
-
-    def test_bad_temperature(self):
-        with pytest.raises(ValueError):
-            L.LlmConfig(gen_temperature=3.0)
+        assert L.GEN_TEMPERATURE == 1.0
+        assert L.TRANSLATE_TEMPERATURE == 0.0
 
     def test_bad_retries(self):
         with pytest.raises(ValueError):
@@ -112,7 +88,7 @@ class TestGenCommands:
         )
         assert session.gen_commands(2) == []
         assert transport.calls == 4  # 2 prompts x (1 try + 1 retry)
-        assert all(e.error for e in session.audit)
+        assert all(e["error"] for e in session.audit)
 
 
 class TestHttpTransport:
@@ -130,9 +106,9 @@ class TestHttpTransport:
             L.LlmConfig(endpoint="http://localhost:9/v1", backoff=0.0)
         )
         assert session.backtranslate("ls") == "list files"
-        assert [e.attempt for e in session.audit] == [1, 2]
-        assert "non-JSON" in session.audit[0].error
-        assert session.audit[1].error is None
+        assert [e["attempt"] for e in session.audit] == [1, 2]
+        assert "non-JSON" in session.audit[0]["error"]
+        assert session.audit[1]["error"] is None
 
 
     @pytest.mark.parametrize(
@@ -153,8 +129,6 @@ class TestHttpTransport:
 
 
 class _BusyOnce:
-    supports_concurrency = False
-
     def __init__(self, retry_after):
         self.errors = [L.TransportError("endpoint returned 429", retry_after)]
 
@@ -193,7 +167,7 @@ class TestBacktranslate:
     def test_uses_translation_temperature(self, replay_entries):
         session = _session(replay_entries)
         session.backtranslate("ls -la")
-        assert session.audit[-1].temperature == 0.0
+        assert session.audit[-1]["request"]["temperature"] == 0.0
 
 
 class TestPipeline:
@@ -209,7 +183,7 @@ class TestPipeline:
     def test_dedup_precedes_backtranslation(self, replay_entries):
         session = _session(replay_entries)
         session.pipeline(10)
-        translated = [e for e in session.audit if e.task == "backtranslate"]
+        translated = [e for e in session.audit if e["task"] == "backtranslate"]
         assert len(translated) == 5  # never pays for duplicates
 
     def test_n_zero(self, replay_entries):
@@ -222,7 +196,7 @@ class TestPipeline:
         session.pipeline(10)
         assert len(session.audit) == 15  # 10 generations + 5 translations
         lines = _lines(audit_path)
-        assert lines == [_line_of(e) for e in session.audit]
+        assert lines == session.audit
         # the prompt number for a generation, the input position for a translation
         assert [(e["task"], e["index"]) for e in lines] == (
             [("generate", i) for i in range(10)]
@@ -248,6 +222,28 @@ class TestPipeline:
         assert json.loads(lines[0])["cmd"] == records[0].cmd
 
 
+class SlowReplay(L.ReplayTransport):
+    """A replay that sleeps in each send and counts the sends in flight."""
+
+    def __init__(self, exchanges, delay):
+        super().__init__(exchanges)
+        self.delay = delay
+        self.count_lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+
+    def send(self, payload):
+        with self.count_lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.delay)
+            return super().send(payload)
+        finally:
+            with self.count_lock:
+                self.in_flight -= 1
+
+
 class TestConcurrentTranslation:
     def test_pipeline_records_in_survivor_order(self):
         # duplicates and an unparseable reply drop out before translation
@@ -265,13 +261,18 @@ class TestConcurrentTranslation:
         assert [r.nl for r in records] == [f"nl: {c}" for c in survivors]
         assert transport.peak == 3
 
-    @pytest.mark.parametrize("concurrent, concurrency", [(False, 4), (True, 1)])
-    def test_serial_when_pool_is_off(self, concurrent, concurrency):
-        transport = SlowTransport(concurrent=concurrent, delay=0.005)
+    @pytest.mark.parametrize("live, concurrency", [(False, 4), (True, 1)])
+    def test_serial_when_pool_is_off(self, live, concurrency):
+        # A live transport at concurrency 1, or a replay at any concurrency.
+        transport = SlowTransport(delay=0.005)
+        if not live:
+            recorded = L.LlmSession(L.LlmConfig(concurrency=3), transport)
+            recorded.backtranslate_records(COMMANDS)
+            transport = SlowReplay(recorded.audit, delay=0.005)
         session = L.LlmSession(L.LlmConfig(concurrency=concurrency), transport)
         records = session.backtranslate_records(COMMANDS)
-        assert [r.cmd for r in records] == COMMANDS
-        assert transport.started == COMMANDS
+        assert [(r.cmd, r.nl) for r in records] == [(c, f"nl: {c}") for c in COMMANDS]
+        assert [e["index"] for e in session.audit] == list(range(len(COMMANDS)))
         assert transport.peak == 1
 
     @pytest.mark.parametrize("k", [0, 2, 7, 11])
@@ -314,9 +315,8 @@ class TestConcurrentTranslation:
 
 class FailsCalls2To4:
     """Fails generation calls 2-4, every attempt of prompt 1 at the default
-    two retries; describes any other prompt."""
-
-    supports_concurrency = False
+    two retries; describes any other prompt. Serial: a session using it
+    sets ``concurrency=1``."""
 
     def __init__(self):
         self.calls = 0
@@ -332,7 +332,7 @@ class FailsCalls2To4:
 
 
 def _errors(session):
-    return [(e.index, e.error) for e in session.audit if e.error]
+    return [(e["index"], e["error"]) for e in session.audit if e["error"]]
 
 
 class TestReplayTransport:
@@ -368,7 +368,7 @@ class TestExchangeLog:
         }
         assert line["response"] == "response one"
         assert line["index"] is None  # not called through _map_ordered
-        assert line == _line_of(session.audit[1])
+        assert line == session.audit[1]
 
     def test_recorded_log_replays(self, tmp_path):
         # Generation replies complete out of order at concurrency 3, so the
@@ -413,7 +413,7 @@ class TestExchangeLog:
         # Generation calls 2-4 (every attempt of prompt 1) fail live; the
         # replay must fail prompt 1 too, not hand it prompt 2's reply.
         log = tmp_path / "log.jsonl"
-        config = L.LlmConfig(backoff=0.0)
+        config = L.LlmConfig(backoff=0.0, concurrency=1)
         live = L.LlmSession(config, FailsCalls2To4(), log_path=log)
         records = live.pipeline(4)
         assert [r.cmd for r in records] == ["echo 1", "echo 5", "echo 6"]
@@ -429,7 +429,7 @@ class TestExchangeLog:
         sleeps: list[float] = []
         monkeypatch.setattr(L.time, "sleep", sleeps.append)
         log = tmp_path / "log.jsonl"
-        config = L.LlmConfig(requests_per_minute=rpm)
+        config = L.LlmConfig(requests_per_minute=rpm, concurrency=1)
         live = L.LlmSession(config, FailsCalls2To4(), log_path=log)
         records = live.pipeline(4)
         assert {0.5, 1.0} <= set(sleeps)  # the backoff after each failure
@@ -460,4 +460,4 @@ class TestExchangeLog:
         with pytest.raises(L.AuthError):
             session.pipeline(3)
         assert len(session.audit) >= 4  # 3 generations, 1 or 2 translations
-        assert _lines(log) == [_line_of(e) for e in session.audit]
+        assert _lines(log) == session.audit

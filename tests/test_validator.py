@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bashsynth import validator as V
-from bashsynth.bash_ast import PLACEHOLDER_RE
+from bashsynth.bash_ast import PLACEHOLDER_RE, ParseError, parse
 from bashsynth.generator import generate_unpiped
 from bashsynth.syntax_kb import GenArgKind, to_parser_template
+
+
+# Refused as unparseable before the network check could see its ssh.
+_UNPARSEABLE = 'echo "open | ssh host'
 
 
 @pytest.fixture(scope="module")
@@ -230,21 +234,41 @@ class TestSubprocess:
             assert r.verdict is False
             assert r.note
 
-    def test_network_utilities_blocked_unless_allowlisted(self, tmp_path):
+    def test_network_utilities_blocked(self, tmp_path):
         blocked = V.run_batch(["curl http://example.com"], self._config(tmp_path))
         assert blocked[0].exit_status == V.SPAWN_FAIL
+        assert blocked[0].note == "network utility 'curl' blocked"
 
     @pytest.mark.parametrize(
         "command, utility",
         [("find . -exec curl x \\;", "curl"), ("echo $(wget x)", "wget"),
          ("ls | curl x", "curl"), ("/usr/bin/nc -h", "nc"),
-         ('echo "open | ssh host', "ssh")],  # the last does not parse
+         (_UNPARSEABLE, "ssh")],
     )
     def test_network_block_sees_nested_utilities(self, tmp_path, command, utility):
         [result] = V.run_batch([command], self._config(tmp_path))
         assert result.exit_status == V.SPAWN_FAIL
-        assert result.note == f"network utility {utility!r} not allow-listed"
+        if command == _UNPARSEABLE:
+            assert result.note == "does not parse: unbalanced quote"
+        else:
+            assert result.note == f"network utility {utility!r} blocked"
         assert V._blocked_reason(command) == result.note
+
+    @pytest.mark.parametrize(
+        "command, error",
+        [("ls && curl x", "command lists"), ("ls; wget y", "command lists"),
+         ("cat a &", "background jobs"), ("sort < in", "input redirection"),
+         ("echo $(ls; wget x)", "command lists")],
+    )
+    def test_lists_jobs_and_input_redirects_are_refused(self, tmp_path, command, error):
+        # Each once parsed as one stage, the operator read as a parameter,
+        # so a network utility after it escaped the block.
+        with pytest.raises(ParseError, match=error):
+            parse(command)
+        [result] = V.run_batch([command], self._config(tmp_path))
+        assert result.exit_status == V.SPAWN_FAIL
+        assert result.note.startswith("does not parse: ")
+        assert error in result.note
 
     def test_foreign_workspace_refused(self, tmp_path):
         workspace = tmp_path / "ws"
