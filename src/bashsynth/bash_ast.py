@@ -69,12 +69,6 @@ PLACEHOLDER_BY_TOKEN: dict[str, PlaceholderKind] = {
 # argument marker, the single supported redirect operator, and the stdin dash.
 PRESERVED_LITERALS = frozenset({"{}", ">", "-"})
 
-# A placeholder in command text: a generator-side bracket name (group 1 is
-# "File" in "[File]") or a parser token ("_FILE") not glued to a preceding
-# word character or bracket. Both branches start with a literal, which lets
-# the regex engine skip ahead to "[" or "_" instead of trying every position.
-PLACEHOLDER_RE = re.compile(r"\[([A-Za-z]+)\]|_(?<![\w\[]_)[A-Z]+\b")
-
 _EXEC_FLAGS = frozenset({"-exec", "-ok", "-execdir", "-okdir"})
 _EXEC_CLOSERS = frozenset({"\\;", "+"})
 
@@ -547,16 +541,13 @@ def _map_params(node: UtilityNode, fn: Callable[[ParamNode], ParamNode]) -> Util
 def templatize(ast: BashAst) -> BashAst:
     """Replace every parameter literal with its placeholder token.
 
-    Utilities and flag tokens are untouched; structural literals ("{}",
-    ">", "-") and generator-side bracket placeholders pass through, so the
-    operation is idempotent.
+    Utilities, flag tokens and structural literals ("{}", ">", "-") are
+    untouched, and a token categorizes as its own kind, so the operation is
+    idempotent. Any other literal is replaced, "[aeiou]" included.
     """
 
     def swap(p: ParamNode) -> ParamNode:
         if p.literal in PRESERVED_LITERALS:
-            return p
-        m = PLACEHOLDER_RE.fullmatch(p.literal)
-        if m is not None and m[1]:
             return p
         return ParamNode(p.category.token, p.category)
 

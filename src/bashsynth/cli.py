@@ -139,7 +139,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         _write_manifest(Path(args.survivors), "validate", args)
 
     rate = sum(r.verdict for r in results) / len(results) if results else 0.0
-    print(f"validity rate: {rate:.1%} over {len(results)} commands")
+    label = "validity" if args.exec_ else "parse"
+    print(f"{label} rate: {rate:.1%} over {len(results)} commands")
     return 0
 
 

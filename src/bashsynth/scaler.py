@@ -55,12 +55,26 @@ class DistributionProfile:
 
 
 def load_profile(path: str | Path) -> DistributionProfile:
+    """The profile in a JSON object with a ``proportions`` object of
+    fractions and an optional ``pipe_fraction``; a value of the wrong shape
+    raises ValueError naming the file and the key."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    proportions = data.get("proportions", {})
+    if not isinstance(proportions, dict):
+        raise ValueError(f"{path}: 'proportions' must be a JSON object")
+
+    def number(key: str, value: object) -> float:
+        try:
+            return float(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: {key!r} is not a number: {value!r}") from None
+
+    pipe = data.get("pipe_fraction")
     return DistributionProfile(
-        proportions={str(k): float(v) for k, v in data.get("proportions", {}).items()},
-        pipe_fraction=(
-            float(data["pipe_fraction"]) if data.get("pipe_fraction") is not None else None
-        ),
+        proportions={str(k): number(k, v) for k, v in proportions.items()},
+        pipe_fraction=number("pipe_fraction", pipe) if pipe is not None else None,
     )
 
 

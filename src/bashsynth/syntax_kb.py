@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 
 import yaml
 
-from .bash_ast import PLACEHOLDER_RE, PlaceholderKind, UtilityHints
+from .bash_ast import PlaceholderKind, UtilityHints
 
 __all__ = [
     "SchemaError",
@@ -26,7 +26,7 @@ __all__ = [
     "FlagSpec",
     "UtilitySpec",
     "SyntaxKb",
-    "to_parser_kind",
+    "PLACEHOLDER_RE",
     "rewrite_placeholders",
     "load_specs",
     "save_specs",
@@ -45,23 +45,35 @@ class ManpageImportError(ValueError):
 
 
 class GenArgKind(Enum):
-    """Generator-side argument types; finer grained than parser kinds."""
+    """Generator-side argument types; finer grained than parser kinds.
 
-    FILE = "File"
-    DIRECTORY = "Directory"
-    PATH = "Path"
-    QUANTITY = "Quantity"
-    PATTERN = "Pattern"
-    FORMATTED_STRING = "FormattedString"
-    SEPARATOR = "Separator"
-    PERMISSION = "Permission"
-    SIZE = "Size"
-    TIMESPAN = "Timespan"
-    DATETIME = "Datetime"
-    USER = "User"
-    GROUP = "Group"
-    EXTENSION = "Extension"
-    STRING = "String"
+    Each member declares its bracket name (the value), the parser kind its
+    placeholder becomes (``parser``) and the manual-page metavar words it
+    is inferred from (``metavar``); inference tries members in order.
+    """
+
+    FILE = "File", PlaceholderKind.FILE, r"FILE|ARCHIVE"
+    DIRECTORY = "Directory", PlaceholderKind.DIRECTORY, r"DIR|DIRECTORY|FOLDER"
+    PATH = "Path", PlaceholderKind.PATH, r"PATH"
+    QUANTITY = "Quantity", PlaceholderKind.NUMBER, r"NUM|COUNT|LINES|^N$|QUANTITY"
+    PATTERN = "Pattern", PlaceholderKind.REGEX, r"PATTERN|REGEXP?"
+    FORMATTED_STRING = "FormattedString", PlaceholderKind.REGEX, r"FORMAT"
+    SEPARATOR = "Separator", PlaceholderKind.REGEX, r"SEP|DELIM"
+    PERMISSION = "Permission", PlaceholderKind.PERMISSION, r"MODE|PERM"
+    SIZE = "Size", PlaceholderKind.SIZE, r"SIZE|BYTES|BLOCK"
+    TIMESPAN = "Timespan", PlaceholderKind.TIMESPAN, r"SECONDS|DURATION|DAYS|MINUTES"
+    DATETIME = "Datetime", PlaceholderKind.DATETIME, r"DATE|TIMESTAMP|WHEN"
+    USER = "User", PlaceholderKind.REGEX, r"USER|OWNER|UID"
+    GROUP = "Group", PlaceholderKind.REGEX, r"GROUP|GID"
+    EXTENSION = "Extension", PlaceholderKind.REGEX, r"SUFFIX|EXT"
+    STRING = "String", PlaceholderKind.REGEX, r"STRING|WORD|NAME|TEXT|CMD|COMMAND"
+
+    def __new__(cls, value: str, parser: PlaceholderKind, metavar: str):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.parser = parser
+        member.metavar = re.compile(metavar)
+        return member
 
     @property
     def bracket(self) -> str:
@@ -71,38 +83,14 @@ class GenArgKind(Enum):
 
 _GEN_BY_VALUE = {kind.value: kind for kind in GenArgKind}
 
-_TO_PARSER: dict[GenArgKind, PlaceholderKind] = {
-    GenArgKind.FILE: PlaceholderKind.FILE,
-    GenArgKind.DIRECTORY: PlaceholderKind.DIRECTORY,
-    GenArgKind.PATH: PlaceholderKind.PATH,
-    GenArgKind.QUANTITY: PlaceholderKind.NUMBER,
-    GenArgKind.PATTERN: PlaceholderKind.REGEX,
-    GenArgKind.FORMATTED_STRING: PlaceholderKind.REGEX,
-    GenArgKind.SEPARATOR: PlaceholderKind.REGEX,
-    GenArgKind.PERMISSION: PlaceholderKind.PERMISSION,
-    GenArgKind.SIZE: PlaceholderKind.SIZE,
-    GenArgKind.TIMESPAN: PlaceholderKind.TIMESPAN,
-    GenArgKind.DATETIME: PlaceholderKind.DATETIME,
-    GenArgKind.USER: PlaceholderKind.REGEX,
-    GenArgKind.GROUP: PlaceholderKind.REGEX,
-    GenArgKind.EXTENSION: PlaceholderKind.REGEX,
-    GenArgKind.STRING: PlaceholderKind.REGEX,
-}
-
-
-def to_parser_kind(kind: GenArgKind) -> PlaceholderKind:
-    """Total, deterministic mapping onto the parser's placeholder set."""
-    return _TO_PARSER[kind]
-
-
 # "File" -> "_FILE", for rewriting generator templates into parser form.
-_TOKEN_BY_BRACKET = {kind.value: parser.token for kind, parser in _TO_PARSER.items()}
+_TOKEN_BY_BRACKET = {kind.value: kind.parser.token for kind in GenArgKind}
 
-# Parser token -> fixture pool: the first generator kind mapping onto it
-# (reversed, so earlier kinds overwrite later ones): "_NUMBER" -> "Quantity".
-POOL_BY_TOKEN = {
-    parser.token: kind.value for kind, parser in reversed(_TO_PARSER.items())
-}
+# A placeholder in template text: a bracket name (group 1 is "File" in
+# "[File]") or a parser token ("_FILE") not glued to a preceding word
+# character or bracket. Both branches start with a literal, which lets the
+# regex engine skip ahead to "[" or "_" instead of trying every position.
+PLACEHOLDER_RE = re.compile(r"\[([A-Za-z]+)\]|_(?<![\w\[]_)[A-Z]+\b")
 
 
 def rewrite_placeholders(text: str, swap: Callable[[str], str | None]) -> str:
@@ -306,11 +294,9 @@ class SyntaxKb:
             hints[spec.name] = UtilityHints(
                 known_flags=frozenset(f.token for f in spec.flags),
                 flag_args=MappingProxyType(
-                    {f.token: to_parser_kind(f.arg) for f in spec.flags if f.arg}
+                    {f.token: f.arg.parser for f in spec.flags if f.arg}
                 ),
-                positionals=tuple(
-                    to_parser_kind(k) for k in spec.positional_kinds
-                ),
+                positionals=tuple(k.parser for k in spec.positional_kinds),
             )
         return MappingProxyType(hints)
 
@@ -325,31 +311,9 @@ _FLAG_LINE_RE = re.compile(
     r"(?:[ =]+([A-Z][A-Z_]{1,15}|<[a-z]+>))?"  # optional metavar
 )
 
-_METAVAR_KINDS: tuple[tuple[re.Pattern[str], GenArgKind], ...] = (
-    (re.compile(r"FILE|ARCHIVE"), GenArgKind.FILE),
-    (re.compile(r"DIR|DIRECTORY|FOLDER"), GenArgKind.DIRECTORY),
-    (re.compile(r"PATH"), GenArgKind.PATH),
-    (re.compile(r"NUM|COUNT|LINES|^N$|QUANTITY"), GenArgKind.QUANTITY),
-    (re.compile(r"PATTERN|REGEXP?"), GenArgKind.PATTERN),
-    (re.compile(r"FORMAT"), GenArgKind.FORMATTED_STRING),
-    (re.compile(r"SEP|DELIM"), GenArgKind.SEPARATOR),
-    (re.compile(r"MODE|PERM"), GenArgKind.PERMISSION),
-    (re.compile(r"SIZE|BYTES|BLOCK"), GenArgKind.SIZE),
-    (re.compile(r"SECONDS|DURATION|DAYS|MINUTES"), GenArgKind.TIMESPAN),
-    (re.compile(r"DATE|TIMESTAMP|WHEN"), GenArgKind.DATETIME),
-    (re.compile(r"USER|OWNER|UID"), GenArgKind.USER),
-    (re.compile(r"GROUP|GID"), GenArgKind.GROUP),
-    (re.compile(r"SUFFIX|EXT"), GenArgKind.EXTENSION),
-    (re.compile(r"STRING|WORD|NAME|TEXT|CMD|COMMAND"), GenArgKind.STRING),
-)
-
-
 def _infer_kind(metavar: str) -> GenArgKind | None:
     word = metavar.strip("<>").upper()
-    for pattern, kind in _METAVAR_KINDS:
-        if pattern.search(word):
-            return kind
-    return None
+    return next((kind for kind in GenArgKind if kind.metavar.search(word)), None)
 
 
 def import_manpage(text: str, utility: str) -> UtilitySpec:

@@ -1,8 +1,8 @@
 """Instantiate templates with concrete arguments and execute them sandboxed.
 
-Templates may hold generator placeholders (``[File]``) or parser tokens
-(``_FILE``); :func:`instantiate` fills both from the fixture pools in one
-pass, using the placeholder table in ``syntax_kb``.
+Templates hold generator placeholders (``[File]``), which
+:func:`instantiate` fills from the fixture pool of that name. Parser-form
+text (``_FILE``, as ``scale`` writes it) names no pool and is refused.
 
 Execution is opt-in. The subprocess backend runs each command in a fresh
 workspace populated from a fixture manifest, with a reduced environment, a
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import bash_ast
-from .syntax_kb import POOL_BY_TOKEN, rewrite_placeholders
+from .syntax_kb import rewrite_placeholders
 
 __all__ = [
     "MissingFixture",
@@ -104,45 +104,58 @@ class RateTable:
 # Fixtures
 
 
-def _load_json(path: str | Path | None, shipped: str):
-    """The JSON file at ``path``, or the shipped ``data/sandbox/<shipped>``."""
+def _load_json(path: str | Path | None, shipped: str) -> tuple[object, dict]:
+    """The file and its JSON object: the file at ``path``, or the shipped
+    ``data/sandbox/<shipped>``."""
     file = (Path(path) if path is not None
             else resources.files("bashsynth").joinpath(f"data/sandbox/{shipped}"))
-    return json.loads(file.read_text(encoding="utf-8"))
+    data = json.loads(file.read_text(encoding="utf-8"))
+    return file, _expect(data, dict, f"{file}: top level")
+
+
+def _expect(value: object, shape: type, where: str):
+    """``value`` if it is a JSON object (``dict``) or array (``list``) as
+    ``shape`` says; otherwise ValueError naming ``where``."""
+    if not isinstance(value, shape):
+        kind = "object" if shape is dict else "array"
+        raise ValueError(f"{where} must be a JSON {kind}, got {type(value).__name__}")
+    return value
 
 
 def load_fixture_values(path: str | Path | None = None) -> dict[str, list[str]]:
-    """Concrete values per generator argument kind, shipped with the repo."""
-    data = _load_json(path, "values.json")
-    return {str(k): [str(v) for v in vs] for k, vs in data.items()}
+    """Concrete values per generator argument kind, shipped with the repo:
+    a JSON object mapping each pool name to an array of values."""
+    file, data = _load_json(path, "values.json")
+    return {str(k): [str(v) for v in _expect(vs, list, f"{file}: {k!r}")]
+            for k, vs in data.items()}
 
 
 def load_manifest(path: str | Path | None = None) -> dict[str, object]:
-    """Workspace manifest: directories to create and files with contents."""
-    return _load_json(path, "manifest.json")
+    """Workspace manifest: a JSON object whose ``dirs`` array names the
+    directories to create and whose ``files`` object maps paths to contents."""
+    file, data = _load_json(path, "manifest.json")
+    for key, shape in (("dirs", list), ("files", dict)):
+        _expect(data.get(key, shape()), shape, f"{file}: {key!r}")
+    return data
 
 
 def instantiate(template: str, fixtures: Mapping[str, Sequence[str]]) -> str:
     """Replace every placeholder with a concrete fixture value.
 
-    Bracket placeholders (``[File]``) draw from the pool of that name,
-    parser tokens (``_NUMBER``) from the pool ``syntax_kb.POOL_BY_TOKEN``
-    names, so ``[Quantity]`` and ``_NUMBER`` share one pool. Values are
-    drawn round-robin per pool, left to right; unlike partial template fill,
-    full replacement is required here. Unknown parser tokens are kept.
-    Raises :class:`MissingFixture` when a needed pool has no values.
+    A placeholder draws from the pool its name names: ``[File]`` from
+    ``File``. Values are drawn round-robin per pool, left to right; unlike
+    partial template fill, full replacement is required here. Raises
+    :class:`MissingFixture` when a needed pool has no values, so a parser
+    token (``_PATH``), which names no pool, raises with its own name.
     """
     counters: dict[str, int] = {}
 
-    def draw(name: str) -> str | None:
-        pool = POOL_BY_TOKEN.get(name) if name[0] == "_" else name
-        if pool is None:
-            return None
-        values = fixtures.get(pool)
+    def draw(name: str) -> str:
+        values = fixtures.get(name)
         if not values:
-            raise MissingFixture(pool)
-        idx = counters.get(pool, 0)
-        counters[pool] = idx + 1
+            raise MissingFixture(name)
+        idx = counters.get(name, 0)
+        counters[name] = idx + 1
         return values[idx % len(values)]
 
     return rewrite_placeholders(template, draw)
@@ -302,11 +315,6 @@ def run_batch(
         raise SandboxSetupError(f"cannot create workspace {root}: {exc}") from exc
 
     manifest = config.manifest if config.manifest is not None else load_manifest()
-
-    if config.jobs == 1:
-        return [
-            _run_one(i, cmd, config, manifest) for i, cmd in enumerate(commands)
-        ]
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
         futures = [
             pool.submit(_run_one, i, cmd, config, manifest)

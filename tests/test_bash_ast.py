@@ -241,6 +241,11 @@ class TestTemplatize:
         ast = B.parse("tar -cjf backup.bz2 mydir", hints)
         assert B.render(B.templatize(ast)) == "tar -cjf _FILE _PATH"
 
+    def test_bracket_literal_is_a_parameter(self, hints):
+        once = B.templatize(B.parse("grep [aeiou] a.txt", hints))
+        assert B.render(once) == "grep _REGEX _FILE"
+        assert B.templatize(once) == once
+
     def test_no_params(self):
         ast = B.parse("ls")
         assert B.render(B.templatize(ast)) == "ls"

@@ -62,7 +62,7 @@ def test_validate_exec_refused_without_env(tmp_path, monkeypatch, capsys):
     assert "refusing" in capsys.readouterr().err
 
 
-def test_validate_exec_with_opt_in(tmp_path, monkeypatch):
+def test_validate_exec_with_opt_in(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(EXEC_OPT_IN_ENV, "1")
     templates = tmp_path / "templates.jsonl"
     main(["generate", "--utility", "ls", "--limit", "4", "--out", str(templates)])
@@ -75,6 +75,41 @@ def test_validate_exec_with_opt_in(tmp_path, monkeypatch):
     assert code == 0
     results = [json.loads(l) for l in out.read_text().splitlines()]
     assert results and all("verdict" in r for r in results)
+    assert "validity rate: " in capsys.readouterr().out
+
+
+def test_validate_refuses_parser_form_templates(tmp_path, capsys):
+    templates = tmp_path / "templates.jsonl"
+    scaled = tmp_path / "scaled.jsonl"
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"proportions": {"find": 0.5}}))
+    assert main(["generate", "--utility", "find", "--utility", "ls", "--limit", "20",
+                 "--out", str(templates)]) == 0
+    assert main(["scale", "--in", str(templates), "--out", str(scaled),
+                 "--profile", str(profile)]) == 0
+    capsys.readouterr()
+    code = main(["validate", "--in", str(scaled), "--out", str(tmp_path / "r.jsonl"),
+                 "--workspace", str(tmp_path / "ws")])
+    assert code == 1
+    assert "no fixture values for argument kind '_" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, flag, text", [
+    ("validate", "--fixtures", '{"File": "temp.txt"}'),
+    ("validate", "--sandbox-manifest", '{"dirs": "abc"}'),
+    ("scale", "--profile", "[1]"),
+])
+def test_malformed_json_input_exits_1(tmp_path, capsys, stage, flag, text):
+    templates = tmp_path / "templates.jsonl"
+    assert main(["generate", "--utility", "ls", "--limit", "2",
+                 "--out", str(templates)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    code = main([stage, "--in", str(templates), "--out", str(tmp_path / "o.jsonl"),
+                 flag, str(bad)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 def test_validate_exec_refuses_foreign_workspace(tmp_path, monkeypatch, capsys):
@@ -198,7 +233,7 @@ def test_validate_parses_each_command_once(tmp_path, capsys, monkeypatch):
          "--workspace", str(tmp_path / "ws")]
     ) == 0
     assert len(parsed) == len(cmds)
-    assert "validity rate: 66.7% over 3 commands" in capsys.readouterr().out
+    assert "parse rate: 66.7% over 3 commands" in capsys.readouterr().out
 
 
 def test_scale_infeasible_pipe_fraction_exits_1(tmp_path, capsys):

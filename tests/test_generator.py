@@ -6,8 +6,9 @@ import pytest
 
 from bashsynth import bash_ast
 from bashsynth import generator as G
-from bashsynth.bash_ast import PLACEHOLDER_RE
-from bashsynth.syntax_kb import FlagSpec, GenArgKind, UtilitySpec, to_parser_template
+from bashsynth.syntax_kb import (
+    PLACEHOLDER_RE, FlagSpec, GenArgKind, UtilitySpec, to_parser_template
+)
 
 
 def _spec(name: str, n_flags: int, successors=()) -> UtilitySpec:

@@ -61,6 +61,19 @@ class TestProfile:
         path.write_text('{"pipe_fraction": 0.5}')
         assert load_profile(path) == DistributionProfile({}, pipe_fraction=0.5)
 
+    @pytest.mark.parametrize("text, key", [
+        ("[1]", "top level"),
+        ('{"proportions": [1]}', "'proportions'"),
+        ('{"proportions": {"find": [1]}}', "'find'"),
+        ('{"pipe_fraction": "half"}', "'pipe_fraction'"),
+    ])
+    def test_load_profile_refuses_malformed_shapes(self, tmp_path, text, key):
+        path = tmp_path / "profile.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_profile(path)
+        assert str(exc.value).startswith(f"{path}: {key}")
+
     def test_default_profile_loads(self):
         profile = load_profile(default_profile_path())
         assert profile.proportions["find"] == pytest.approx(0.6344)

@@ -88,20 +88,20 @@ class TestGenArgKind:
 
     def test_mapping_total(self):
         for kind in K.GenArgKind:
-            assert K.to_parser_kind(kind) in PlaceholderKind
+            assert kind.parser in PlaceholderKind
 
     def test_pattern_maps_to_regex(self):
-        assert K.to_parser_kind(K.GenArgKind.PATTERN) is PlaceholderKind.REGEX
-        assert K.to_parser_kind(K.GenArgKind.FORMATTED_STRING) is PlaceholderKind.REGEX
-        assert K.to_parser_kind(K.GenArgKind.SEPARATOR) is PlaceholderKind.REGEX
+        assert K.GenArgKind.PATTERN.parser is PlaceholderKind.REGEX
+        assert K.GenArgKind.FORMATTED_STRING.parser is PlaceholderKind.REGEX
+        assert K.GenArgKind.SEPARATOR.parser is PlaceholderKind.REGEX
 
     def test_quantity_maps_to_number(self):
-        assert K.to_parser_kind(K.GenArgKind.QUANTITY) is PlaceholderKind.NUMBER
+        assert K.GenArgKind.QUANTITY.parser is PlaceholderKind.NUMBER
 
     def test_name_identical_mappings(self):
-        assert K.to_parser_kind(K.GenArgKind.FILE) is PlaceholderKind.FILE
-        assert K.to_parser_kind(K.GenArgKind.DIRECTORY) is PlaceholderKind.DIRECTORY
-        assert K.to_parser_kind(K.GenArgKind.PATH) is PlaceholderKind.PATH
+        assert K.GenArgKind.FILE.parser is PlaceholderKind.FILE
+        assert K.GenArgKind.DIRECTORY.parser is PlaceholderKind.DIRECTORY
+        assert K.GenArgKind.PATH.parser is PlaceholderKind.PATH
 
 
 class TestImportManpage:

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bashsynth import validator as V
-from bashsynth.bash_ast import PLACEHOLDER_RE, ParseError, parse
+from bashsynth.bash_ast import ParseError, parse
 from bashsynth.generator import generate_unpiped
-from bashsynth.syntax_kb import GenArgKind, to_parser_template
+from bashsynth.syntax_kb import PLACEHOLDER_RE, GenArgKind, to_parser_template
 
 
 # Refused as unparseable before the network check could see its ssh.
@@ -17,6 +19,31 @@ _UNPARSEABLE = 'echo "open | ssh host'
 @pytest.fixture(scope="module")
 def fixtures():
     return V.load_fixture_values()
+
+
+class TestLoaders:
+    @pytest.mark.parametrize("data, key", [
+        (["temp.txt"], "top level"),
+        ({"File": "temp.txt"}, "'File'"),
+    ])
+    def test_fixture_values_refuse_malformed_shapes(self, tmp_path, data, key):
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as exc:
+            V.load_fixture_values(path)
+        assert str(exc.value).startswith(f"{path}: {key}")
+
+    @pytest.mark.parametrize("data, key", [
+        ([], "top level"),
+        ({"dirs": "abc"}, "'dirs'"),
+        ({"files": ["a.txt"]}, "'files'"),
+    ])
+    def test_manifest_refuses_malformed_shapes(self, tmp_path, data, key):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as exc:
+            V.load_manifest(path)
+        assert str(exc.value).startswith(f"{path}: {key}")
 
 
 class TestInstantiate:
@@ -36,7 +63,9 @@ class TestInstantiate:
         assert out == "diff temp.txt a.txt"
 
     def test_parser_placeholders_also_fill(self, fixtures):
-        assert V.instantiate("find _PATH -name _REGEX", fixtures) == "find . -name foo"
+        with pytest.raises(V.MissingFixture) as exc:
+            V.instantiate("find _PATH -name _REGEX", fixtures)
+        assert exc.value.kind == "_PATH"
 
     def test_deterministic(self, fixtures):
         template = "cp [File] [Path]"
@@ -49,11 +78,8 @@ class TestInstantiate:
 
 
 # Reference tables for the oracle, written out by hand.
-ORACLE_POOL = {
-    "_FILE": "File", "_DIRECTORY": "Directory", "_PATH": "Path",
-    "_NUMBER": "Quantity", "_REGEX": "Pattern", "_PERMISSION": "Permission",
-    "_SIZE": "Size", "_TIMESPAN": "Timespan", "_DATETIME": "Datetime",
-}
+PARSER_TOKENS = ["_FILE", "_DIRECTORY", "_PATH", "_NUMBER", "_REGEX",
+                 "_PERMISSION", "_SIZE", "_TIMESPAN", "_DATETIME"]
 ORACLE_TOKEN = {
     "File": "_FILE", "Directory": "_DIRECTORY", "Path": "_PATH",
     "Quantity": "_NUMBER", "Permission": "_PERMISSION", "Size": "_SIZE",
@@ -69,7 +95,7 @@ VALUES = ["v1", "two words", "_FILE", "[File]", "1"]
 
 token_st = st.one_of(
     st.sampled_from(KNOWN_BRACKETS + UNKNOWN_BRACKETS).map(lambda n: ("bracket", n)),
-    st.sampled_from(list(ORACLE_POOL) + UNKNOWN_TOKENS).map(lambda t: ("parser", t)),
+    st.sampled_from(PARSER_TOKENS + UNKNOWN_TOKENS).map(lambda t: ("parser", t)),
     st.sampled_from(LITERALS).map(lambda w: ("literal", w)),
 )
 
@@ -99,7 +125,7 @@ def _oracle_instantiate(tokens, fixtures) -> str:
         if tag == "bracket":
             pool = v
         elif tag == "parser":
-            pool = ORACLE_POOL.get(v)
+            pool = v  # a parser token names its own pool
         else:
             pool = None
         if pool is None:
