@@ -9,9 +9,10 @@ Records have ``nl``, ``cmd``, ``source`` (original | generated | llm) and
 optional ``valid``; template corpora (generator output) have ``id``,
 ``cmd``, ``utilities``, ``flags``, ``pipe_partner``. ``read_commands``
 reads the ``cmd`` of either kind, ``read_predictions`` a ``score``
-prediction file and ``read_exchanges`` an LLM exchange log. A converter
-accepts the classic two-file layout of one sentence file plus one command
-file matched by line number.
+prediction file and ``read_exchanges`` an LLM exchange log. ``read_json``
+and ``check_fields`` serve the JSON and YAML documents other modules load
+(fixtures, manifest, profile, specs): a value of the wrong type raises
+FormatError naming the file and the key.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from . import bash_ast
 
 __all__ = [
     "FormatError",
+    "REQUIRED",
+    "STRINGS",
+    "check_fields",
+    "read_json",
     "DatasetRecord",
     "TemplateEntry",
     "encode_line",
@@ -34,7 +39,6 @@ __all__ = [
     "read_lines",
     "read_records",
     "write_records",
-    "read_two_file",
     "read_commands",
     "read_templates",
     "write_templates",
@@ -51,8 +55,9 @@ SOURCES = ("original", "generated", "llm")
 class FormatError(ValueError):
     def __init__(self, message: str, path: str | Path | None = None,
                  line: int | None = None):
-        where = f"{path}:{line}: " if path is not None and line is not None else ""
-        super().__init__(f"{where}{message}")
+        if path is not None:
+            message = f"{path}: {message}" if line is None else f"{path}:{line}: {message}"
+        super().__init__(message)
         self.path = path
         self.line = line
 
@@ -130,11 +135,11 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 # A schema maps each field to (test, what the test wants, default); a field
-# without a default (_REQUIRED) must be present.
-_REQUIRED = object()
-_TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string", _REQUIRED)
-_STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-            "a list of strings", ())
+# without a default (REQUIRED) must be present.
+REQUIRED = object()
+_TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string", REQUIRED)
+STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+           "a list of strings", ())
 _RECORD = {
     "nl": _TEXT,
     "cmd": _TEXT,
@@ -144,44 +149,58 @@ _RECORD = {
 _TEMPLATE = {
     "id": _TEXT,
     "cmd": _TEXT,
-    "utilities": _STRINGS,
-    "flags": _STRINGS,
+    "utilities": STRINGS,
+    "flags": STRINGS,
     "pipe_partner": (lambda v: v is None or isinstance(v, str), "a string or null", None),
 }
 _CANDIDATES = {"candidates": (
     lambda v: isinstance(v, list) and v and all(isinstance(c, dict) for c in v),
-    "a non-empty list of objects", _REQUIRED)}
+    "a non-empty list of objects", REQUIRED)}
 _CANDIDATE = {
-    "cmd": (lambda v: isinstance(v, str), "a string", _REQUIRED),
+    "cmd": (lambda v: isinstance(v, str), "a string", REQUIRED),
     "confidence": (lambda v: type(v) in (int, float) and 0 <= v <= 1,
                    "a number in [0, 1]", 1.0),
 }
 _EXCHANGE = {
-    "request": (lambda v: isinstance(v, dict), "an object", _REQUIRED),
-    "response": (lambda v: isinstance(v, str), "a string", _REQUIRED),
+    "request": (lambda v: isinstance(v, dict), "an object", REQUIRED),
+    "response": (lambda v: isinstance(v, str), "a string", REQUIRED),
     "index": (lambda v: v is None or type(v) is int, "an integer or null", None),
 }
 
 
-def _check(obj: dict, schema: dict, path: Path, lineno: int) -> list:
-    """The schema's fields of ``obj``, in schema order."""
+def check_fields(obj: Mapping, schema: Mapping, path: str | Path | None = None,
+                 lineno: int | None = None) -> list:
+    """The schema's fields of ``obj``, in schema order; a missing or
+    mistyped field raises FormatError naming ``path``, ``lineno`` and key."""
     values = []
     for key, (ok, want, default) in schema.items():
         if key not in obj:
-            if default is _REQUIRED:
+            if default is REQUIRED:
                 raise FormatError(f"missing field {key!r}", path, lineno)
             values.append(default)
         elif ok(obj[key]):
             values.append(obj[key])
         else:
-            raise FormatError(f"field {key!r} must be {want}, not {obj[key]!r:.60}",
+            raise FormatError(f"{key!r} must be {want}, not {obj[key]!r:.60}",
                               path, lineno)
     return values
 
 
+def read_json(file) -> dict:
+    """The JSON object in ``file``, a path or a package resource."""
+    try:
+        data = json.loads(file.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON
+        raise FormatError(f"not JSON: {exc}", file) from None
+    if not isinstance(data, dict):
+        raise FormatError(f"top level must be a JSON object, got {type(data).__name__}",
+                          file)
+    return data
+
+
 def _checked(path: str | Path, schema: dict) -> Iterator[list]:
     path = Path(path)
-    return (_check(obj, schema, path, lineno) for lineno, obj in read_lines(path))
+    return (check_fields(obj, schema, path, lineno) for lineno, obj in read_lines(path))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +239,9 @@ def read_predictions(path: str | Path) -> list[list[tuple[str, float]]]:
     out = []
     for lineno, obj in read_lines(path):
         # a line without candidates is its own one candidate
-        candidates = (_check(obj, _CANDIDATES, path, lineno)[0] if "candidates" in obj
-                      else [obj])
-        out.append([tuple(_check(c, _CANDIDATE, path, lineno)) for c in candidates])
+        candidates = (check_fields(obj, _CANDIDATES, path, lineno)[0]
+                      if "candidates" in obj else [obj])
+        out.append([tuple(check_fields(c, _CANDIDATE, path, lineno)) for c in candidates])
     return out
 
 
@@ -232,27 +251,9 @@ def read_exchanges(path: str | Path) -> list[dict]:
     path = Path(path)
     out = []
     for lineno, obj in read_lines(path):
-        _check(obj, _EXCHANGE, path, lineno)
+        check_fields(obj, _EXCHANGE, path, lineno)
         out.append(obj)
     return out
-
-
-def read_two_file(nl_path: str | Path, cmd_path: str | Path,
-                  source: str = "original") -> list[DatasetRecord]:
-    """Convert the two-file layout (sentences + commands by line number)."""
-    nl_lines = Path(nl_path).read_text(encoding="utf-8").splitlines()
-    cmd_lines = Path(cmd_path).read_text(encoding="utf-8").splitlines()
-    if len(nl_lines) != len(cmd_lines):
-        raise FormatError(
-            f"line counts differ: {len(nl_lines)} sentences vs {len(cmd_lines)} commands",
-            nl_path,
-        )
-    records = []
-    for lineno, (nl, cmd) in enumerate(zip(nl_lines, cmd_lines), 1):
-        if not nl.strip() or not cmd.strip():
-            raise FormatError("empty sentence or command", nl_path, lineno)
-        records.append(DatasetRecord(nl=nl.strip(), cmd=cmd.strip(), source=source))
-    return records
 
 
 # ---------------------------------------------------------------------------

@@ -2,26 +2,28 @@
 
 Drives the streamlined generation pipeline: prompt-driven command
 generation at temperature 1, dedup, parse filtering, then back-translation
-to English at temperature 0. A session appends every attempt to one
+to English at temperature 0. ``HttpTransport`` sends one JSON POST per
+attempt through ``urllib.request``. A session appends every attempt to one
 exchange log as it completes; that log replays byte-for-byte without network
-access, which is how the test suite runs.
+access, which is how most of the test suite runs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Protocol, Sequence, TypeVar
-
-import requests
 
 from . import bash_ast
 from .dataset_io import DatasetRecord, encode_line, read_exchanges
@@ -41,12 +43,14 @@ __all__ = [
     "GEN_TEMPERATURE",
     "TRANSLATION_PROMPT",
     "TRANSLATE_TEMPERATURE",
+    "AUTH_ENV",
 ]
 
 GENERATION_PROMPT = "Generate bash command and do not include example"
 GEN_TEMPERATURE = 1.0
 TRANSLATION_PROMPT = "Translate to English"
 TRANSLATE_TEMPERATURE = 0.0
+AUTH_ENV = "LLM_API_KEY"  # the bearer token, when set
 
 
 class AuthError(RuntimeError):
@@ -68,7 +72,6 @@ class TransportError(RuntimeError):
 class LlmConfig:
     endpoint: str = ""
     model: str = "default"
-    auth_env: str = "LLM_API_KEY"
     request_timeout: float = 30.0
     max_retries: int = 2
     backoff: float = 0.5
@@ -95,40 +98,44 @@ class Transport(Protocol):
 
 
 class HttpTransport:
-    """POST {model, messages, temperature}; bearer token from env."""
+    """POST {model, messages, temperature}; bearer token from ``AUTH_ENV``.
+    A 401 or 403 raises AuthError; any other failure, a reply without a
+    string ``choices[0].message.content`` included, raises TransportError."""
 
     def __init__(self, config: LlmConfig):
         self._config = config
 
     def send(self, payload: dict) -> str:
-        token = os.environ.get(self._config.auth_env, "")
         headers = {"Content-Type": "application/json"}
+        token = os.environ.get(AUTH_ENV, "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
+        data = json.dumps(payload).encode("utf-8")
         try:
-            resp = requests.post(
-                self._config.endpoint,
-                json=payload,
-                headers=headers,
-                timeout=self._config.request_timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        if resp.status_code in (401, 403):
-            raise AuthError(f"endpoint returned {resp.status_code}")
-        if resp.status_code >= 400:
+            request = urllib.request.Request(self._config.endpoint, data, headers)
+            timeout = self._config.request_timeout
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                body = resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if exc.code in (401, 403):
+                raise AuthError(f"endpoint returned {exc.code}") from None
             retry_after = None
-            if resp.status_code == 429 or resp.status_code >= 500:
-                retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
-            raise TransportError(f"endpoint returned {resp.status_code}", retry_after)
+            if exc.code == 429 or exc.code >= 500:
+                retry_after = _retry_after_seconds(exc.headers.get("Retry-After"))
+            raise TransportError(f"endpoint returned {exc.code}", retry_after) from None
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            # URLError and timeouts are OSErrors; a malformed URL is a ValueError
+            raise TransportError(str(exc)) from exc
         try:
-            body = resp.json()
-        except ValueError as exc:
+            content = json.loads(body)["choices"][0]["message"]["content"]
+        except (ValueError, RecursionError) as exc:
             raise TransportError(f"endpoint returned a non-JSON body: {exc}") from exc
-        try:
-            return body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportError(f"malformed completion response: content {content!r:.60}")
+        return content
 
 
 def _retry_after_seconds(value: str | None) -> float | None:
@@ -314,8 +321,8 @@ class LlmSession:
     ) -> Iterator[_R]:
         """Yield ``fn(item)`` for each item, in input order.
 
-        Up to ``config.concurrency`` calls run at once, except on a replay,
-        whose calls run one by one. The first exception in input order
+        The calls run in a pool of ``config.concurrency`` workers, or of one
+        on a replay. The first exception in input order
         propagates. Once a call has raised, queued calls for later items
         never start: only the calls already in flight, at most
         ``concurrency - 1``, still finish. Each exchange an item's call makes
@@ -338,10 +345,7 @@ class LlmSession:
             finally:
                 self._item.index = None
 
-        if self._replay or self.config.concurrency == 1:
-            yield from map(guarded, range(len(items)))
-            return
-        pool = ThreadPoolExecutor(max_workers=self.config.concurrency)
+        pool = ThreadPoolExecutor(max_workers=1 if self._replay else self.config.concurrency)
         try:
             yield from pool.map(guarded, range(len(items)))
         finally:
@@ -365,15 +369,16 @@ class LlmSession:
         return [cmd for cmd in self._map_ordered(one, range(n)) if cmd]
 
     def backtranslate(self, cmd: str) -> str:
-        """English description of one command, at the deterministic temperature."""
+        """The first non-blank line of the reply, at the deterministic
+        temperature; a blank reply raises TransportError naming ``cmd``."""
         if not cmd or not cmd.strip():
             raise ValueError("command must be non-empty")
         prompt = f"{TRANSLATION_PROMPT}: {cmd}"
         response = self._call("backtranslate", prompt, TRANSLATE_TEMPERATURE)
-        for line in response.strip().splitlines():
+        for line in response.splitlines():
             if line.strip():
                 return line.strip()
-        return response.strip()
+        raise TransportError(f"empty translation for {cmd!r}")
 
     def backtranslate_records(
         self, commands: Sequence[str], out_path: str | Path | None = None

@@ -11,7 +11,6 @@ with a seeded shuffle. Heads and pipes come from ``utilities`` metadata.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence, TypeVar
 
 from . import bash_ast
+from .dataset_io import check_fields, read_json
 
 __all__ = [
     "InfeasibleProfile",
@@ -54,27 +54,24 @@ class DistributionProfile:
             raise ValueError("pipe_fraction outside [0, 1]")
 
 
+_PROFILE = {
+    "proportions": (lambda v: isinstance(v, dict), "an object", {}),
+    "pipe_fraction": (lambda v: v is None or type(v) in (int, float), "a number or null",
+                      None),
+}
+_FRACTION = (lambda v: type(v) in (int, float), "a number", None)
+
+
 def load_profile(path: str | Path) -> DistributionProfile:
     """The profile in a JSON object with a ``proportions`` object of
-    fractions and an optional ``pipe_fraction``; a value of the wrong shape
-    raises ValueError naming the file and the key."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: top level must be a JSON object")
-    proportions = data.get("proportions", {})
-    if not isinstance(proportions, dict):
-        raise ValueError(f"{path}: 'proportions' must be a JSON object")
-
-    def number(key: str, value: object) -> float:
-        try:
-            return float(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: {key!r} is not a number: {value!r}") from None
-
-    pipe = data.get("pipe_fraction")
+    fractions and an optional ``pipe_fraction``; a value of the wrong type
+    (a boolean or a string is not a number) raises FormatError naming the
+    file and the key."""
+    proportions, pipe = check_fields(read_json(Path(path)), _PROFILE, path)
+    check_fields(proportions, dict.fromkeys(proportions, _FRACTION), path)
     return DistributionProfile(
-        proportions={str(k): number(k, v) for k, v in proportions.items()},
-        pipe_fraction=number("pipe_fraction", pipe) if pipe is not None else None,
+        proportions={k: float(v) for k, v in proportions.items()},
+        pipe_fraction=None if pipe is None else float(pipe),
     )
 
 

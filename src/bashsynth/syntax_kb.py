@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Mapping
 import yaml
 
 from .bash_ast import PlaceholderKind, UtilityHints
+from .dataset_io import REQUIRED, STRINGS, FormatError, check_fields
 
 __all__ = [
     "SchemaError",
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 
-class SchemaError(ValueError):
+class SchemaError(FormatError):
     """Spec file violates the documented schema."""
 
 
@@ -163,38 +164,36 @@ class UtilitySpec:
 # Spec file loading / saving
 
 
-def _spec_from_doc(doc: object, ordinal: int) -> UtilitySpec:
-    where = f"document {ordinal}"
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected a mapping, got {type(doc).__name__}")
-    unknown = set(doc) - {"name", "template", "flags", "pipe_successors", "needs_review"}
-    if unknown:
-        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
-    if "name" not in doc:
-        raise SchemaError(f"{where}: missing field 'name'")
-    name = doc["name"]
-    where = f"document {ordinal} ({name})"
+_SPEC = {
+    "name": (lambda v: isinstance(v, str), "a string", REQUIRED),
+    "template": (*STRINGS[:2], ["UTILITY", "FLAGS"]),
+    "flags": (lambda v: isinstance(v, list) and all(isinstance(f, dict) for f in v),
+              "a list of mappings", ()),
+    "pipe_successors": STRINGS,
+    "needs_review": (lambda v: isinstance(v, bool), "true or false", False),
+}
+_FLAG = {
+    "token": (lambda v: isinstance(v, str), "a string", REQUIRED),
+    "arg": (lambda v: v is None or isinstance(v, str) and v in _GEN_BY_VALUE,
+            f"null or one of {sorted(_GEN_BY_VALUE)}", None),
+}
 
-    template = tuple(doc.get("template", ("UTILITY", "FLAGS")))
-    flags = []
-    for j, item in enumerate(doc.get("flags") or ()):
-        if not isinstance(item, dict) or "token" not in item:
-            raise SchemaError(f"{where}: flags[{j}] must have a 'token' field")
-        arg_name = item.get("arg")
-        if arg_name is not None and arg_name not in _GEN_BY_VALUE:
-            raise SchemaError(f"{where}: flags[{j}] unknown arg kind {arg_name!r}")
-        flags.append(
-            FlagSpec(str(item["token"]), _GEN_BY_VALUE[arg_name] if arg_name else None)
-        )
+
+def _spec_from_doc(doc: object, where: str) -> UtilitySpec:
     try:
-        return UtilitySpec(
-            name=str(name),
-            template=tuple(str(s) for s in template),
-            flags=tuple(flags),
-            pipe_successors=tuple(str(s) for s in doc.get("pipe_successors") or ()),
-            needs_review=bool(doc.get("needs_review", False)),
-        )
-    except SchemaError as exc:
+        if not isinstance(doc, dict):
+            raise SchemaError(f"expected a mapping, got {type(doc).__name__}")
+        unknown = set(doc) - set(_SPEC)
+        if unknown:
+            raise SchemaError(f"unknown fields {sorted(unknown)}")
+        name, template, flags, successors, needs_review = check_fields(doc, _SPEC)
+        flag_specs = []
+        for j, item in enumerate(flags):
+            token, arg = check_fields(item, _FLAG, f"flags[{j}]")
+            flag_specs.append(FlagSpec(token, _GEN_BY_VALUE.get(arg)))
+        return UtilitySpec(name, tuple(template), tuple(flag_specs), tuple(successors),
+                           needs_review)
+    except FormatError as exc:  # a SchemaError too
         raise SchemaError(f"{where}: {exc}") from None
 
 
@@ -213,7 +212,7 @@ def load_specs(path: str | Path) -> list[UtilitySpec]:
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: not valid YAML: {exc}") from None
     specs = [
-        _spec_from_doc(doc, ordinal)
+        _spec_from_doc(doc, f"{path}: document {ordinal}")
         for ordinal, doc in enumerate(docs)
         if doc is not None
     ]

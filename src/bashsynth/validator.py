@@ -13,7 +13,6 @@ without executing anything.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import shutil
@@ -24,9 +23,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import bash_ast
+from .dataset_io import STRINGS, check_fields, read_json
 from .syntax_kb import rewrite_placeholders
 
 __all__ = [
@@ -109,33 +109,29 @@ def _load_json(path: str | Path | None, shipped: str) -> tuple[object, dict]:
     ``data/sandbox/<shipped>``."""
     file = (Path(path) if path is not None
             else resources.files("bashsynth").joinpath(f"data/sandbox/{shipped}"))
-    data = json.loads(file.read_text(encoding="utf-8"))
-    return file, _expect(data, dict, f"{file}: top level")
+    return file, read_json(file)
 
 
-def _expect(value: object, shape: type, where: str):
-    """``value`` if it is a JSON object (``dict``) or array (``list``) as
-    ``shape`` says; otherwise ValueError naming ``where``."""
-    if not isinstance(value, shape):
-        kind = "object" if shape is dict else "array"
-        raise ValueError(f"{where} must be a JSON {kind}, got {type(value).__name__}")
-    return value
+_MANIFEST = {
+    "dirs": STRINGS,
+    "files": (lambda v: isinstance(v, dict) and all(isinstance(c, str) for c in v.values()),
+              "an object of strings", {}),
+}
 
 
 def load_fixture_values(path: str | Path | None = None) -> dict[str, list[str]]:
     """Concrete values per generator argument kind, shipped with the repo:
-    a JSON object mapping each pool name to an array of values."""
+    a JSON object mapping each pool name to an array of strings."""
     file, data = _load_json(path, "values.json")
-    return {str(k): [str(v) for v in _expect(vs, list, f"{file}: {k!r}")]
-            for k, vs in data.items()}
+    check_fields(data, dict.fromkeys(data, STRINGS), file)
+    return data
 
 
 def load_manifest(path: str | Path | None = None) -> dict[str, object]:
     """Workspace manifest: a JSON object whose ``dirs`` array names the
     directories to create and whose ``files`` object maps paths to contents."""
     file, data = _load_json(path, "manifest.json")
-    for key, shape in (("dirs", list), ("files", dict)):
-        _expect(data.get(key, shape()), shape, f"{file}: {key!r}")
+    check_fields(data, _MANIFEST, file)
     return data
 
 
@@ -204,23 +200,21 @@ def _blocked_reason(command: str) -> str | None:
 # Execution
 
 
-def _provision(run_dir: Path, manifest: Mapping[str, object]) -> None:
+def _provision(run_dir: Path, manifest: Mapping[str, Any]) -> None:
+    """Create ``run_dir`` and the manifest's directories and files in it,
+    after checking that no path is absolute or climbs out with ``..``."""
+    dirs, files = manifest.get("dirs", ()), manifest.get("files", {})
+    for rel in [*dirs, *files]:
+        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+            raise SandboxSetupError(f"manifest path escapes workspace: {rel}")
     try:
-        if run_dir.exists():
-            shutil.rmtree(run_dir)
         run_dir.mkdir(parents=True)
-        for rel in manifest.get("dirs", ()):  # type: ignore[union-attr]
-            rel_path = Path(str(rel))
-            if rel_path.is_absolute() or ".." in rel_path.parts:
-                raise SandboxSetupError(f"manifest path escapes workspace: {rel}")
-            (run_dir / rel_path).mkdir(parents=True, exist_ok=True)
-        for rel, content in dict(manifest.get("files", {})).items():  # type: ignore[arg-type]
-            rel_path = Path(str(rel))
-            if rel_path.is_absolute() or ".." in rel_path.parts:
-                raise SandboxSetupError(f"manifest path escapes workspace: {rel}")
-            target = run_dir / rel_path
+        for rel in dirs:
+            (run_dir / rel).mkdir(parents=True, exist_ok=True)
+        for rel, content in files.items():
+            target = run_dir / rel
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(str(content), encoding="utf-8")
+            target.write_text(content, encoding="utf-8")
     except OSError as exc:
         raise SandboxSetupError(f"cannot provision workspace {run_dir}: {exc}") from exc
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,6 +101,10 @@ def test_validate_refuses_parser_form_templates(tmp_path, capsys):
     ("validate", "--fixtures", '{"File": "temp.txt"}'),
     ("validate", "--sandbox-manifest", '{"dirs": "abc"}'),
     ("scale", "--profile", "[1]"),
+    ("validate", "--fixtures", '{"File": [1, null]}'),
+    ("validate", "--sandbox-manifest", '{"files": {"a.txt": null}}'),
+    ("scale", "--profile", '{"pipe_fraction": true}'),
+    ("scale", "--profile", "{"),
 ])
 def test_malformed_json_input_exits_1(tmp_path, capsys, stage, flag, text):
     templates = tmp_path / "templates.jsonl"
@@ -110,6 +117,23 @@ def test_malformed_json_input_exits_1(tmp_path, capsys, stage, flag, text):
                  flag, str(bad)])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_generate_refuses_mistyped_spec(tmp_path, capsys):
+    specs = tmp_path / "specs.yaml"
+    specs.write_text("name: find\ntemplate: [UTILITY, Path, FLAGS]\npipe_successors: sort\n")
+    code = main(["generate", "--specs", str(specs), "--piped", "--out", str(tmp_path / "t")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {specs}: document 0: 'pipe_successors' must be a list of strings"
+    )
+
+
+def test_cli_imports_no_requests():
+    # HTTP goes through the standard library; PyYAML is the one runtime dependency.
+    code = "import sys, bashsynth.cli; sys.exit('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bash_ast.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_validate_exec_refuses_foreign_workspace(tmp_path, monkeypatch, capsys):

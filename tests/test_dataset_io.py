@@ -109,21 +109,6 @@ class TestReadWrite:
         assert D.read_records(path) == records
 
 
-class TestTwoFileConverter:
-    def test_matched_lines(self, tmp_path):
-        (tmp_path / "nl.txt").write_text("list files\ncount lines\n")
-        (tmp_path / "cmd.txt").write_text("ls\nwc -l file\n")
-        records = D.read_two_file(tmp_path / "nl.txt", tmp_path / "cmd.txt")
-        assert [r.cmd for r in records] == ["ls", "wc -l file"]
-        assert all(r.source == "original" for r in records)
-
-    def test_length_mismatch(self, tmp_path):
-        (tmp_path / "nl.txt").write_text("one\ntwo\n")
-        (tmp_path / "cmd.txt").write_text("ls\n")
-        with pytest.raises(D.FormatError, match="line counts differ"):
-            D.read_two_file(tmp_path / "nl.txt", tmp_path / "cmd.txt")
-
-
 class TestTemplates:
     def test_round_trip(self, tmp_path, kb):
         from bashsynth.generator import generate_unpiped

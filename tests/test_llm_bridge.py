@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import http.server
 import json
+import socket
 import sys
 import threading
 import time
 
 import pytest
-import requests
 
 from bashsynth import bash_ast
 from bashsynth import llm_bridge as L
@@ -91,41 +92,127 @@ class TestGenCommands:
         assert all(e["error"] for e in session.audit)
 
 
-class TestHttpTransport:
-    def test_non_json_200_is_retried(self, monkeypatch):
-        def reply(body: bytes):
-            resp = requests.Response()
-            resp.status_code = 200
-            resp._content = body
-            return resp
+class _Endpoint(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the server's next ``(status, headers, body)``
+    and keeps ``(headers, body)`` of the request in ``server.seen``."""
 
-        good = {"choices": [{"message": {"content": "list files"}}]}
-        replies = [reply(b"<html>busy</html>"), reply(json.dumps(good).encode())]
-        monkeypatch.setattr(requests, "post", lambda *a, **kw: replies.pop(0))
-        session = L.LlmSession(
-            L.LlmConfig(endpoint="http://localhost:9/v1", backoff=0.0)
-        )
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.headers, body))
+        status, headers, reply = self.server.replies.pop(0)
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+def _completion(content) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """A loopback chat endpoint; tests queue replies in ``replies``."""
+    for var in ("NO_PROXY", "no_proxy"):
+        monkeypatch.setenv(var, "127.0.0.1,localhost")
+    monkeypatch.delenv(L.AUTH_ENV, raising=False)
+    server = http.server.HTTPServer(("127.0.0.1", 0), _Endpoint)
+    server.replies, server.seen = [], []
+    server.url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def _live(url, **config):
+    return L.LlmSession(L.LlmConfig(endpoint=url, backoff=0.0, **config))
+
+
+class TestHttpTransport:
+    def test_non_json_200_is_retried(self, endpoint):
+        endpoint.replies = [(200, {}, b"<html>busy</html>"),
+                            (200, {}, _completion("list files"))]
+        session = _live(endpoint.url)
         assert session.backtranslate("ls") == "list files"
         assert [e["attempt"] for e in session.audit] == [1, 2]
         assert "non-JSON" in session.audit[0]["error"]
         assert session.audit[1]["error"] is None
-
+        assert len(endpoint.seen) == 2
 
     @pytest.mark.parametrize(
         "status, header, expected",
         [(429, "7", 7.0), (503, "1.5", 1.5), (503, None, None),
          (503, "Wed, 21 Oct 2015 07:28:00 GMT", None), (404, "7", None)],
     )
-    def test_retry_after_on_error(self, monkeypatch, status, header, expected):
-        resp = requests.Response()
-        resp.status_code = status
-        if header is not None:
-            resp.headers["Retry-After"] = header
-        monkeypatch.setattr(requests, "post", lambda *a, **kw: resp)
-        transport = L.HttpTransport(L.LlmConfig(endpoint="http://localhost:9/v1"))
-        with pytest.raises(L.TransportError) as info:
+    def test_retry_after_on_error(self, endpoint, status, header, expected):
+        headers = {} if header is None else {"Retry-After": header}
+        endpoint.replies = [(status, headers, b"busy")]
+        transport = L.HttpTransport(L.LlmConfig(endpoint=endpoint.url))
+        with pytest.raises(L.TransportError, match=f"endpoint returned {status}") as info:
             transport.send({})
         assert info.value.retry_after == expected
+        assert len(endpoint.seen) == 1
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_auth_error_after_one_request(self, endpoint, status):
+        endpoint.replies = [(status, {}, b"denied")] * 3
+        with pytest.raises(L.AuthError, match=str(status)):
+            _live(endpoint.url, max_retries=2).backtranslate("ls")
+        assert len(endpoint.seen) == 1
+
+    @pytest.mark.parametrize("token", [None, "s3cret"])
+    def test_bearer_sent_only_with_key(self, endpoint, monkeypatch, token):
+        if token is not None:
+            monkeypatch.setenv(L.AUTH_ENV, token)
+        endpoint.replies = [(200, {}, _completion("list files"))]
+        _live(endpoint.url).backtranslate("ls")
+        (headers, _), = endpoint.seen
+        expected = None if token is None else f"Bearer {token}"
+        assert headers.get("Authorization") == expected
+
+    def test_body_is_payload_json(self, endpoint):
+        endpoint.replies = [(200, {}, _completion("list files"))]
+        payload = {"model": "m", "messages": [{"role": "user", "content": "ls é"}],
+                   "temperature": 0.0}
+        assert L.HttpTransport(L.LlmConfig(endpoint=endpoint.url)).send(payload) == (
+            "list files")
+        (headers, body), = endpoint.seen
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == payload
+
+    @pytest.mark.parametrize("content", [None, 7, ["ls"]], ids=["null", "number", "list"])
+    def test_content_not_text_is_retried(self, endpoint, content):
+        endpoint.replies = [(200, {}, _completion(content))] * 3
+        session = _live(endpoint.url, max_retries=2)
+        with pytest.raises(L.TransportError, match="retries exhausted"):
+            session.backtranslate("ls")
+        assert len(endpoint.seen) == 3
+        assert all("malformed completion response" in e["error"] for e in session.audit)
+
+    def test_refused_connection_raises_transport_error(self, monkeypatch):
+        with socket.socket() as sock:  # a port nothing listens on once closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        for var in ("NO_PROXY", "no_proxy"):
+            monkeypatch.setenv(var, "127.0.0.1,localhost")
+        session = _live(f"http://127.0.0.1:{port}/v1", max_retries=1)
+        with pytest.raises(L.TransportError, match="retries exhausted"):
+            session.backtranslate("ls")
+        assert [e["attempt"] for e in session.audit] == [1, 2]
+        assert all(e["error"] for e in session.audit)
+
+    @pytest.mark.parametrize("url", ["", "ftp2://host/v1", "http://127.0.0.1:port/v1"])
+    def test_bad_url_raises_transport_error(self, url):
+        with pytest.raises(L.TransportError):
+            L.HttpTransport(L.LlmConfig(endpoint=url)).send({})
 
 
 class _BusyOnce:
@@ -163,6 +250,16 @@ class TestBacktranslate:
     def test_empty_command_rejected(self, replay_entries):
         with pytest.raises(ValueError):
             _session(replay_entries).backtranslate("  ")
+
+    def test_blank_translation_names_its_command(self, tmp_path):
+        log, out = tmp_path / "log.jsonl", tmp_path / "records.jsonl"
+        transport = ScriptedTransport(["list files", " \n\t\n"])
+        session = L.LlmSession(L.LlmConfig(concurrency=1), transport, log_path=log)
+        with pytest.raises(L.TransportError, match="^empty translation for 'du -sh x'$"):
+            session.backtranslate_records(["ls", "du -sh x"], out)
+        assert [json.loads(line)["nl"] for line in out.read_text().splitlines()] == [
+            "list files"]
+        assert [e["response"] for e in _lines(log)] == ["list files", " \n\t\n"]
 
     def test_uses_translation_temperature(self, replay_entries):
         session = _session(replay_entries)

@@ -66,6 +66,8 @@ class TestProfile:
         ('{"proportions": [1]}', "'proportions'"),
         ('{"proportions": {"find": [1]}}', "'find'"),
         ('{"pipe_fraction": "half"}', "'pipe_fraction'"),
+        ('{"proportions": {"find": "0.5"}}', "'find'"),
+        ('{"pipe_fraction": true}', "'pipe_fraction'"),
     ])
     def test_load_profile_refuses_malformed_shapes(self, tmp_path, text, key):
         path = tmp_path / "profile.json"

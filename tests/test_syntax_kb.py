@@ -54,6 +54,27 @@ def test_unknown_arg_kind_rejected(tmp_path):
         K.load_specs(path)
 
 
+MISTYPED = {
+    "pipe_successors": "pipe_successors: sort",  # not the successors s, o, r, t
+    "needs_review": "needs_review: 'no'",  # not True
+    "name": "name: 123",  # not "123"
+    "template": "template: UTILITY",
+    "flags": "flags: [-a]",
+    "token": "flags:\n  - {token: 1}",
+    "arg": "flags:\n  - {token: -x, arg: [File]}",
+}
+
+
+@pytest.mark.parametrize("field, text", MISTYPED.items(), ids=list(MISTYPED))
+def test_mistyped_field_rejected(tmp_path, field, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text if field == "name" else f"name: find\n{text}\n")
+    with pytest.raises(K.SchemaError) as exc:
+        K.load_specs(path)
+    assert str(exc.value).startswith(f"{path}: document 0: ")
+    assert f"'{field}' must be" in str(exc.value)
+
+
 def test_duplicate_flags_rejected(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text('name: ls\nflags:\n  - {token: "-a"}\n  - {token: "-a"}\n')

@@ -25,6 +25,7 @@ class TestLoaders:
     @pytest.mark.parametrize("data, key", [
         (["temp.txt"], "top level"),
         ({"File": "temp.txt"}, "'File'"),
+        ({"File": [1, None]}, "'File'"),
     ])
     def test_fixture_values_refuse_malformed_shapes(self, tmp_path, data, key):
         path = tmp_path / "values.json"
@@ -37,6 +38,8 @@ class TestLoaders:
         ([], "top level"),
         ({"dirs": "abc"}, "'dirs'"),
         ({"files": ["a.txt"]}, "'files'"),
+        ({"dirs": [None]}, "'dirs'"),
+        ({"files": {"a.txt": None}}, "'files'"),
     ])
     def test_manifest_refuses_malformed_shapes(self, tmp_path, data, key):
         path = tmp_path / "manifest.json"
@@ -304,6 +307,18 @@ class TestSubprocess:
             V.run_batch(["ls"], self._config(tmp_path))
         assert (workspace / "notes.txt").read_text() == "mine"
         assert sorted(p.name for p in workspace.iterdir()) == ["notes.txt"]
+
+    @pytest.mark.parametrize("escape", ["dirs", "files"])
+    def test_manifest_paths_stay_in_the_run_directory(self, tmp_path, escape):
+        outside = tmp_path / "outside.txt"
+        manifest = ({"dirs": ["abc", "../x"]} if escape == "dirs"
+                    else {"dirs": ["abc"], "files": {"a.txt": "a\n", str(outside): "x\n"}})
+        config = self._config(tmp_path, manifest=manifest)
+        with pytest.raises(V.SandboxSetupError, match="manifest path escapes workspace"):
+            V.run_batch(["ls"], config)
+        # a refused manifest provisions nothing, inside the workspace or out
+        made = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert made == ["ws", f"ws/{V.WORKSPACE_MARKER}"]
 
     def test_own_workspace_is_cleared(self, tmp_path):
         workspace = tmp_path / "ws"
