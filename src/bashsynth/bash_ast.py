@@ -14,6 +14,7 @@ typed values back into placeholder slots.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -21,7 +22,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 __all__ = [
     "ParseError",
     "PlaceholderKind",
-    "ParamContext",
     "UtilityHints",
     "ParamNode",
     "FlagNode",
@@ -71,16 +71,6 @@ PRESERVED_LITERALS = frozenset({"{}", ">", "-"})
 
 _EXEC_FLAGS = frozenset({"-exec", "-ok", "-execdir", "-okdir"})
 _EXEC_CLOSERS = frozenset({"\\;", "+"})
-
-
-@dataclass(frozen=True)
-class ParamContext:
-    """Where a parameter literal occurs: owning utility, nearest flag, and an
-    argument kind declared by a syntax spec (if any)."""
-
-    utility: str = ""
-    flag: str = ""
-    declared: PlaceholderKind | None = None
 
 
 @dataclass(frozen=True)
@@ -250,38 +240,40 @@ def _last_segment(literal: str) -> str:
     return literal.rsplit("/", 1)[-1]
 
 
-def categorize(literal: str, context: ParamContext | None = None) -> PlaceholderKind:
+def categorize(literal: str, *, utility: str = "", flag: str = "",
+               declared: PlaceholderKind | None = None) -> PlaceholderKind:
     """Assign a placeholder kind to a parameter literal.
 
+    The context is where the literal occurs: its owning ``utility``, the
+    nearest ``flag`` and a kind ``declared`` by a syntax spec, if any.
     Total and deterministic. Rules fire in a fixed order: placeholder
-    tokens keep their own kind, a kind declared by the syntax spec wins,
-    then literal shape rules (digits, size/time suffixes, dates, paths,
-    file extensions), with REGEX as the fallback.
+    tokens keep their own kind, a declared kind wins, then literal shape
+    rules (digits, size/time suffixes, dates, paths, file extensions), with
+    REGEX as the fallback.
     """
     if not literal:
         return PlaceholderKind.REGEX
     if literal in PLACEHOLDER_BY_TOKEN:
         return PLACEHOLDER_BY_TOKEN[literal]
-    ctx = context or ParamContext()
-    if ctx.declared is not None:
-        return ctx.declared
+    if declared is not None:
+        return declared
 
     if literal.isascii() and literal.isdigit():
         # Octal mode strings under chmod-like context take priority over the
         # plain number rule; otherwise 3-4 digit octals would be unreachable.
         if (
-            (ctx.utility in _PERMISSION_UTILITIES or ctx.flag in _PERMISSION_FLAGS)
+            (utility in _PERMISSION_UTILITIES or flag in _PERMISSION_FLAGS)
             and 3 <= len(literal) <= 4
             and all(c in "01234567" for c in literal)
         ):
             return PlaceholderKind.PERMISSION
         return PlaceholderKind.NUMBER
 
-    size_context = ctx.flag in _SIZE_FLAGS or "size" in ctx.flag
+    size_context = flag in _SIZE_FLAGS or "size" in flag
     if size_context and _SIZE_LITERAL.fullmatch(literal):
         return PlaceholderKind.SIZE
 
-    time_context = ctx.flag in _TIME_FLAGS or "time" in ctx.flag
+    time_context = flag in _TIME_FLAGS or "time" in flag
     if time_context and _TIMESPAN_LITERAL.fullmatch(literal):
         return PlaceholderKind.TIMESPAN
 
@@ -291,7 +283,7 @@ def categorize(literal: str, context: ParamContext | None = None) -> Placeholder
     if literal in (".", "..", "~") or (
         "/" in literal and not _EXTENSION.search(_last_segment(literal))
     ):
-        if ctx.flag in _DIRECTORY_FLAGS or literal.endswith("/"):
+        if flag in _DIRECTORY_FLAGS or literal.endswith("/"):
             return PlaceholderKind.DIRECTORY
         return PlaceholderKind.PATH
 
@@ -421,7 +413,7 @@ def _parse_stage(
         flag_ctx = (
             prev.token if isinstance(prev, FlagNode) and prev.arg is None else ""
         )
-        cat = categorize(tok, ParamContext(utility=name, flag=flag_ctx, declared=declared))
+        cat = categorize(tok, utility=name, flag=flag_ctx, declared=declared)
         items.append(ParamNode(tok, cat))
         if tok == ">":
             after_redirect = True
@@ -443,9 +435,8 @@ def _parse_flag(
     if tok.startswith("--") and "=" in tok:
         flag_token, value = tok.split("=", 1)
         declared = util_hints.flag_args.get(flag_token) if util_hints else None
-        arg = ParamNode(
-            value, categorize(value, ParamContext(utility, flag_token, declared))
-        )
+        arg = ParamNode(value, categorize(value, utility=utility, flag=flag_token,
+                                          declared=declared))
         return [FlagNode(flag_token, arg, glued=True)], i + 1
 
     def attach_arg(flag_token: str) -> ParamNode | None:
@@ -457,7 +448,8 @@ def _parse_flag(
         if _is_flag(nxt) or nxt in _EXEC_FLAGS or nxt.startswith("$("):
             return None
         declared = util_hints.flag_args[flag_token]
-        return ParamNode(nxt, categorize(nxt, ParamContext(utility, flag_token, declared)))
+        return ParamNode(nxt, categorize(nxt, utility=utility, flag=flag_token,
+                                         declared=declared))
 
     if util_hints is not None and tok not in util_hints.known_flags:
         cluster = _expand_cluster(tok, util_hints)
@@ -555,12 +547,16 @@ def templatize(ast: BashAst) -> BashAst:
     return BashAst(stages=stages)
 
 
-def _quote_if_needed(value: str) -> str:
-    if not value or any(c.isspace() for c in value):
-        if "'" not in value:
-            return f"'{value}'"
-        return '"' + value + '"'
-    return value
+# A fill value bash would not read back as the very same word: empty, a
+# flag, a comment, or holding whitespace, a quote, an expansion or an operator.
+_UNSAFE_VALUE = re.compile(r"""\A(?:[-#]|\Z)|[\s'"\\$`|&;<>()]""")
+
+
+def _quote(value: str) -> str:
+    """``value`` as one shell word: bare if plain, else single-quoted."""
+    if _UNSAFE_VALUE.search(value) is None:
+        return value
+    return "'" + value.replace("'", "'\\''") + "'"
 
 
 def fill(
@@ -568,26 +564,23 @@ def fill(
 ) -> tuple[str, int]:
     """Fill placeholder slots with typed values, left to right.
 
-    Each placeholder consumes the first unconsumed value of matching kind.
-    Placeholders with no matching value stay in place; the second element
-    of the result counts them. Partial fill is a legitimate outcome.
+    Each placeholder takes the first value of its kind not yet taken, as
+    one shell word: a plain value (``*.txt``, ``/tmp/x``) stays bare, any
+    other is single-quoted. Placeholders with no matching value stay in
+    place; the second element of the result counts them. Partial fill is a
+    legitimate outcome.
     """
-    pool: list[tuple[PlaceholderKind, str, bool]] = [
-        (kind, literal, False) for kind, literal in values
-    ]
-    used = [False] * len(pool)
+    queues: dict[PlaceholderKind, deque[str]] = {}
+    for kind, literal in values:
+        queues.setdefault(kind, deque()).append(literal)
     unfilled = 0
 
     def consume(p: ParamNode) -> ParamNode:
         nonlocal unfilled
-        if p.literal not in PLACEHOLDER_BY_TOKEN:
-            return p
-        kind = PLACEHOLDER_BY_TOKEN[p.literal]
-        for idx, (vkind, literal, _) in enumerate(pool):
-            if not used[idx] and vkind == kind:
-                used[idx] = True
-                return ParamNode(_quote_if_needed(literal), kind)
-        unfilled += 1
+        kind = PLACEHOLDER_BY_TOKEN.get(p.literal)
+        if kind is not None and queues.get(kind):
+            return ParamNode(_quote(queues[kind].popleft()), kind)
+        unfilled += kind is not None
         return p
 
     stages = tuple(_map_params(s, consume) for s in ast.stages)

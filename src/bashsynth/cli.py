@@ -296,30 +296,40 @@ def cmd_import_man(args: argparse.Namespace) -> int:
 # Parser
 
 
+def _config_type(action: argparse.Action) -> tuple:
+    """The ``check_fields`` entry a --config value for ``action`` must pass."""
+    if action.nargs == 0:  # a switch
+        return (lambda v: isinstance(v, bool)), "true or false", None
+    if isinstance(action, argparse._AppendAction):
+        return dataset_io.STRINGS
+    if action.choices:
+        return action.choices.__contains__, f"one of {', '.join(action.choices)}", None
+    if action.type is int:
+        return (lambda v: type(v) is int), "an integer", None
+    if action.type is float:
+        return (lambda v: type(v) in (int, float)), "a number", None
+    return (lambda v: isinstance(v, str)), "a string", None
+
+
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bashsynth",
         description="Synthesize, validate, scale, and score Bash command datasets.",
-        epilog="--config FILE loads a JSON object whose keys mirror flag names "
-        "(dashes as underscores) and act as defaults; explicit flags win, and "
-        "a key no subcommand defines is an error. "
+        epilog="--config FILE loads a JSON object whose keys are flag names "
+        "(--head-limit as head_limit) and whose values, of the option's type, "
+        "act as defaults; explicit flags win, and a key no subcommand defines "
+        "is an error. "
         "Secrets come from the environment, never from flags or config.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    config_defaults = {
-        key.replace("-", "_"): value
-        for key, value in (config or {}).items()
-        if key not in ("func", "subcommand")
-    }
 
-    def add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    def add_specs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--specs", default=None, help="utility spec file or directory")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("generate", help="enumerate command templates from specs")
-    add_common(p)
+    add_specs(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--utility", action="append", help="limit to this utility (repeatable)")
     p.add_argument("--limit", type=int, default=None, help="templates per utility")
     p.add_argument("--piped", action="store_true", help="also generate pipe combinations")
@@ -329,7 +339,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("validate", help="instantiate templates and check execution")
-    add_common(p, seed=False)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--survivors", default=None, help="write valid templates here")
@@ -343,9 +352,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("scale", help="match templates to a utility distribution")
-    add_common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", default=None, help="distribution profile JSON")
     p.add_argument("--tolerance", type=float, default=scaler_mod.DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_scale)
@@ -380,26 +389,26 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("score", help="score predictions against references")
-    add_common(p, seed=False)
+    add_specs(p)
     p.add_argument("--ref", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("stats", help="corpus statistics of records or templates")
-    add_common(p, seed=False)
+    add_specs(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("templatize", help="replace parameters with placeholders")
-    add_common(p, seed=False)
+    add_specs(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_templatize)
 
     p = sub.add_parser("fill", help="fill placeholders from the NL sentence")
-    add_common(p, seed=False)
+    add_specs(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fill)
@@ -410,15 +419,25 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_import_man)
 
-    known = {a.dest for p in sub.choices.values() for a in p._actions}
-    unknown = sorted(set(config_defaults) - known)
+    # A config key is a flag name, dashes as underscores. Its value must
+    # have the type of the first option of that name (generate's --utility,
+    # a list) and becomes the default of every option of that name it fits,
+    # so it also stands in for a required one (--in).
+    config = {key.replace("-", "_"): value for key, value in (config or {}).items()}
+    options = [(flag[2:].replace("-", "_"), action)
+               for p in sub.choices.values() for action in p._actions
+               for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"]
+    schema: dict[str, tuple] = {}
+    for key, action in options:
+        schema.setdefault(key, _config_type(action))
+    unknown = sorted(set(config) - set(schema))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    # config values become defaults everywhere; applied last so they also
-    # rebind the defaults of already-registered options
-    if config_defaults:
-        for subparser in sub.choices.values():
-            subparser.set_defaults(**config_defaults)
+    dataset_io.check_fields(config, {key: schema[key] for key in config}, "config")
+    for key, action in options:
+        if key in config and _config_type(action)[0](config[key]):
+            action.default, action.required = config[key], False
 
     return parser
 
@@ -430,10 +449,7 @@ def _split_config(argv: list[str]) -> tuple[list[str], dict]:
     at = argv.index("--config")
     if at + 1 >= len(argv):
         raise ValueError("--config requires a file argument")
-    data = json.loads(Path(argv[at + 1]).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return argv[:at] + argv[at + 2:], data
+    return argv[:at] + argv[at + 2:], dataset_io.read_json(Path(argv[at + 1]))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -441,20 +457,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv, config = _split_config(argv)
         parser = build_parser(config)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (
-        bash_ast.ParseError,
-        dataset_io.FormatError,
-        syntax_kb.SchemaError,
         validator.SandboxSetupError,
         llm_bridge.AuthError,
         llm_bridge.TransportError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

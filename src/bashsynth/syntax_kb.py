@@ -13,7 +13,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import yaml
 
@@ -28,7 +28,6 @@ __all__ = [
     "UtilitySpec",
     "SyntaxKb",
     "PLACEHOLDER_RE",
-    "rewrite_placeholders",
     "load_specs",
     "save_specs",
     "import_manpage",
@@ -87,34 +86,17 @@ _GEN_BY_VALUE = {kind.value: kind for kind in GenArgKind}
 # "File" -> "_FILE", for rewriting generator templates into parser form.
 _TOKEN_BY_BRACKET = {kind.value: kind.parser.token for kind in GenArgKind}
 
-# A placeholder in template text: a bracket name (group 1 is "File" in
-# "[File]") or a parser token ("_FILE") not glued to a preceding word
-# character or bracket. Both branches start with a literal, which lets the
-# regex engine skip ahead to "[" or "_" instead of trying every position.
-PLACEHOLDER_RE = re.compile(r"\[([A-Za-z]+)\]|_(?<![\w\[]_)[A-Z]+\b")
-
-
-def rewrite_placeholders(text: str, swap: Callable[[str], str | None]) -> str:
-    """Rewrite every placeholder in ``text`` in one left-to-right pass.
-
-    ``swap`` gets the bracket name ("File" for ``[File]``) or the parser
-    token ("_FILE"); a string replaces the placeholder, None keeps it.
-    """
-
-    def sub(m: re.Match[str]) -> str:
-        new = swap(m[1] or m[0])
-        return m[0] if new is None else new
-
-    return PLACEHOLDER_RE.sub(sub, text)
+# A generator placeholder in template text; group 1 is "File" in "[File]".
+# Parser tokens ("_FILE") are words only bash_ast reads as placeholders.
+PLACEHOLDER_RE = re.compile(r"\[([A-Za-z]+)\]")
 
 
 def to_parser_template(command: str) -> str:
     """Rewrite generator placeholders ("[File]") to parser tokens ("_FILE").
 
-    Unknown bracket names and parser tokens are kept, so the rewrite is
-    idempotent.
+    Unknown bracket names are kept, so the rewrite is idempotent.
     """
-    return rewrite_placeholders(command, _TOKEN_BY_BRACKET.get)
+    return PLACEHOLDER_RE.sub(lambda m: _TOKEN_BY_BRACKET.get(m[1], m[0]), command)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Any, Mapping, Sequence
 
 from . import bash_ast
 from .dataset_io import STRINGS, check_fields, read_json
-from .syntax_kb import rewrite_placeholders
+from .syntax_kb import PLACEHOLDER_RE
 
 __all__ = [
     "MissingFixture",
@@ -141,12 +141,18 @@ def instantiate(template: str, fixtures: Mapping[str, Sequence[str]]) -> str:
     A placeholder draws from the pool its name names: ``[File]`` from
     ``File``. Values are drawn round-robin per pool, left to right; unlike
     partial template fill, full replacement is required here. Raises
-    :class:`MissingFixture` when a needed pool has no values, so a parser
-    token (``_PATH``), which names no pool, raises with its own name.
+    :class:`MissingFixture` when a needed pool has no values. Parser-form
+    text is refused before any draw: the first word that is a parser token
+    (``_PATH``) raises with its own name. Other words (``_HOME``) are
+    literals, as :func:`bash_ast.templatize` reads them.
     """
+    for word in template.split():
+        if word in bash_ast.PLACEHOLDER_BY_TOKEN:
+            raise MissingFixture(word)
     counters: dict[str, int] = {}
 
-    def draw(name: str) -> str:
+    def draw(m: re.Match[str]) -> str:
+        name = m[1]
         values = fixtures.get(name)
         if not values:
             raise MissingFixture(name)
@@ -154,7 +160,7 @@ def instantiate(template: str, fixtures: Mapping[str, Sequence[str]]) -> str:
         counters[name] = idx + 1
         return values[idx % len(values)]
 
-    return rewrite_placeholders(template, draw)
+    return PLACEHOLDER_RE.sub(draw, template)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +270,8 @@ def _run_one(
         wall = time.perf_counter() - start
         return ValidationResult(command, TIMEOUT, wall, False, note="killed")
 
-    verdict = status == 0 and wall <= config.timeout
-    return ValidationResult(command, status, wall, verdict)
+    # a command that was not killed finished in time: the verdict is its exit
+    return ValidationResult(command, status, wall, status == 0)
 
 
 def run_batch(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shlex
 import sys
 import threading
 import time
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bashsynth import bash_ast as B
-from bashsynth.bash_ast import ParamContext, ParseError, PlaceholderKind, UtilityHints
+from bashsynth.bash_ast import ParseError, PlaceholderKind, UtilityHints
 
 
 def _oracle_scan_tokens(source: str) -> tuple[list[str], int]:
@@ -203,22 +204,24 @@ class TestCategorize:
         assert B.categorize("/var/log/syslog.1") is PlaceholderKind.FILE
 
     def test_declared_kind_wins(self):
-        ctx = ParamContext(declared=PlaceholderKind.DIRECTORY)
-        assert B.categorize("abc", ctx) is PlaceholderKind.DIRECTORY
+        assert (
+            B.categorize("abc", declared=PlaceholderKind.DIRECTORY)
+            is PlaceholderKind.DIRECTORY
+        )
 
     def test_permission_in_chmod_context(self):
         assert (
-            B.categorize("755", ParamContext(utility="chmod"))
+            B.categorize("755", utility="chmod")
             is PlaceholderKind.PERMISSION
         )
         # outside a permission context digits stay numbers
         assert B.categorize("755") is PlaceholderKind.NUMBER
 
     def test_size_and_timespan_need_flag_context(self):
-        assert B.categorize("10k", ParamContext(flag="-size")) is PlaceholderKind.SIZE
+        assert B.categorize("10k", flag="-size") is PlaceholderKind.SIZE
         assert B.categorize("10k") is PlaceholderKind.REGEX
         assert (
-            B.categorize("5d", ParamContext(flag="-mtime")) is PlaceholderKind.TIMESPAN
+            B.categorize("5d", flag="-mtime") is PlaceholderKind.TIMESPAN
         )
 
     def test_datetime(self):
@@ -232,8 +235,8 @@ class TestCategorize:
         assert B.categorize("_PATH") is PlaceholderKind.PATH
 
     def test_deterministic(self):
-        ctx = ParamContext(utility="find", flag="-size")
-        assert B.categorize("1k", ctx) is B.categorize("1k", ctx)
+        ctx = {"utility": "find", "flag": "-size"}
+        assert B.categorize("1k", **ctx) is B.categorize("1k", **ctx)
 
 
 class TestTemplatize:
@@ -302,6 +305,42 @@ class TestFill:
             B.parse("grep _REGEX temp.txt"), [(PlaceholderKind.REGEX, "foo bar")]
         )
         assert filled == "grep 'foo bar' temp.txt"
+
+    def test_values_queue_per_kind(self):
+        ast = B.parse("cp _FILE _PATH _FILE")
+        values = [(PlaceholderKind.FILE, "a.txt"), (PlaceholderKind.PATH, "dir"),
+                  (PlaceholderKind.FILE, "b.txt"), (PlaceholderKind.PATH, "spare")]
+        assert B.fill(ast, values) == ("cp a.txt dir b.txt", 0)
+
+    @pytest.mark.parametrize("value, word", [
+        ("*.txt", "*.txt"), ("/tmp/x", "/tmp/x"), ("10k", "10k"),
+        ("", "''"), ("-v", "'-v'"), ("#x", "'#x'"),
+        ("a|b", "'a|b'"), ("x;rm", "'x;rm'"), ("a>b", "'a>b'"),
+        ("a'b c\"d", "'a'\\''b c\"d'"),
+        ("it's $(reboot) now", "'it'\\''s $(reboot) now'"),
+    ])
+    def test_value_fills_as_one_shell_word(self, value, word):
+        template = B.templatize(B.parse("grep foo a.txt"))
+        filled = B.fill(template, [(PlaceholderKind.REGEX, value)])
+        assert filled == (f"grep {word} _FILE", 1)
+
+    # Printable single-line text, weighted towards shell metacharacters.
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(
+        st.sampled_from(list(" \t'\"\\$`|&;<>()-#*?~{}[]!=")),
+        st.characters(blacklist_categories=("Cs", "Cc")),
+    )))
+    @example("a|b")
+    @example("x;rm")
+    @example("a'b c\"d")
+    @example("it's $(reboot) now")
+    def test_filled_value_parses_back_to_itself(self, value):
+        template = B.templatize(B.parse("grep foo a.txt"))
+        filled, unfilled = B.fill(template, [(PlaceholderKind.REGEX, value)])
+        assert unfilled == 1
+        (stage,) = B.parse(filled).stages
+        assert shlex.split(stage.params[0].literal) == [value]
+        assert stage.params[1].literal == "_FILE"
 
     def test_fill_then_templatize_recovers_template(self, hints):
         template = B.parse("cd _DIRECTORY", hints)

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from bashsynth import bash_ast
+from bashsynth import bash_ast, cli
 from bashsynth import dataset_io as D
 from bashsynth import llm_bridge as L
 from bashsynth.cli import EXEC_OPT_IN_ENV, main
@@ -627,3 +630,67 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     assert "no_such_key" in err and "parser_form" in err
     assert not out.exists()
     assert not (tmp_path / "t.jsonl.manifest.json").exists()
+
+
+def test_config_keys_are_flag_names(tmp_path, capsys):
+    templates = tmp_path / "t.jsonl"
+    assert main(["generate", "--utility", "cd", "--out", str(templates)]) == 0
+    config = tmp_path / "config.json"
+    # --in and --exec, not their destinations infile and exec_; a config
+    # value also stands in for a required option
+    config.write_text(json.dumps({"in": str(templates), "exec": False, "timeout": 1}))
+    count = len(D.read_templates(templates))
+    capsys.readouterr()
+    assert main(["--config", str(config), "stats"]) == 0
+    assert f"total: {count}\n" in capsys.readouterr().out
+    out = tmp_path / "r.jsonl"
+    assert main(["--config", str(config), "validate", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == count
+
+
+@pytest.mark.parametrize("key, value, want", [
+    ("piped", "no", "true or false"),
+    ("limit", [1], "an integer"),
+    ("limit", True, "an integer"),
+    ("seed", 1.5, "an integer"),
+    ("timeout", "1", "a number"),
+    ("utility", "ls", "a list of strings"),
+    ("format", "xml", "one of text, json"),
+    ("specs", 3, "a string"),
+])
+def test_config_value_must_have_its_option_type(tmp_path, capsys, key, value, want):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "t.jsonl"
+    code = main(["--config", str(config), "generate", "--utility", "ls",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: config: {key!r} must be {want}, not {value!r}\n")
+    assert not out.exists()
+
+
+def test_os_errors_exit_with_one_line(tmp_path, capsys):
+    directory = tmp_path / "d"
+    directory.mkdir()
+    assert main(["stats", "--in", str(directory)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["--config", str(directory), "stats", "--in", str(directory)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_every_option_is_read_by_its_handler():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, sub in subparsers.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        if "_make_session(" in source:
+            source += inspect.getsource(cli._make_session)
+        unread += [f"{name} {action.option_strings[-1]}" for action in sub._actions
+                   if action.dest != "help"
+                   and not re.search(rf"\bargs\.{action.dest}\b", source)]
+    assert unread == []

@@ -99,7 +99,7 @@ class TestPlaceholderKinds:
                 slots = _declared_slots(stage, hints)
                 # every placeholder sits in a declared slot, and every
                 # declared positional slot holds one
-                assert len(slots) == len(PLACEHOLDER_RE.findall(text)), text
+                assert len(slots) == len(PLACEHOLDER_RE.findall(cmd.cmd)), text
                 params = [it for it in stage.items if isinstance(it, bash_ast.ParamNode)]
                 assert len(params) == len(spec.positional_kinds), text
                 for param, declared in slots:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -70,6 +71,15 @@ class TestInstantiate:
             V.instantiate("find _PATH -name _REGEX", fixtures)
         assert exc.value.kind == "_PATH"
 
+    def test_unknown_parser_like_word_is_a_literal(self, fixtures):
+        # bash_ast reads _HOME as a plain word too
+        assert V.instantiate("echo _HOME", fixtures) == "echo _HOME"
+
+    def test_parser_form_refused_before_any_draw(self):
+        with pytest.raises(V.MissingFixture) as exc:
+            V.instantiate("cp [Gizmo] _FILE _PATH", {})
+        assert exc.value.kind == "_FILE"
+
     def test_deterministic(self, fixtures):
         template = "cp [File] [Path]"
         assert V.instantiate(template, fixtures) == V.instantiate(template, fixtures)
@@ -121,23 +131,22 @@ def _text(tokens) -> str:
 
 
 def _oracle_instantiate(tokens, fixtures) -> str:
-    """Token by token: each known placeholder takes its pool's next value."""
+    """A parser token the parser knows is refused before any draw, naming
+    the first; then, token by token, each bracket takes its pool's next
+    value. Other words, unknown parser-like tokens included, are literals."""
+    for tag, v in tokens:
+        if tag == "parser" and v in PARSER_TOKENS:
+            raise V.MissingFixture(v)
     used: dict[str, int] = {}
     out = []
     for tag, v in tokens:
-        if tag == "bracket":
-            pool = v
-        elif tag == "parser":
-            pool = v  # a parser token names its own pool
-        else:
-            pool = None
-        if pool is None:
+        if tag != "bracket":
             out.append(v)
             continue
-        if not fixtures.get(pool):
-            raise V.MissingFixture(pool)
-        out.append(fixtures[pool][used.get(pool, 0) % len(fixtures[pool])])
-        used[pool] = used.get(pool, 0) + 1
+        if not fixtures.get(v):
+            raise V.MissingFixture(v)
+        out.append(fixtures[v][used.get(v, 0) % len(fixtures[v])])
+        used[v] = used.get(v, 0) + 1
     return " ".join(out)
 
 
@@ -212,6 +221,16 @@ class TestSubprocess:
         results = V.run_batch(["cat no_such_file"], self._config(tmp_path))
         assert results[0].verdict is False
         assert results[0].exit_status not in (0, V.TIMEOUT)
+
+    def test_exit_0_before_the_kill_is_valid(self, tmp_path, monkeypatch):
+        # Popen.wait polls, so an exit late in the last poll interval is seen
+        # only at the deadline; a wall time above the timeout must not turn
+        # a command that exited 0 unkilled into a failure.
+        ticks = itertools.count(0.0, 10.0)
+        monkeypatch.setattr(V.time, "perf_counter", lambda: next(ticks))
+        [result] = V.run_batch(["true"], self._config(tmp_path, timeout=0.5))
+        assert result.wall_time > 0.5
+        assert (result.exit_status, result.verdict, result.note) == (0, True, "")
 
     def test_timeout_enforced(self, tmp_path):
         results = V.run_batch(["sleep 5"], self._config(tmp_path))
