@@ -34,6 +34,7 @@ __all__ = [
     "categorize",
     "templatize",
     "fill",
+    "quote",
     "vocabulary",
 ]
 
@@ -552,7 +553,7 @@ def templatize(ast: BashAst) -> BashAst:
 _UNSAFE_VALUE = re.compile(r"""\A(?:[-#]|\Z)|[\s'"\\$`|&;<>()]""")
 
 
-def _quote(value: str) -> str:
+def quote(value: str) -> str:
     """``value`` as one shell word: bare if plain, else single-quoted."""
     if _UNSAFE_VALUE.search(value) is None:
         return value
@@ -579,7 +580,7 @@ def fill(
         nonlocal unfilled
         kind = PLACEHOLDER_BY_TOKEN.get(p.literal)
         if kind is not None and queues.get(kind):
-            return ParamNode(_quote(queues[kind].popleft()), kind)
+            return ParamNode(quote(queues[kind].popleft()), kind)
         unfilled += kind is not None
         return p
 

@@ -2,8 +2,12 @@
 
 Each subcommand reads and writes the line-delimited formats from
 dataset_io, so stages compose: generate -> validate -> scale ->
-backtranslate -> split -> score/stats. Every output file gets a sibling
-``<name>.manifest.json`` recording how it was produced.
+backtranslate -> split -> score/stats. A handler does its work, prints
+its summary line and returns; :func:`main` alone turns a failure into one
+``error:`` line and an exit code (2 for a :class:`UsageError` refusal
+before any work, 1 for any other fault) and, after a success, gives every
+output file a sibling ``<name>.manifest.json`` recording how it was
+produced.
 """
 
 from __future__ import annotations
@@ -26,9 +30,14 @@ EXEC_OPT_IN_ENV = "BASHSYNTH_ALLOW_EXEC"
 
 _INPUT_ARGS = ("infile", "ref", "pred", "man", "replay", "specs", "profile",
                "fixtures", "sandbox_manifest")
+_OUTPUT_ARGS = ("out", "survivors", "train", "test")
 
 
-def _write_manifest(out_path: Path, subcommand: str, args: argparse.Namespace) -> None:
+class UsageError(Exception):
+    """The run was refused before any work; :func:`main` exits 2."""
+
+
+def _write_manifest(out_path: Path, args: argparse.Namespace) -> None:
     overrides = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
@@ -40,7 +49,7 @@ def _write_manifest(out_path: Path, subcommand: str, args: argparse.Namespace) -
         if getattr(args, name, None) is not None
     ]
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "inputs": inputs,
         "output": str(out_path),
         "seed": getattr(args, "seed", None),
@@ -66,15 +75,14 @@ def _parse_record(path: str, number: int, cmd: str, hints) -> bash_ast.BashAst:
 # Subcommands
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace) -> None:
     kb = syntax_kb.SyntaxKb.load(args.specs)
-    names = args.utility or list(kb.utilities)
+    names = args.utility or kb.utilities
+    unknown = [name for name in names if kb.get(name) is None]
+    if unknown:
+        raise UsageError(f"unknown utility {unknown[0]!r}")
     commands: list[dataset_io.TemplateEntry] = []
-    for name in names:
-        spec = kb.get(name)
-        if spec is None:
-            print(f"error: unknown utility {name!r}", file=sys.stderr)
-            return 2
+    for spec in map(kb.get, names):
         commands.extend(generator.generate_unpiped(spec, args.limit, args.seed))
         if args.piped:
             for successor in spec.pipe_successors:
@@ -88,21 +96,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 )
     result = generator.dedup(commands)
     dataset_io.write_templates(result.commands, args.out)
-    _write_manifest(Path(args.out), "generate", args)
     print(f"wrote {len(result.commands)} templates to {args.out}")
-    return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> None:
     if args.exec_ and os.environ.get(EXEC_OPT_IN_ENV) != "1":
-        print(
+        raise UsageError(
             "refusing to execute commands: set "
             f"{EXEC_OPT_IN_ENV}=1 to confirm you understand that generated "
             "commands run on this machine (isolated workspace, deny-list, "
-            f"{validator.DEFAULT_TIMEOUT_SECONDS}s timeout)",
-            file=sys.stderr,
+            f"{validator.DEFAULT_TIMEOUT_SECONDS}s timeout)"
         )
-        return 2
 
     entries = dataset_io.read_templates(args.infile)
     fixtures = validator.load_fixture_values(args.fixtures)
@@ -113,8 +117,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         try:
             concrete.append(validator.instantiate(entry.cmd, fixtures))
         except validator.MissingFixture as exc:
-            print(f"error: {entry.id}: {exc}", file=sys.stderr)
-            return 1
+            raise ValueError(f"{entry.id}: {exc}") from None
 
     config = validator.SandboxConfig(
         workspace=Path(args.workspace),
@@ -130,21 +133,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     dataset_io.write_lines(
         ({**vars(r), "wall_time": round(r.wall_time, 4)} for r in results), args.out
     )
-    _write_manifest(Path(args.out), "validate", args)
-
     if args.survivors:
         dataset_io.write_templates(
             (e for e, r in zip(entries, results) if r.verdict), args.survivors
         )
-        _write_manifest(Path(args.survivors), "validate", args)
 
     rate = sum(r.verdict for r in results) / len(results) if results else 0.0
     label = "validity" if args.exec_ else "parse"
     print(f"{label} rate: {rate:.1%} over {len(results)} commands")
-    return 0
 
 
-def cmd_scale(args: argparse.Namespace) -> int:
+def cmd_scale(args: argparse.Namespace) -> None:
     entries = dataset_io.read_templates(args.infile)
     profile = scaler_mod.load_profile(args.profile or scaler_mod.default_profile_path())
     try:
@@ -152,17 +151,14 @@ def cmd_scale(args: argparse.Namespace) -> int:
             entries, profile, seed=args.seed, tolerance=args.tolerance
         )
     except scaler_mod.InfeasibleProfile as exc:
-        print(f"error: infeasible profile: {exc}", file=sys.stderr)
-        return 1
+        raise scaler_mod.InfeasibleProfile(f"infeasible profile: {exc}") from None
     # The scaler reads heads from metadata (or the bracket text, which
     # parses to the same heads), so only the kept templates are rewritten.
     dataset_io.write_templates(
         (dataclasses.replace(e, cmd=syntax_kb.to_parser_template(e.cmd)) for e in scaled),
         args.out,
     )
-    _write_manifest(Path(args.out), "scale", args)
     print(f"kept {len(scaled)} of {len(entries)} templates")
-    return 0
 
 
 def _make_session(args: argparse.Namespace) -> llm_bridge.LlmSession:
@@ -175,50 +171,38 @@ def _make_session(args: argparse.Namespace) -> llm_bridge.LlmSession:
     if args.replay:
         transport = llm_bridge.ReplayTransport(args.replay)
     elif not args.endpoint:
-        print("error: --endpoint or --replay is required", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError("--endpoint or --replay is required")
     return llm_bridge.LlmSession(config, transport, log_path=args.audit_log)
 
 
-def cmd_backtranslate(args: argparse.Namespace) -> int:
+def cmd_backtranslate(args: argparse.Namespace) -> None:
     session = _make_session(args)
     entries = dataset_io.read_templates(args.infile)
     records = session.backtranslate_records([e.cmd for e in entries], args.out)
-    _write_manifest(Path(args.out), "backtranslate", args)
     print(f"backtranslated {len(records)} commands")
-    return 0
 
 
-def cmd_llm_pipeline(args: argparse.Namespace) -> int:
+def cmd_llm_pipeline(args: argparse.Namespace) -> None:
     session = _make_session(args)
     records = session.pipeline(args.n, out_path=args.out)
-    _write_manifest(Path(args.out), "llm-pipeline", args)
     print(f"pipeline produced {len(records)} records from {args.n} prompts")
-    return 0
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> None:
     records = dataset_io.read_records(args.infile)
     train, test = dataset_io.split_records(records, args.fraction, args.seed)
     dataset_io.write_records(train, args.train)
     dataset_io.write_records(test, args.test)
-    _write_manifest(Path(args.train), "split", args)
-    _write_manifest(Path(args.test), "split", args)
     print(f"split {len(records)} records into {len(train)} train / {len(test)} test")
-    return 0
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> None:
     hints = syntax_kb.SyntaxKb.load(args.specs).parser_hints()
     refs = dataset_io.read_records(args.ref)
 
     preds = dataset_io.read_predictions(args.pred)
     if len(refs) != len(preds):
-        print(
-            f"error: {len(refs)} reference records vs {len(preds)} predictions",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"{len(refs)} reference records vs {len(preds)} predictions")
 
     pairs = [
         metrics.score_pair(_parse_record(args.ref, n, ref.cmd, hints), candidates, hints)
@@ -230,10 +214,9 @@ def cmd_score(args: argparse.Namespace) -> int:
         print(json.dumps({"accuracy_pct": accuracy, "pairs": len(pairs)}))
     else:
         print(f"{accuracy:.2f}%")
-    return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> None:
     hints = syntax_kb.SyntaxKb.load(args.specs).parser_hints()
     report = dataset_io.stats(dataset_io.read_commands(args.infile), hints)
     if args.format == "json":
@@ -244,10 +227,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print(f"{key}: {d[key]}")
         for utility, count in list(report.utility_counts.items())[:20]:
             print(f"  {utility}: {count}")
-    return 0
 
 
-def cmd_templatize(args: argparse.Namespace) -> int:
+def cmd_templatize(args: argparse.Namespace) -> None:
     hints = syntax_kb.SyntaxKb.load(args.specs).parser_hints()
     out = [
         dataclasses.replace(r, cmd=bash_ast.render(
@@ -256,12 +238,10 @@ def cmd_templatize(args: argparse.Namespace) -> int:
         for n, r in enumerate(dataset_io.read_records(args.infile), 1)
     ]
     dataset_io.write_records(out, args.out)
-    _write_manifest(Path(args.out), "templatize", args)
     print(f"templatized {len(out)} records")
-    return 0
 
 
-def cmd_fill(args: argparse.Namespace) -> int:
+def cmd_fill(args: argparse.Namespace) -> None:
     hints = syntax_kb.SyntaxKb.load(args.specs).parser_hints()
     records = dataset_io.read_records(args.infile)
     filled_records = []
@@ -273,23 +253,15 @@ def cmd_fill(args: argparse.Namespace) -> int:
         total_unfilled += unfilled
         filled_records.append(dataclasses.replace(record, cmd=filled))
     dataset_io.write_records(filled_records, args.out)
-    _write_manifest(Path(args.out), "fill", args)
     print(f"filled {len(filled_records)} records, {total_unfilled} placeholders left")
-    return 0
 
 
-def cmd_import_man(args: argparse.Namespace) -> int:
+def cmd_import_man(args: argparse.Namespace) -> None:
     text = Path(args.man).read_text(encoding="utf-8")
-    try:
-        spec = syntax_kb.import_manpage(text, args.utility)
-    except syntax_kb.ManpageImportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = syntax_kb.import_manpage(text, args.utility)
     syntax_kb.save_specs([spec], args.out)
-    _write_manifest(Path(args.out), "import-man", args)
     review = " (needs review)" if spec.needs_review else ""
     print(f"imported {len(spec.flags)} flags for {spec.name}{review}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +424,23 @@ def _split_config(argv: list[str]) -> tuple[list[str], dict]:
     return argv[:at] + argv[at + 2:], dataset_io.read_json(Path(argv[at + 1]))
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv, config = _split_config(argv)
         parser = build_parser(config)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+    except UsageError as exc:
+        return _error(exc, 2)
     except (
         validator.SandboxSetupError,
         llm_bridge.AuthError,
@@ -470,8 +448,11 @@ def main(argv: list[str] | None = None) -> int:
         OSError,
         ValueError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
+    for name in _OUTPUT_ARGS:
+        if getattr(args, name, None):
+            _write_manifest(Path(getattr(args, name)), args)
+    return 0
 
 
 if __name__ == "__main__":

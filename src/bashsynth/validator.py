@@ -60,6 +60,9 @@ class MissingFixture(KeyError):
         self.kind = kind
 
     def __str__(self) -> str:
+        if self.kind in bash_ast.PLACEHOLDER_BY_TOKEN:
+            return (f"{self.kind!r} is a parser placeholder: validate fills "
+                    "generate's bracket templates ([File]), not scale output")
         return f"no fixture values for argument kind {self.kind!r}"
 
 
@@ -121,10 +124,12 @@ _MANIFEST = {
 
 def load_fixture_values(path: str | Path | None = None) -> dict[str, list[str]]:
     """Concrete values per generator argument kind, shipped with the repo:
-    a JSON object mapping each pool name to an array of strings."""
+    a JSON object mapping each pool name to an array of strings. Each value
+    is returned as one shell word (:func:`bash_ast.quote`), so ``a b``
+    fills a slot as ``'a b'``."""
     file, data = _load_json(path, "values.json")
     check_fields(data, dict.fromkeys(data, STRINGS), file)
-    return data
+    return {kind: [bash_ast.quote(v) for v in values] for kind, values in data.items()}
 
 
 def load_manifest(path: str | Path | None = None) -> dict[str, object]:

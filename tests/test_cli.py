@@ -97,7 +97,11 @@ def test_validate_refuses_parser_form_templates(tmp_path, capsys):
     code = main(["validate", "--in", str(scaled), "--out", str(tmp_path / "r.jsonl"),
                  "--workspace", str(tmp_path / "ws")])
     assert code == 1
-    assert "no fixture values for argument kind '_" in capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: [0-9a-f]{12}: '_[A-Z]+' is a parser placeholder: validate fills "
+        r"generate's bracket templates \(\[File\]\), not scale output\n",
+        capsys.readouterr().err,
+    )
 
 
 @pytest.mark.parametrize("stage, flag, text", [
@@ -568,9 +572,12 @@ def test_rpm_below_one_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+_MAN_PAGE = "OPTIONS\n  -r, --recursive\n      copy directories recursively\n"
+
+
 def test_import_man_subcommand(tmp_path):
     man = tmp_path / "cp.txt"
-    man.write_text("OPTIONS\n  -r, --recursive\n      copy directories recursively\n")
+    man.write_text(_MAN_PAGE)
     out = tmp_path / "cp.yaml"
     assert main(["import-man", "--man", str(man), "--utility", "cp", "--out", str(out)]) == 0
     from bashsynth.syntax_kb import load_specs
@@ -599,6 +606,104 @@ def test_every_output_has_manifest(tmp_path):
     assert manifest["subcommand"] == "generate"
     assert manifest["tool_version"]
     assert manifest["timestamp"]
+
+
+@pytest.mark.parametrize("subcommand", [
+    "generate", "validate", "scale", "split", "templatize", "fill", "import-man",
+    "backtranslate", "llm-pipeline", "stats", "score",
+])
+def test_each_output_gets_its_subcommands_manifest(tmp_path, subcommand):
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    templates, records = inputs / "templates.jsonl", inputs / "records.jsonl"
+    cmds = ["ls -la", "sort [File]"]
+    D.write_templates([D.TemplateEntry(id=str(i), cmd=c, utilities=(c.split()[0],))
+                       for i, c in enumerate(cmds)], templates)
+    _write_dataset(records, [("list", "ls -la"), ("sort /tmp/a.txt", "sort _FILE")])
+    profile, man = inputs / "profile.json", inputs / "cp.txt"
+    profile.write_text('{"proportions": {}}')
+    man.write_text(_MAN_PAGE)
+    translations, pipeline = inputs / "translations.jsonl", inputs / "pipeline.jsonl"
+    _write_log(translations, [_translate_entry(c, f"nl {c}") for c in cmds])
+    _write_log(pipeline, make_replay_entries())
+
+    def o(name: str) -> str:
+        return str(out / name)
+
+    argv, outputs = {
+        "generate": (["--utility", "ls", "--limit", "3", "--out", o("t.jsonl")],
+                     ["t.jsonl"]),
+        "validate": (["--in", str(templates), "--out", o("r.jsonl"),
+                      "--survivors", o("s.jsonl"), "--workspace", str(tmp_path / "ws")],
+                     ["r.jsonl", "s.jsonl"]),
+        "scale": (["--in", str(templates), "--out", o("s.jsonl"),
+                   "--profile", str(profile)], ["s.jsonl"]),
+        "split": (["--in", str(records), "--train", o("a.jsonl"), "--test", o("b.jsonl")],
+                  ["a.jsonl", "b.jsonl"]),
+        "templatize": (["--in", str(records), "--out", o("t.jsonl")], ["t.jsonl"]),
+        "fill": (["--in", str(records), "--out", o("f.jsonl")], ["f.jsonl"]),
+        "import-man": (["--man", str(man), "--utility", "cp", "--out", o("cp.yaml")],
+                       ["cp.yaml"]),
+        "backtranslate": (["--in", str(templates), "--out", o("d.jsonl"),
+                           "--replay", str(translations)], ["d.jsonl"]),
+        "llm-pipeline": (["--n", "10", "--out", o("d.jsonl"), "--replay", str(pipeline)],
+                         ["d.jsonl"]),
+        "stats": (["--in", str(records)], []),
+        "score": (["--ref", str(records), "--pred", str(records)], []),
+    }[subcommand]
+    assert main([subcommand, *argv]) == 0
+    assert sorted(p.name for p in tmp_path.rglob("*.manifest.json")) == sorted(
+        f"{name}.manifest.json" for name in outputs)
+    for name in outputs:
+        manifest = json.loads((out / f"{name}.manifest.json").read_text())
+        assert (manifest["subcommand"], manifest["output"]) == (subcommand, o(name))
+
+
+@pytest.mark.parametrize("case", [
+    "unknown utility", "exec without opt-in", "backtranslate without endpoint",
+    "llm-pipeline without endpoint", "infeasible profile", "count mismatch",
+    "man page without flags", "parser-form validate",
+])
+def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.delenv(EXEC_OPT_IN_ENV, raising=False)
+    templates, parser_form = tmp_path / "templates.jsonl", tmp_path / "parser.jsonl"
+    D.write_templates([D.TemplateEntry(id="x", cmd="ls -la", utilities=("ls",))], templates)
+    D.write_templates([D.TemplateEntry(id="y", cmd="ls _FILE", utilities=("ls",))],
+                      parser_form)
+    ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+    _write_dataset(ref, [("list", "ls"), ("list", "ls")])
+    _write_dataset(pred, [("list", "ls")])
+    profile, man = tmp_path / "profile.json", tmp_path / "cp.txt"
+    profile.write_text(json.dumps({"proportions": {}, "pipe_fraction": 0.5}))
+    man.write_text("nothing here\n")
+    out = str(tmp_path / "out.jsonl")
+    code, want, argv = {
+        "unknown utility": (2, "unknown utility 'frobnicate'",
+                            ["generate", "--utility", "frobnicate", "--out", out]),
+        "exec without opt-in": (2, f"refusing to execute commands: set {EXEC_OPT_IN_ENV}=1",
+                                ["validate", "--in", str(templates), "--out", out, "--exec",
+                                 "--workspace", str(tmp_path / "ws")]),
+        "backtranslate without endpoint": (2, "--endpoint or --replay is required",
+                                           ["backtranslate", "--in", str(templates),
+                                            "--out", out]),
+        "llm-pipeline without endpoint": (2, "--endpoint or --replay is required",
+                                          ["llm-pipeline", "--n", "2", "--out", out]),
+        "infeasible profile": (1, "infeasible profile: pipe_fraction: ",
+                               ["scale", "--in", str(templates), "--out", out,
+                                "--profile", str(profile)]),
+        "count mismatch": (1, "2 reference records vs 1 predictions",
+                           ["score", "--ref", str(ref), "--pred", str(pred)]),
+        "man page without flags": (1, "cp: no flag definitions found",
+                                   ["import-man", "--man", str(man), "--utility", "cp",
+                                    "--out", out]),
+        "parser-form validate": (1, "y: '_FILE' is a parser placeholder: ",
+                                 ["validate", "--in", str(parser_form), "--out", out]),
+    }[case]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and want in err
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 def test_config_file_sets_defaults(tmp_path):

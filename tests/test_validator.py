@@ -80,6 +80,13 @@ class TestInstantiate:
             V.instantiate("cp [Gizmo] _FILE _PATH", {})
         assert exc.value.kind == "_FILE"
 
+    def test_loaded_values_fill_as_one_shell_word(self, tmp_path):
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps({"Pattern": ["a b", "x|y"], "File": ["t.txt"]}))
+        command = V.instantiate("grep [Pattern] [Pattern] [File]", V.load_fixture_values(path))
+        assert command == "grep 'a b' 'x|y' t.txt"
+        assert len(parse(command).stages) == 1
+
     def test_deterministic(self, fixtures):
         template = "cp [File] [Path]"
         assert V.instantiate(template, fixtures) == V.instantiate(template, fixtures)
