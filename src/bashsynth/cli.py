@@ -38,11 +38,12 @@ class UsageError(Exception):
 
 
 def _write_manifest(out_path: Path, args: argparse.Namespace) -> None:
-    overrides = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k != "func" and v is not None
-    }
+    # An option's built-in default is the one it has without --config, so
+    # a value that differs from it came from the command line or the config.
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    builtin = {a.dest: a.default for a in subparsers.choices[args.subcommand]._actions}
+    overrides = {k: v for k, v in vars(args).items() if k in builtin and v != builtin[k]}
     inputs = [
         str(getattr(args, name))
         for name in _INPUT_ARGS
@@ -145,7 +146,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
 
 def cmd_scale(args: argparse.Namespace) -> None:
     entries = dataset_io.read_templates(args.infile)
-    profile = scaler_mod.load_profile(args.profile or scaler_mod.default_profile_path())
+    profile = scaler_mod.load_profile(args.profile)
     try:
         scaled = scaler_mod.scale(
             entries, profile, seed=args.seed, tolerance=args.tolerance
@@ -297,7 +298,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_specs(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--specs", default=None, help="utility spec file or directory")
+        p.add_argument("--specs", default=str(syntax_kb.default_specs_path()),
+                       help="utility spec file or directory (default: %(default)s)")
 
     p = sub.add_parser("generate", help="enumerate command templates from specs")
     add_specs(p)
@@ -318,8 +320,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                    help=f"really execute (requires {EXEC_OPT_IN_ENV}=1)")
     p.add_argument("--workspace", default=".bashsynth_sandbox")
     p.add_argument("--timeout", type=float, default=validator.DEFAULT_TIMEOUT_SECONDS)
-    p.add_argument("--fixtures", default=None, help="fixture values JSON")
-    p.add_argument("--sandbox-manifest", default=None, help="workspace manifest JSON")
+    p.add_argument("--fixtures", default=str(validator.DEFAULT_FIXTURES),
+                   help="fixture values JSON (default: %(default)s)")
+    p.add_argument("--sandbox-manifest", default=str(validator.DEFAULT_MANIFEST),
+                   help="workspace manifest JSON (default: %(default)s)")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_validate)
 
@@ -327,7 +331,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", default=None, help="distribution profile JSON")
+    p.add_argument("--profile", default=str(scaler_mod.default_profile_path()),
+                   help="distribution profile JSON (default: %(default)s)")
     p.add_argument("--tolerance", type=float, default=scaler_mod.DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_scale)
 

@@ -12,7 +12,8 @@ reads the ``cmd`` of either kind, ``read_predictions`` a ``score``
 prediction file and ``read_exchanges`` an LLM exchange log. ``read_json``
 and ``check_fields`` serve the JSON and YAML documents other modules load
 (fixtures, manifest, profile, specs): a value of the wrong type raises
-FormatError naming the file and the key.
+FormatError naming the file and the key. ``shipped`` is the path of a
+data file shipped with the package, the default of each such input.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -32,6 +34,7 @@ __all__ = [
     "STRINGS",
     "check_fields",
     "read_json",
+    "shipped",
     "DatasetRecord",
     "TemplateEntry",
     "encode_line",
@@ -186,16 +189,21 @@ def check_fields(obj: Mapping, schema: Mapping, path: str | Path | None = None,
     return values
 
 
-def read_json(file) -> dict:
-    """The JSON object in ``file``, a path or a package resource."""
+def read_json(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``."""
     try:
-        data = json.loads(file.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON
-        raise FormatError(f"not JSON: {exc}", file) from None
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+        raise FormatError(f"not JSON: {exc}", path) from None
     if not isinstance(data, dict):
         raise FormatError(f"top level must be a JSON object, got {type(data).__name__}",
-                          file)
+                          path)
     return data
+
+
+def shipped(name: str) -> Path:
+    """The path of ``data/<name>``, a file shipped with the package."""
+    return Path(resources.files("bashsynth").joinpath(f"data/{name}"))
 
 
 def _checked(path: str | Path, schema: dict) -> Iterator[list]:

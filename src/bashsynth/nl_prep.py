@@ -10,44 +10,30 @@ uses, so the output feeds straight into template filling.
 from __future__ import annotations
 
 import re
-from importlib import resources
-from pathlib import Path
 
 from .bash_ast import PlaceholderKind, categorize
+from .dataset_io import shipped
 
-__all__ = ["load_stopwords", "load_lemma_exceptions", "preprocess",
-           "lemmatize", "extract_params"]
+__all__ = ["preprocess", "lemmatize", "extract_params"]
 
 _STRIP_CHARS = "\"'().,;:!?"
 
 
-def _load_wordlist(name: str, path: str | Path | None) -> frozenset[str]:
-    if path is None:
-        text = resources.files("bashsynth").joinpath(f"data/{name}").read_text(
-            encoding="utf-8"
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+def _load_wordlist(name: str) -> frozenset[str]:
+    """The words of the shipped list ``name``, one a line, ``#`` comments skipped."""
+    text = shipped(name).read_text(encoding="utf-8")
     return frozenset(
         line.strip() for line in text.splitlines()
         if line.strip() and not line.startswith("#")
     )
 
 
-def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    return _load_wordlist("stopwords.txt", path)
+_STOPWORDS = _load_wordlist("stopwords.txt")
+_LEMMA_EXCEPTIONS = _load_wordlist("lemma_exceptions.txt")
 
 
-def load_lemma_exceptions(path: str | Path | None = None) -> frozenset[str]:
-    return _load_wordlist("lemma_exceptions.txt", path)
-
-
-_STOPWORDS = load_stopwords()
-_LEMMA_EXCEPTIONS = load_lemma_exceptions()
-
-
-def _lemma_step(word: str, exceptions: frozenset[str]) -> str:
-    if word in exceptions or len(word) <= 3:
+def _lemma_step(word: str) -> str:
+    if word in _LEMMA_EXCEPTIONS or len(word) <= 3:
         return word
     if word.endswith("'s"):
         return word[:-2]
@@ -76,22 +62,17 @@ def _lemma_step(word: str, exceptions: frozenset[str]) -> str:
     return word
 
 
-def lemmatize(word: str, exceptions: frozenset[str] | None = None) -> str:
+def lemmatize(word: str) -> str:
     """Strip plural/-ing/-ed suffixes, iterated to a fixed point."""
-    exceptions = _LEMMA_EXCEPTIONS if exceptions is None else exceptions
     for _ in range(4):
-        reduced = _lemma_step(word, exceptions)
+        reduced = _lemma_step(word)
         if reduced == word:
             return word
         word = reduced
     return word
 
 
-def preprocess(
-    sentence: str,
-    stopwords: frozenset[str] | None = None,
-    exceptions: frozenset[str] | None = None,
-) -> list[str]:
+def preprocess(sentence: str, stopwords: frozenset[str] | None = None) -> list[str]:
     """Lowercase, lemmatize, and stop-filter one sentence. Idempotent."""
     stopwords = _STOPWORDS if stopwords is None else stopwords
     tokens = []
@@ -99,7 +80,7 @@ def preprocess(
         token = raw.strip(_STRIP_CHARS)
         if not token or token in stopwords:
             continue
-        token = lemmatize(token, exceptions)
+        token = lemmatize(token)
         if token and token not in stopwords:
             tokens.append(token)
     return tokens

@@ -14,12 +14,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence, TypeVar
 
 from . import bash_ast
-from .dataset_io import check_fields, read_json
+from .dataset_io import check_fields, read_json, shipped
 
 __all__ = [
     "InfeasibleProfile",
@@ -76,7 +75,7 @@ def load_profile(path: str | Path) -> DistributionProfile:
 
 
 def default_profile_path() -> Path:
-    return Path(resources.files("bashsynth").joinpath("data/profiles/original.json"))
+    return shipped("profiles/original.json")
 
 
 def _head_and_piped(item: object) -> tuple[str, bool] | None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -18,7 +17,7 @@ from typing import Iterable, Mapping
 import yaml
 
 from .bash_ast import PlaceholderKind, UtilityHints
-from .dataset_io import REQUIRED, STRINGS, FormatError, check_fields
+from .dataset_io import REQUIRED, STRINGS, FormatError, check_fields, shipped
 
 __all__ = [
     "SchemaError",
@@ -180,34 +179,30 @@ def _spec_from_doc(doc: object, where: str) -> UtilitySpec:
 
 
 def load_specs(path: str | Path) -> list[UtilitySpec]:
-    """Load utility specs from a YAML file or a directory of YAML files."""
+    """Load utility specs from a YAML file or a directory of YAML files;
+    each utility name may appear once among them all."""
     path = Path(path)
-    if path.is_dir():
-        specs: list[UtilitySpec] = []
-        for child in sorted(path.glob("*.yaml")) + sorted(path.glob("*.yml")):
-            specs.extend(load_specs(child))
-        _check_duplicates(specs)
-        return specs
+    files = (sorted(path.glob("*.yaml")) + sorted(path.glob("*.yml")) if path.is_dir()
+             else [path])
+    specs: dict[str, UtilitySpec] = {}
+    for file in files:
+        for spec in _read_specs(file):
+            if spec.name in specs:
+                raise SchemaError(f"duplicate utility spec: {spec.name}", file)
+            specs[spec.name] = spec
+    return list(specs.values())
 
+
+def _read_specs(path: Path) -> list[UtilitySpec]:
     try:
         docs = list(yaml.safe_load_all(path.read_text(encoding="utf-8")))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # not YAML, too deep
         raise SchemaError(f"{path}: not valid YAML: {exc}") from None
-    specs = [
+    return [
         _spec_from_doc(doc, f"{path}: document {ordinal}")
         for ordinal, doc in enumerate(docs)
         if doc is not None
     ]
-    _check_duplicates(specs)
-    return specs
-
-
-def _check_duplicates(specs: Iterable[UtilitySpec]) -> None:
-    seen: set[str] = set()
-    for spec in specs:
-        if spec.name in seen:
-            raise SchemaError(f"duplicate utility spec: {spec.name}")
-        seen.add(spec.name)
 
 
 def save_specs(specs: Iterable[UtilitySpec], path: str | Path) -> None:
@@ -231,7 +226,7 @@ def save_specs(specs: Iterable[UtilitySpec], path: str | Path) -> None:
 
 
 def default_specs_path() -> Path:
-    return Path(resources.files("bashsynth").joinpath("data/specs/core.yaml"))
+    return shipped("specs/core.yaml")
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +234,14 @@ def default_specs_path() -> Path:
 
 
 class SyntaxKb:
-    """Immutable lookup over a set of utility specs."""
+    """Immutable lookup over a set of utility specs with distinct names."""
 
     def __init__(self, specs: Iterable[UtilitySpec]):
-        specs = list(specs)
-        _check_duplicates(specs)
         self._by_name: dict[str, UtilitySpec] = {s.name: s for s in specs}
 
     @classmethod
-    def load(cls, path: str | Path | None = None) -> "SyntaxKb":
-        return cls(load_specs(path if path is not None else default_specs_path()))
+    def load(cls, path: str | Path = default_specs_path()) -> "SyntaxKb":
+        return cls(load_specs(path))
 
     @property
     def utilities(self) -> tuple[str, ...]:

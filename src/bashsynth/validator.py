@@ -21,12 +21,11 @@ import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from . import bash_ast
-from .dataset_io import STRINGS, check_fields, read_json
+from .dataset_io import STRINGS, check_fields, read_json, shipped
 from .syntax_kb import PLACEHOLDER_RE
 
 __all__ = [
@@ -47,6 +46,8 @@ TIMEOUT = "TIMEOUT"
 SPAWN_FAIL = "SPAWN_FAIL"
 
 DEFAULT_TIMEOUT_SECONDS = 0.5
+DEFAULT_FIXTURES = shipped("sandbox/values.json")
+DEFAULT_MANIFEST = shipped("sandbox/manifest.json")
 
 # Marks a workspace root run_batch created; it clears no other non-empty one.
 WORKSPACE_MARKER = ".bashsynth-workspace"
@@ -107,14 +108,6 @@ class RateTable:
 # Fixtures
 
 
-def _load_json(path: str | Path | None, shipped: str) -> tuple[object, dict]:
-    """The file and its JSON object: the file at ``path``, or the shipped
-    ``data/sandbox/<shipped>``."""
-    file = (Path(path) if path is not None
-            else resources.files("bashsynth").joinpath(f"data/sandbox/{shipped}"))
-    return file, read_json(file)
-
-
 _MANIFEST = {
     "dirs": STRINGS,
     "files": (lambda v: isinstance(v, dict) and all(isinstance(c, str) for c in v.values()),
@@ -122,21 +115,20 @@ _MANIFEST = {
 }
 
 
-def load_fixture_values(path: str | Path | None = None) -> dict[str, list[str]]:
-    """Concrete values per generator argument kind, shipped with the repo:
-    a JSON object mapping each pool name to an array of strings. Each value
-    is returned as one shell word (:func:`bash_ast.quote`), so ``a b``
-    fills a slot as ``'a b'``."""
-    file, data = _load_json(path, "values.json")
-    check_fields(data, dict.fromkeys(data, STRINGS), file)
+def load_fixture_values(path: str | Path = DEFAULT_FIXTURES) -> dict[str, list[str]]:
+    """Concrete values per generator argument kind: a JSON object mapping
+    each pool name to an array of strings. Each value is returned as one
+    shell word (:func:`bash_ast.quote`), so ``a b`` fills a slot as ``'a b'``."""
+    data = read_json(path)
+    check_fields(data, dict.fromkeys(data, STRINGS), path)
     return {kind: [bash_ast.quote(v) for v in values] for kind, values in data.items()}
 
 
-def load_manifest(path: str | Path | None = None) -> dict[str, object]:
+def load_manifest(path: str | Path = DEFAULT_MANIFEST) -> dict[str, object]:
     """Workspace manifest: a JSON object whose ``dirs`` array names the
     directories to create and whose ``files`` object maps paths to contents."""
-    file, data = _load_json(path, "manifest.json")
-    check_fields(data, _MANIFEST, file)
+    data = read_json(path)
+    check_fields(data, _MANIFEST, path)
     return data
 
 

@@ -621,8 +621,13 @@ def test_each_output_gets_its_subcommands_manifest(tmp_path, subcommand):
     D.write_templates([D.TemplateEntry(id=str(i), cmd=c, utilities=(c.split()[0],))
                        for i, c in enumerate(cmds)], templates)
     _write_dataset(records, [("list", "ls -la"), ("sort /tmp/a.txt", "sort _FILE")])
-    profile, man = inputs / "profile.json", inputs / "cp.txt"
-    profile.write_text('{"proportions": {}}')
+    # the shipped profile (find 0.6344, pipes 0.3136) keeps all 16: 10 find, 5 piped
+    pool = inputs / "pool.jsonl"
+    D.write_templates([D.TemplateEntry(id=str(i), cmd=c, utilities=tuple(
+        stage.split()[0] for stage in c.split("|")))
+        for i, c in enumerate(["find [Path]"] * 5 + ["find [Path] | sort"] * 5
+                              + ["ls -la"] * 6)], pool)
+    man = inputs / "cp.txt"
     man.write_text(_MAN_PAGE)
     translations, pipeline = inputs / "translations.jsonl", inputs / "pipeline.jsonl"
     _write_log(translations, [_translate_entry(c, f"nl {c}") for c in cmds])
@@ -631,26 +636,33 @@ def test_each_output_gets_its_subcommands_manifest(tmp_path, subcommand):
     def o(name: str) -> str:
         return str(out / name)
 
-    argv, outputs = {
+    # the files each run reads, the shipped ones its options default to included
+    specs, profile, *sandbox = (str(D.shipped(name)) for name in (
+        "specs/core.yaml", "profiles/original.json", "sandbox/values.json",
+        "sandbox/manifest.json"))
+    argv, outputs, read = {
         "generate": (["--utility", "ls", "--limit", "3", "--out", o("t.jsonl")],
-                     ["t.jsonl"]),
+                     ["t.jsonl"], [specs]),
         "validate": (["--in", str(templates), "--out", o("r.jsonl"),
                       "--survivors", o("s.jsonl"), "--workspace", str(tmp_path / "ws")],
-                     ["r.jsonl", "s.jsonl"]),
-        "scale": (["--in", str(templates), "--out", o("s.jsonl"),
-                   "--profile", str(profile)], ["s.jsonl"]),
+                     ["r.jsonl", "s.jsonl"], [str(templates), *sandbox]),
+        "scale": (["--in", str(pool), "--out", o("s.jsonl")], ["s.jsonl"],
+                  [str(pool), profile]),
         "split": (["--in", str(records), "--train", o("a.jsonl"), "--test", o("b.jsonl")],
-                  ["a.jsonl", "b.jsonl"]),
-        "templatize": (["--in", str(records), "--out", o("t.jsonl")], ["t.jsonl"]),
-        "fill": (["--in", str(records), "--out", o("f.jsonl")], ["f.jsonl"]),
+                  ["a.jsonl", "b.jsonl"], [str(records)]),
+        "templatize": (["--in", str(records), "--out", o("t.jsonl")], ["t.jsonl"],
+                       [str(records), specs]),
+        "fill": (["--in", str(records), "--out", o("f.jsonl")], ["f.jsonl"],
+                 [str(records), specs]),
         "import-man": (["--man", str(man), "--utility", "cp", "--out", o("cp.yaml")],
-                       ["cp.yaml"]),
+                       ["cp.yaml"], [str(man)]),
         "backtranslate": (["--in", str(templates), "--out", o("d.jsonl"),
-                           "--replay", str(translations)], ["d.jsonl"]),
+                           "--replay", str(translations)], ["d.jsonl"],
+                          [str(templates), str(translations)]),
         "llm-pipeline": (["--n", "10", "--out", o("d.jsonl"), "--replay", str(pipeline)],
-                         ["d.jsonl"]),
-        "stats": (["--in", str(records)], []),
-        "score": (["--ref", str(records), "--pred", str(records)], []),
+                         ["d.jsonl"], [str(pipeline)]),
+        "stats": (["--in", str(records)], [], []),
+        "score": (["--ref", str(records), "--pred", str(records)], [], []),
     }[subcommand]
     assert main([subcommand, *argv]) == 0
     assert sorted(p.name for p in tmp_path.rglob("*.manifest.json")) == sorted(
@@ -658,12 +670,35 @@ def test_each_output_gets_its_subcommands_manifest(tmp_path, subcommand):
     for name in outputs:
         manifest = json.loads((out / f"{name}.manifest.json").read_text())
         assert (manifest["subcommand"], manifest["output"]) == (subcommand, o(name))
+        assert manifest["inputs"] == read
+
+
+def test_manifest_overrides_hold_values_off_their_builtin_defaults(tmp_path):
+    # Only a value that differs from its option's default without --config
+    # is an override: from the command line (--profile) or the config file
+    # (seed); tolerance set to its default, the shipped paths and the
+    # subcommand stay out.
+    templates, profile = tmp_path / "t.jsonl", tmp_path / "profile.json"
+    assert main(["generate", "--utility", "ls", "--limit", "2", "--out", str(templates)]) == 0
+    manifest = json.loads((tmp_path / "t.jsonl.manifest.json").read_text())
+    assert manifest["overrides"] == {"utility": ["ls"], "limit": 2, "out": str(templates)}
+    profile.write_text('{"proportions": {}}')
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "tolerance": 0.02}))
+    out = tmp_path / "s.jsonl"
+    assert main(["--config", str(config), "scale", "--in", str(templates),
+                 "--out", str(out), "--profile", str(profile)]) == 0
+    manifest = json.loads((tmp_path / "s.jsonl.manifest.json").read_text())
+    assert manifest["overrides"] == {"infile": str(templates), "out": str(out),
+                                     "seed": 3, "profile": str(profile)}
+    assert (manifest["subcommand"], manifest["seed"]) == ("scale", 3)
 
 
 @pytest.mark.parametrize("case", [
     "unknown utility", "exec without opt-in", "backtranslate without endpoint",
     "llm-pipeline without endpoint", "infeasible profile", "count mismatch",
-    "man page without flags", "parser-form validate",
+    "man page without flags", "parser-form validate", "deep config", "deep profile",
+    "deep fixtures", "deep specs",
 ])
 def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     monkeypatch.delenv(EXEC_OPT_IN_ENV, raising=False)
@@ -677,6 +712,10 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     profile, man = tmp_path / "profile.json", tmp_path / "cp.txt"
     profile.write_text(json.dumps({"proportions": {}, "pipe_fraction": 0.5}))
     man.write_text("nothing here\n")
+    # nested past the interpreter's recursion limit
+    deep_json, deep_yaml = tmp_path / "deep.json", tmp_path / "deep.yaml"
+    deep_json.write_text("[" * 100_000 + "]" * 100_000)
+    deep_yaml.write_text("[" * 20_000 + "]" * 20_000)
     out = str(tmp_path / "out.jsonl")
     code, want, argv = {
         "unknown utility": (2, "unknown utility 'frobnicate'",
@@ -699,6 +738,16 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
                                     "--out", out]),
         "parser-form validate": (1, "y: '_FILE' is a parser placeholder: ",
                                  ["validate", "--in", str(parser_form), "--out", out]),
+        "deep config": (2, f"{deep_json}: not JSON: maximum recursion depth",
+                        ["--config", str(deep_json), "stats", "--in", str(templates)]),
+        "deep profile": (1, f"{deep_json}: not JSON: maximum recursion depth",
+                         ["scale", "--in", str(templates), "--out", out,
+                          "--profile", str(deep_json)]),
+        "deep fixtures": (1, f"{deep_json}: not JSON: maximum recursion depth",
+                          ["validate", "--in", str(templates), "--out", out,
+                           "--fixtures", str(deep_json)]),
+        "deep specs": (1, f"{deep_yaml}: not valid YAML: maximum recursion depth",
+                       ["generate", "--specs", str(deep_yaml), "--out", out]),
     }[case]
     assert main(argv) == code
     err = capsys.readouterr().err

@@ -40,6 +40,14 @@ def test_duplicate_names_rejected(tmp_path):
         K.load_specs(path)
 
 
+def test_duplicate_names_across_files_rejected(tmp_path):
+    (tmp_path / "a.yaml").write_text("name: ls\n")
+    (tmp_path / "b.yaml").write_text("name: cd\n---\nname: ls\n")
+    with pytest.raises(K.SchemaError) as exc:
+        K.load_specs(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'b.yaml'}: duplicate utility spec: ls"
+
+
 def test_schema_error_names_field(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("name: ls\nflags:\n  - {arg: File}\n")
