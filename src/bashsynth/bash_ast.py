@@ -185,10 +185,21 @@ def _walk_nested(node: UtilityNode) -> Iterator[UtilityNode]:
 # Every piece is told apart by its first character and the loops are
 # unrolled (plain* (piece plain*)*), so a failed match backtracks in linear
 # time without possessive quantifiers, which Python 3.10 lacks.
+#
+# A command holding none of _NOT_PLAIN's characters is plain text: every
+# character is whitespace, "|" or plain, so its words are its
+# whitespace-separated runs and each "|" stands alone. str.split() and the
+# regex's \s agree on all 29 whitespace code points, so _scan_tokens splits
+# such text with str methods and skips the regex's per-character work; the
+# commands the generator makes with the shipped fixtures are all plain.
+# Quotes, escapes and substitutions need the grammar, so any other text
+# goes through _TOKEN_RE.
+_NOT_PLAIN = r"""()'"\\$;&<"""
 _SPECIAL = r"""'[^']*'|"[^"]*"|\\(?:.|\Z)|\$(?!\()"""
 _BODY = rf"""[^()'"\\$]*(?:(?:{_SPECIAL})[^()'"\\$]*)*"""
 _PIECE = rf"""{_SPECIAL}|\$\({_BODY}\)"""
-_PLAIN = r"""[^\s|()'"\\$;&<]"""
+_PLAIN = rf"[^\s|{_NOT_PLAIN}]"
+_HAS_NOT_PLAIN = re.compile(f"[{_NOT_PLAIN}]")
 _TOKEN_RE = re.compile(
     rf"(\||(?:{_PLAIN}|{_PIECE}){_PLAIN}*(?:(?:{_PIECE}){_PLAIN}*)*)", re.DOTALL
 )
@@ -207,6 +218,8 @@ _LEFTOVER_ERRORS = {
 def _scan_tokens(source: str) -> list[str]:
     """Split a command into tokens, keeping quotes and $(...) groups intact;
     a pipe is a token of its own."""
+    if not _HAS_NOT_PLAIN.search(source):
+        return source.replace("|", " | ").split()
     parts = _TOKEN_RE.split(source)
     gaps = "".join(parts[::2])
     if gaps and not gaps.isspace():
@@ -346,10 +359,10 @@ def _split_stages(tokens: list[str]) -> list[tuple[str, ...]]:
     """Split tokens at pipes; every stage must hold at least one token."""
     stages: list[tuple[str, ...]] = []
     start = 0
-    for i, tok in enumerate(tokens):
-        if tok == "|":
-            stages.append(tuple(tokens[start:i]))
-            start = i + 1
+    for _ in range(tokens.count("|")):
+        end = tokens.index("|", start)
+        stages.append(tuple(tokens[start:end]))
+        start = end + 1
     stages.append(tuple(tokens[start:]))
     if not all(stages):
         raise ParseError("pipeline stage with no utility token")

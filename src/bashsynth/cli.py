@@ -132,7 +132,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
 
     # one line per result: its fields in order, wall time rounded
     dataset_io.write_lines(
-        ({**vars(r), "wall_time": round(r.wall_time, 4)} for r in results), args.out
+        ({**r.as_dict(), "wall_time": round(r.wall_time, 4)} for r in results), args.out
     )
     if args.survivors:
         dataset_io.write_templates(

@@ -82,8 +82,8 @@ class GenArgKind(Enum):
 
 _GEN_BY_VALUE = {kind.value: kind for kind in GenArgKind}
 
-# "File" -> "_FILE", for rewriting generator templates into parser form.
-_TOKEN_BY_BRACKET = {kind.value: kind.parser.token for kind in GenArgKind}
+# ("[File]", "_FILE") per kind, for rewriting generator templates into parser form.
+_BRACKET_TOKENS = tuple((kind.bracket, kind.parser.token) for kind in GenArgKind)
 
 # A generator placeholder in template text; group 1 is "File" in "[File]".
 # Parser tokens ("_FILE") are words only bash_ast reads as placeholders.
@@ -93,9 +93,15 @@ PLACEHOLDER_RE = re.compile(r"\[([A-Za-z]+)\]")
 def to_parser_template(command: str) -> str:
     """Rewrite generator placeholders ("[File]") to parser tokens ("_FILE").
 
-    Unknown bracket names are kept, so the rewrite is idempotent.
+    Each known bracket is replaced as a plain string. That rewrites exactly
+    the ``PLACEHOLDER_RE`` matches with a known name: matches cannot
+    overlap, since a name holds no bracket, and no replacement can form a
+    new match, since every token holds "_" and no name does. Unknown
+    bracket names are kept, so the rewrite is idempotent.
     """
-    return PLACEHOLDER_RE.sub(lambda m: _TOKEN_BY_BRACKET.get(m[1], m[0]), command)
+    for bracket, token in _BRACKET_TOKENS:
+        command = command.replace(bracket, token)
+    return command
 
 
 @dataclass(frozen=True)

@@ -89,13 +89,18 @@ class SandboxConfig:
             raise ValueError("jobs must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationResult:
     command: str
     exit_status: int | str
     wall_time: float
     verdict: bool
     note: str = ""
+
+    def as_dict(self) -> dict:
+        return {"command": self.command, "exit_status": self.exit_status,
+                "wall_time": self.wall_time, "verdict": self.verdict,
+                "note": self.note}
 
 
 @dataclass(frozen=True)
@@ -136,28 +141,30 @@ def instantiate(template: str, fixtures: Mapping[str, Sequence[str]]) -> str:
     """Replace every placeholder with a concrete fixture value.
 
     A placeholder draws from the pool its name names: ``[File]`` from
-    ``File``. Values are drawn round-robin per pool, left to right; unlike
-    partial template fill, full replacement is required here. Raises
-    :class:`MissingFixture` when a needed pool has no values. Parser-form
-    text is refused before any draw: the first word that is a parser token
-    (``_PATH``) raises with its own name. Other words (``_HOME``) are
-    literals, as :func:`bash_ast.templatize` reads them.
+    ``File``. The template is split once at its placeholders
+    (``PLACEHOLDER_RE``), and each placeholder, left to right, takes its
+    pool's next value round-robin; unlike partial template fill, full
+    replacement is required here. Raises :class:`MissingFixture` when a
+    needed pool has no values. Parser-form text is refused before any draw:
+    the first word that is a parser token (``_PATH``) raises with its own
+    name. Other words (``_HOME``) are literals, as
+    :func:`bash_ast.templatize` reads them.
     """
-    for word in template.split():
-        if word in bash_ast.PLACEHOLDER_BY_TOKEN:
-            raise MissingFixture(word)
+    words = template.split()
+    if not bash_ast.PLACEHOLDER_BY_TOKEN.keys().isdisjoint(words):
+        raise MissingFixture(next(w for w in words if w in bash_ast.PLACEHOLDER_BY_TOKEN))
+    # literal text at even indices, placeholder names at odd ones
+    parts = PLACEHOLDER_RE.split(template)
     counters: dict[str, int] = {}
-
-    def draw(m: re.Match[str]) -> str:
-        name = m[1]
+    for i in range(1, len(parts), 2):
+        name = parts[i]
         values = fixtures.get(name)
         if not values:
             raise MissingFixture(name)
         idx = counters.get(name, 0)
         counters[name] = idx + 1
-        return values[idx % len(values)]
-
-    return PLACEHOLDER_RE.sub(draw, template)
+        parts[i] = values[idx % len(values)]
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -406,8 +406,12 @@ def test_property_categorize_total(literal):
 
 
 # Single characters of the alphabet a - | ( ) ' " \ $ { } ; & < space tab,
-# plus "$(" as one draw so that substitutions, nested or not, come up often.
-_TOKENIZER_CHUNKS = [*"a-|()'\"\\${};&< \t", "$("]
+# plus "$(" as one draw so that substitutions, nested or not, come up often,
+# and whitespace beyond ASCII's that str.split() and the regex's \s both
+# break at. Drawn texts with none of ( ) ' " \ $ ; & < take the plain-text
+# path, the rest the regex; the oracle holds both.
+_WHITESPACE = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+_TOKENIZER_CHUNKS = [*"a-|()'\"\\${};&< \t", "$(", *_WHITESPACE]
 
 
 @settings(max_examples=1000)
@@ -431,6 +435,24 @@ def test_property_tokenizer_matches_oracle(text):
         assert got is None
     else:
         assert got == expected
+
+
+# Text without ( ) ' " \ $ ; & <, with pipes glued to words and any whitespace.
+_PLAIN_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["a", "|", "a|b", "||", " ", "\t", *_WHITESPACE]),
+        st.characters(exclude_characters="()'\"\\$;&<", exclude_categories=("Cs",)),
+    ),
+    max_size=20,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(_PLAIN_TEXT)
+@example("a|b | c")
+@example("\u3000a\x1c|\x85b")
+def test_property_plain_text_tokens_match_regex(text):
+    assert B._scan_tokens(text) == B._TOKEN_RE.split(text)[1::2]
 
 
 @pytest.mark.parametrize(

@@ -368,16 +368,43 @@ def test_unparseable_prediction_scores_minus_one(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "-100.00%"
 
 
-def test_generate_piped_bytes_pinned(tmp_path):
+_PIPED_SHA256 = "dedebfa4442973ddc8183accafe5de0bc6bbe5a35c5e352c9e045a1e74d2134a"
+
+
+@pytest.fixture(scope="module")
+def piped_templates(tmp_path_factory):
     """Every utility and pipe pair of the shipped KB, 8 tail templates each."""
-    out = tmp_path / "t.jsonl"
+    out = tmp_path_factory.mktemp("piped") / "t.jsonl"
     assert main(
         ["generate", "--piped", "--tail-limit", "8", "--seed", "3", "--out", str(out)]
     ) == 0
-    data = out.read_bytes()
+    return out
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_generate_piped_bytes_pinned(piped_templates):
+    data = piped_templates.read_bytes()
     assert data.count(b"\n") == 27210
-    assert hashlib.sha256(data).hexdigest() == (
-        "dedebfa4442973ddc8183accafe5de0bc6bbe5a35c5e352c9e045a1e74d2134a"
+    assert hashlib.sha256(data).hexdigest() == _PIPED_SHA256
+
+
+def test_validate_and_scale_bytes_pinned(piped_templates, tmp_path):
+    """The dry-run results line holds its fields in declaration order, and
+    every template parses, so the survivors are the input."""
+    results, survivors, scaled = (tmp_path / n for n in ("r.jsonl", "s.jsonl", "x.jsonl"))
+    assert main(["validate", "--in", str(piped_templates), "--out", str(results),
+                 "--survivors", str(survivors), "--workspace", str(tmp_path / "ws")]) == 0
+    assert main(["scale", "--in", str(survivors), "--seed", "7", "--out", str(scaled)]) == 0
+    assert _sha256(results) == (
+        "452a207f308b85d44eb7c2a5b982b6697fc706ece05a167227be6ae9562e2528"
+    )
+    assert _sha256(survivors) == _PIPED_SHA256
+    assert scaled.read_bytes().count(b"\n") == 1797
+    assert _sha256(scaled) == (
+        "7588bb62d66d6503b71c1eca6c83e34cdd890449c4354a8d5b1e6632440d7989"
     )
 
 

@@ -4,11 +4,11 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bashsynth import validator as V
-from bashsynth.bash_ast import ParseError, parse
+from bashsynth.bash_ast import PLACEHOLDER_BY_TOKEN, ParseError, parse
 from bashsynth.generator import generate_unpiped
 from bashsynth.syntax_kb import PLACEHOLDER_RE, GenArgKind, to_parser_template
 
@@ -167,6 +167,44 @@ def _oracle_to_parser(tokens) -> str:
     return " ".join(out)
 
 
+def _reference_instantiate(template, fixtures) -> str:
+    """instantiate as one re.sub with a per-match callback, the form it had
+    before it split the text once; kept as a reference."""
+    for word in template.split():
+        if word in PLACEHOLDER_BY_TOKEN:
+            raise V.MissingFixture(word)
+    counters: dict[str, int] = {}
+
+    def draw(m) -> str:
+        name = m[1]
+        values = fixtures.get(name)
+        if not values:
+            raise V.MissingFixture(name)
+        idx = counters.get(name, 0)
+        counters[name] = idx + 1
+        return values[idx % len(values)]
+
+    return PLACEHOLDER_RE.sub(draw, template)
+
+
+_REFERENCE_TOKEN = {k.value: k.parser.token for k in GenArgKind}
+
+
+def _reference_to_parser(command: str) -> str:
+    """to_parser_template as one re.sub; kept as a reference."""
+    return PLACEHOLDER_RE.sub(lambda m: _REFERENCE_TOKEN.get(m[1], m[0]), command)
+
+
+# Fragments joined with no separator (whitespace is one of them), so brackets
+# touch words and each other and nest: x[File]y, [File][Path], [[File]],
+# [Fi[File]le].
+glued_st = st.lists(
+    st.sampled_from(["[File]", "[Path]", "[Quantity]", "[Gizmo]", "[", "]",
+                     "Fi", "le", "x", "_FILE", "_HOME", " ", "\t"]),
+    max_size=12,
+).map("".join)
+
+
 class TestPlaceholderOracle:
     def test_literals_hold_no_placeholder(self):
         for word in LITERALS:
@@ -189,6 +227,29 @@ class TestPlaceholderOracle:
     def test_to_parser_template(self, tokens):
         once = to_parser_template(_text(tokens))
         assert once == _oracle_to_parser(tokens)
+        assert to_parser_template(once) == once
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(glued_st, st.lists(token_st, max_size=12).map(_text)), fixtures_st())
+    @example("x[File]y [File][Path] [[File]] [Fi[File]le]", {"File": ["a", "b"], "Path": ["p"]})
+    @example("[File][Path]", {"File": ["a"], "Path": []})
+    @example("x[Gizmo]y", {})
+    def test_instantiate_matches_reference(self, text, fixtures):
+        try:
+            expected = _reference_instantiate(text, fixtures)
+        except V.MissingFixture as exc:
+            with pytest.raises(V.MissingFixture) as got:
+                V.instantiate(text, fixtures)
+            assert got.value.kind == exc.kind
+            return
+        assert V.instantiate(text, fixtures) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(glued_st, st.lists(token_st, max_size=12).map(_text)))
+    @example("x[File]y [File][Path] [[File]] [Fi[File]le] [Gizmo]")
+    def test_to_parser_template_matches_reference(self, text):
+        once = to_parser_template(text)
+        assert once == _reference_to_parser(text)
         assert to_parser_template(once) == once
 
 
