@@ -136,10 +136,6 @@ class UtilityNode:
         return tuple(out)
 
     @property
-    def params(self) -> tuple[ParamNode, ...]:
-        return tuple(it for it in self.items if isinstance(it, ParamNode))
-
-    @property
     def nested(self) -> tuple["UtilityNode", ...]:
         out: list[UtilityNode] = []
         for it in self.items:
@@ -156,9 +152,6 @@ class UtilityNode:
 @dataclass(frozen=True)
 class BashAst:
     stages: tuple[UtilityNode, ...]
-
-    def render(self) -> str:
-        return render(self)
 
     def walk_utilities(self) -> Iterator[UtilityNode]:
         """All utility nodes in document order, including nested ones."""

@@ -37,30 +37,31 @@ class UsageError(Exception):
     """The run was refused before any work; :func:`main` exits 2."""
 
 
-def _write_manifest(out_path: Path, args: argparse.Namespace) -> None:
+def _manifest(args: argparse.Namespace) -> dict:
+    """What every output of the run records; ``output`` is set per file."""
     # An option's built-in default is the one it has without --config, so
     # a value that differs from it came from the command line or the config.
+    # Inputs, outputs and the seed have fields of their own.
     (subparsers,) = [a for a in build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
     builtin = {a.dest: a.default for a in subparsers.choices[args.subcommand]._actions}
+    for name in (*_INPUT_ARGS, *_OUTPUT_ARGS, "seed"):
+        builtin.pop(name, None)
     overrides = {k: v for k, v in vars(args).items() if k in builtin and v != builtin[k]}
     inputs = [
         str(getattr(args, name))
         for name in _INPUT_ARGS
         if getattr(args, name, None) is not None
     ]
-    manifest = {
+    return {
         "subcommand": args.subcommand,
         "inputs": inputs,
-        "output": str(out_path),
+        "output": None,
         "seed": getattr(args, "seed", None),
         "overrides": overrides,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    Path(str(out_path) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def _parse_record(path: str, number: int, cmd: str, hints) -> bash_ast.BashAst:
@@ -454,9 +455,13 @@ def main(argv: list[str] | None = None) -> int:
         ValueError,
     ) as exc:
         return _error(exc, 1)
-    for name in _OUTPUT_ARGS:
-        if getattr(args, name, None):
-            _write_manifest(Path(getattr(args, name)), args)
+    outputs = [name for name in _OUTPUT_ARGS if getattr(args, name, None)]
+    manifest = _manifest(args) if outputs else {}
+    for name in outputs:
+        manifest["output"] = str(Path(getattr(args, name)))
+        Path(manifest["output"] + ".manifest.json").write_text(
+            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
+        )
     return 0
 
 

@@ -168,6 +168,8 @@ _EXCHANGE = {
     "request": (lambda v: isinstance(v, dict), "an object", REQUIRED),
     "response": (lambda v: isinstance(v, str), "a string", REQUIRED),
     "index": (lambda v: v is None or type(v) is int, "an integer or null", None),
+    "error": (lambda v: v is None or isinstance(v, str), "a string or null", None),
+    "attempt": (lambda v: v is None or type(v) is int, "an integer or null", None),
 }
 
 

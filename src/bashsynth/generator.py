@@ -39,7 +39,6 @@ class PipeError(ValueError):
 class DedupResult:
     commands: list
     duplicates: int
-    duplicate_rate: float
 
 
 def _entry(
@@ -135,5 +134,4 @@ def dedup(commands: Sequence) -> DedupResult:
             continue
         seen.add(k)
         unique.append(cmd)
-    rate = dropped / len(commands) if commands else 0.0
-    return DedupResult(commands=unique, duplicates=dropped, duplicate_rate=rate)
+    return DedupResult(commands=unique, duplicates=dropped)

@@ -206,13 +206,10 @@ def _extract_command(text: str) -> str:
     """Normalize one completion into a single command line."""
     text = text.strip()
     if "```" in text:
-        parts = text.split("```")
-        if len(parts) >= 2:
-            block = parts[1]
-            lines = block.splitlines()
-            if lines and lines[0].strip().lower() in ("bash", "sh", "shell", ""):
-                lines = lines[1:]
-            text = "\n".join(lines).strip()
+        lines = text.split("```")[1].splitlines()
+        if lines and lines[0].strip().lower() in ("bash", "sh", "shell", ""):
+            lines = lines[1:]
+        text = "\n".join(lines).strip()
     for line in text.splitlines():
         line = line.strip().strip("`")
         if line.startswith("$ "):
@@ -275,8 +272,6 @@ class LlmSession:
             start = time.perf_counter()
             try:
                 response = self.transport.send(payload)
-            except AuthError:
-                raise
             except TransportError as exc:
                 last_error = exc
                 self._log(task, payload, "", start, attempt, str(exc))

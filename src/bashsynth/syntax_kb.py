@@ -259,9 +259,6 @@ class SyntaxKb:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def __len__(self) -> int:
-        return len(self._by_name)
-
     def specs(self) -> tuple[UtilitySpec, ...]:
         return tuple(self._by_name.values())
 

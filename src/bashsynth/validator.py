@@ -20,7 +20,7 @@ import signal
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -34,12 +34,10 @@ __all__ = [
     "WORKSPACE_MARKER",
     "SandboxConfig",
     "ValidationResult",
-    "RateTable",
     "load_fixture_values",
     "load_manifest",
     "instantiate",
     "run_batch",
-    "validity_rate",
 ]
 
 TIMEOUT = "TIMEOUT"
@@ -101,12 +99,6 @@ class ValidationResult:
         return {"command": self.command, "exit_status": self.exit_status,
                 "wall_time": self.wall_time, "verdict": self.verdict,
                 "note": self.note}
-
-
-@dataclass(frozen=True)
-class RateTable:
-    overall: float
-    per_utility: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +318,3 @@ def run_batch(
         ]
         return [f.result() for f in futures]
 
-
-def validity_rate(results: Sequence[ValidationResult]) -> RateTable:
-    """Fraction of valid verdicts, overall and per head utility: the first
-    stage's utility, or the first word of a command that does not parse."""
-    if not results:
-        return RateTable(0.0, {})
-    per: dict[str, list[int]] = {}
-    valid_total = 0
-    for r in results:
-        try:
-            head = bash_ast.parse(r.command).stages[0].name
-        except bash_ast.ParseError:
-            head = next(iter(r.command.split()), "")
-        per.setdefault(head, []).append(1 if r.verdict else 0)
-        valid_total += 1 if r.verdict else 0
-    return RateTable(
-        overall=valid_total / len(results),
-        per_utility={u: sum(v) / len(v) for u, v in sorted(per.items())},
-    )

@@ -149,6 +149,12 @@ MALFORMED_LINES = [
     pytest.param("read_exchanges", "backtranslate",
                  '{"request": {"model": "default"}, "response": "x"}',
                  '{"response": "x"}', id="exchange-no-request"),
+    pytest.param("read_exchanges", "backtranslate",
+                 '{"request": {"model": "default"}, "response": "x"}',
+                 '{"request": {}, "response": "", "error": 5}', id="exchange-error-number"),
+    pytest.param("read_exchanges", "backtranslate",
+                 '{"request": {"model": "default"}, "response": "x"}',
+                 '{"request": {}, "response": "x", "attempt": "1"}', id="exchange-attempt-text"),
     pytest.param("read_templates", "scale", _TEMPLATE % '["ls"]', _TEMPLATE % "null",
                  id="utilities-null"),
     pytest.param("read_templates", "scale", _TEMPLATE % '["ls"]', _TEMPLATE % '"find"',

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bashsynth import bash_ast as B
-from bashsynth.bash_ast import ParseError, PlaceholderKind, UtilityHints
+from bashsynth import generator, validator
+from bashsynth.bash_ast import ParamNode, ParseError, PlaceholderKind, UtilityHints
+
+
+def _params(stage: B.UtilityNode) -> list[ParamNode]:
+    return [it for it in stage.items if isinstance(it, ParamNode)]
 
 
 def _oracle_scan_tokens(source: str) -> tuple[list[str], int]:
@@ -90,12 +95,12 @@ class TestParse:
         stage = ast.stages[0]
         assert stage.name == "grep"
         assert [f.token for f in stage.flags] == ["-w"]
-        assert [p.literal for p in stage.params] == ["foo", "bar"]
+        assert [p.literal for p in _params(stage)] == ["foo", "bar"]
 
     def test_piped(self):
         ast = B.parse("cat bar | grep -w foo")
         assert [s.name for s in ast.stages] == ["cat", "grep"]
-        assert [p.literal for p in ast.stages[0].params] == ["bar"]
+        assert [p.literal for p in _params(ast.stages[0])] == ["bar"]
         assert ast.stages[0].flags == ()
 
     def test_empty_input(self):
@@ -119,7 +124,7 @@ class TestParse:
     def test_quoted_or_escaped_operators_parse(self):
         ast = B.parse("find . -exec grep ';' {} \\; | grep \"a&b\" 'c<d'")
         assert [s.name for s in ast.stages] == ["find", "grep"]
-        assert [p.literal for p in ast.stages[1].params] == ['"a&b"', "'c<d'"]
+        assert [p.literal for p in _params(ast.stages[1])] == ['"a&b"', "'c<d'"]
 
     def test_flag_first_token_rejected(self):
         with pytest.raises(ParseError):
@@ -159,7 +164,7 @@ class TestParse:
 
     def test_quoted_param_kept_whole(self):
         ast = B.parse("grep 'foo bar' baz.txt")
-        assert ast.stages[0].params[0].literal == "'foo bar'"
+        assert _params(ast.stages[0])[0].literal == "'foo bar'"
 
     def test_glued_long_flag(self):
         ast = B.parse("grep --color=auto foo a.txt")
@@ -180,7 +185,7 @@ class TestParse:
         stage = ast.stages[0]
         assert [f.token for f in stage.flags] == ["-cjf"]
         assert stage.items[0].arg.literal == "backup.bz2"
-        assert stage.params[0].literal == "mydir"
+        assert _params(stage)[0].literal == "mydir"
 
 
 class TestCategorize:
@@ -339,8 +344,8 @@ class TestFill:
         filled, unfilled = B.fill(template, [(PlaceholderKind.REGEX, value)])
         assert unfilled == 1
         (stage,) = B.parse(filled).stages
-        assert shlex.split(stage.params[0].literal) == [value]
-        assert stage.params[1].literal == "_FILE"
+        assert shlex.split(_params(stage)[0].literal) == [value]
+        assert _params(stage)[1].literal == "_FILE"
 
     def test_fill_then_templatize_recovers_template(self, hints):
         template = B.parse("cd _DIRECTORY", hints)
@@ -398,6 +403,49 @@ def test_property_render_parse_stable(utility, flags, params):
     rendered = B.render(ast)
     assert B.parse(rendered) == ast
     assert B.render(B.parse(rendered)) == rendered
+
+
+@pytest.fixture(scope="module")
+def fixtures():
+    return validator.load_fixture_values()
+
+
+def _params_in_order(stages) -> list[tuple[PlaceholderKind, str]]:
+    """(kind, literal) of each parameter in the order templatize and fill
+    visit them: items, flag arguments, -exec bodies, $(...) stages."""
+    out: list[tuple[PlaceholderKind, str]] = []
+    for node in stages:
+        for it in node.items:
+            if isinstance(it, B.ExecClause):
+                out.extend(_params_in_order([it.body]))
+            elif isinstance(it, B.Substitution):
+                out.extend(_params_in_order(it.stages))
+            else:
+                param = it.arg if isinstance(it, B.FlagNode) else it
+                if param is not None and param.literal not in B.PRESERVED_LITERALS:
+                    out.append((param.category, param.literal))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_property_kb_commands_round_trip(kb, hints, fixtures, data):
+    # A shipped-KB template, unpiped or one sampled from an allowed pipe
+    # pair, filled from the shipped fixtures as validate fills it.
+    head = kb.get(data.draw(st.sampled_from(kb.utilities), label="head"))
+    tail = data.draw(st.sampled_from(
+        [None, *(s for s in head.pipe_successors if s in kb)]), label="tail")
+    if tail is None:
+        templates = generator.generate_unpiped(head)
+    else:
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        templates = generator.generate_piped(head, kb.get(tail), 1, 1, seed)
+    template = data.draw(st.sampled_from(templates), label="template")
+    ast = B.parse(validator.instantiate(template.cmd, fixtures), hints)
+    assert B.parse(B.render(ast), hints) == ast
+    template_ast = B.templatize(ast)
+    assert B.templatize(template_ast) == template_ast
+    assert B.fill(template_ast, _params_in_order(ast.stages)) == (B.render(ast), 0)
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-/*", min_size=1, max_size=12))

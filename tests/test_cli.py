@@ -702,23 +702,38 @@ def test_each_output_gets_its_subcommands_manifest(tmp_path, subcommand):
 
 def test_manifest_overrides_hold_values_off_their_builtin_defaults(tmp_path):
     # Only a value that differs from its option's default without --config
-    # is an override: from the command line (--profile) or the config file
-    # (seed); tolerance set to its default, the shipped paths and the
-    # subcommand stay out.
+    # is an override: from the command line (--utility, --tolerance) or the
+    # config file (limit). piped, which the config sets to its default,
+    # stays out, and so do the inputs, the outputs and the seed, which have
+    # fields of their own.
     templates, profile = tmp_path / "t.jsonl", tmp_path / "profile.json"
-    assert main(["generate", "--utility", "ls", "--limit", "2", "--out", str(templates)]) == 0
-    manifest = json.loads((tmp_path / "t.jsonl.manifest.json").read_text())
-    assert manifest["overrides"] == {"utility": ["ls"], "limit": 2, "out": str(templates)}
-    profile.write_text('{"proportions": {}}')
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 3, "tolerance": 0.02}))
+    config.write_text(json.dumps({"seed": 3, "limit": 2, "piped": False}))
+    assert main(["--config", str(config), "generate", "--utility", "ls",
+                 "--out", str(templates)]) == 0
+    manifest = json.loads((tmp_path / "t.jsonl.manifest.json").read_text())
+    assert manifest["overrides"] == {"utility": ["ls"], "limit": 2}
+    profile.write_text('{"proportions": {}}')
     out = tmp_path / "s.jsonl"
     assert main(["--config", str(config), "scale", "--in", str(templates),
-                 "--out", str(out), "--profile", str(profile)]) == 0
+                 "--out", str(out), "--profile", str(profile), "--tolerance", "0.5"]) == 0
     manifest = json.loads((tmp_path / "s.jsonl.manifest.json").read_text())
-    assert manifest["overrides"] == {"infile": str(templates), "out": str(out),
-                                     "seed": 3, "profile": str(profile)}
-    assert (manifest["subcommand"], manifest["seed"]) == ("scale", 3)
+    assert manifest["overrides"] == {"tolerance": 0.5}
+    assert manifest["inputs"] == [str(templates), str(profile)]
+    assert (manifest["subcommand"], manifest["output"], manifest["seed"]) == (
+        "scale", str(out), 3)
+
+
+def test_outputs_of_one_run_share_one_manifest(tmp_path):
+    templates = tmp_path / "t.jsonl"
+    D.write_templates([D.TemplateEntry(id="0", cmd="ls -la", utilities=("ls",))], templates)
+    results, survivors = tmp_path / "r.jsonl", tmp_path / "s.jsonl"
+    assert main(["validate", "--in", str(templates), "--out", str(results),
+                 "--survivors", str(survivors), "--workspace", str(tmp_path / "ws")]) == 0
+    manifests = [json.loads(Path(f"{p}.manifest.json").read_text())
+                 for p in (results, survivors)]
+    assert [m.pop("output") for m in manifests] == [str(results), str(survivors)]
+    assert manifests[0] == manifests[1]
 
 
 @pytest.mark.parametrize("case", [

@@ -104,7 +104,7 @@ def test_load_specs_from_directory(tmp_path):
 
 
 def test_shipped_kb_covers_38_utilities(kb):
-    assert len(kb) == 38
+    assert len(kb.utilities) == 38
     for name in ("find", "tar", "grep", "diff", "ls", "file", "du", "cp",
                  "xargs", "sort", "cd"):
         assert name in kb

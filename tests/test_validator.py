@@ -263,7 +263,7 @@ class TestDryRun:
     def test_all_parseable_rate_is_one(self, tmp_path):
         config = V.SandboxConfig(workspace=tmp_path / "ws")
         results = V.run_batch(["ls", "pwd", "du -s ."], config)
-        assert V.validity_rate(results).overall == 1.0
+        assert all(r.verdict for r in results)
 
 
 class TestSubprocess:
@@ -425,35 +425,6 @@ class TestSubprocess:
             if r.verdict:
                 assert r.exit_status == 0
                 assert r.wall_time <= 0.5
-
-
-class TestValidityRate:
-    def test_per_utility_rates(self):
-        results = [
-            V.ValidationResult("find .", 0, 0.1, True),
-            V.ValidationResult("find /none", 1, 0.1, False),
-            V.ValidationResult("ls", 0, 0.1, True),
-        ]
-        table = V.validity_rate(results)
-        assert table.per_utility["find"] == pytest.approx(0.5)
-        assert table.per_utility["ls"] == 1.0
-        assert table.overall == pytest.approx(2 / 3)
-
-    def test_head_comes_from_the_parse(self):
-        results = [
-            V.ValidationResult("ls\t-l", 0, 0.1, True),
-            V.ValidationResult("ls -a", 1, 0.1, False),
-        ]
-        assert V.validity_rate(results).per_utility == {"ls": 0.5}
-
-    def test_unparseable_head_is_first_word(self):
-        results = [V.ValidationResult('grep\t"open', 1, 0.0, False)]
-        assert V.validity_rate(results).per_utility == {"grep": 0.0}
-
-    def test_empty_input(self):
-        table = V.validity_rate([])
-        assert table.overall == 0.0
-        assert table.per_utility == {}
 
 
 def test_bad_config_rejected(tmp_path):
