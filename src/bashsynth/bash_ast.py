@@ -327,9 +327,9 @@ def parse(source: str, hints: Mapping[str, UtilityHints] | None = None) -> BashA
     Raises :class:`ParseError` for empty input, unbalanced quotes, a stage
     with no utility token, or nesting deeper than one level.
     """
-    if source is None or not source.strip():
+    if source is None or not (stripped := source.strip()):
         raise ParseError("empty command")
-    if "\n" in source.strip():
+    if "\n" in stripped:
         raise ParseError("command must be a single line")
 
     hints_id = id(hints)

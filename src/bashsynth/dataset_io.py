@@ -7,7 +7,9 @@ malformed line raises FormatError naming ``path:line``.
 
 Records have ``nl``, ``cmd``, ``source`` (original | generated | llm) and
 optional ``valid``; template corpora (generator output) have ``id``,
-``cmd``, ``utilities``, ``flags``, ``pipe_partner``. ``read_commands``
+``cmd``, ``utilities``, ``flags``, ``pipe_partner``; ``read_templates``
+shares equal ``utilities`` tuples, utility names, flag tokens and
+``pipe_partner`` values across the entries it returns. ``read_commands``
 reads the ``cmd`` of either kind, ``read_predictions`` a ``score``
 prediction file and ``read_exchanges`` an LLM exchange log. ``read_json``
 and ``check_fields`` serve the JSON and YAML documents other modules load
@@ -141,7 +143,7 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
 # without a default (REQUIRED) must be present.
 REQUIRED = object()
 _TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string", REQUIRED)
-STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+STRINGS = (lambda v: isinstance(v, list) and all(map(str.__instancecheck__, v)),
            "a list of strings", ())
 _RECORD = {
     "nl": _TEXT,
@@ -226,10 +228,21 @@ def write_records(records: Iterable[DatasetRecord], path: str | Path) -> None:
 
 
 def read_templates(path: str | Path) -> list[TemplateEntry]:
-    return [
-        TemplateEntry(id_, cmd, tuple(utilities), tuple(flags), partner)
-        for id_, cmd, utilities, flags, partner in _checked(path, _TEMPLATE)
-    ]
+    """The entries of a template file. Equal utility names, flag tokens,
+    ``utilities`` tuples and ``pipe_partner`` values are one object across
+    the entries: a file holds a few hundred distinct values, repeated on
+    every line."""
+    # A memo local to the call, not sys.intern: it keeps nothing alive beyond
+    # the entries. Each line's flags tuple stays its own, as almost every
+    # line's is distinct.
+    share = {}.setdefault
+    entries = []
+    for id_, cmd, utilities, flags, partner in _checked(path, _TEMPLATE):
+        utilities = tuple(map(share, utilities, utilities))
+        entries.append(TemplateEntry(
+            id_, cmd, share(utilities, utilities), tuple(map(share, flags, flags)),
+            share(partner, partner)))
+    return entries
 
 
 def write_templates(entries: Iterable[TemplateEntry], path: str | Path) -> None:

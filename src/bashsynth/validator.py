@@ -142,9 +142,11 @@ def instantiate(template: str, fixtures: Mapping[str, Sequence[str]]) -> str:
     name. Other words (``_HOME``) are literals, as
     :func:`bash_ast.templatize` reads them.
     """
-    words = template.split()
-    if not bash_ast.PLACEHOLDER_BY_TOKEN.keys().isdisjoint(words):
-        raise MissingFixture(next(w for w in words if w in bash_ast.PLACEHOLDER_BY_TOKEN))
+    if "_" in template:  # every parser token starts with "_"
+        tokens = bash_ast.PLACEHOLDER_BY_TOKEN
+        words = template.split()
+        if not tokens.keys().isdisjoint(words):
+            raise MissingFixture(next(w for w in words if w in tokens))
     # literal text at even indices, placeholder names at odd ones
     parts = PLACEHOLDER_RE.split(template)
     counters: dict[str, int] = {}

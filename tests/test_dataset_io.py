@@ -4,6 +4,7 @@ import json
 import random
 import re
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -119,6 +120,45 @@ class TestTemplates:
         entries = D.read_templates(path)
         assert [e.cmd for e in entries] == [c.render() for c in commands]
         assert [e.id for e in entries] == [c.id for c in commands]
+
+    def test_read_shares_equal_metadata(self, tmp_path):
+        written = [
+            D.TemplateEntry(f"t{i}", f"find [Path] -name [File] | {tail}",
+                            ("find", tail), ("-name",), tail)
+            for i, tail in enumerate(["grep", "sort", "grep", "sort"])
+        ] + [D.TemplateEntry("t4", "ls -la", ("ls",), ("-la", "-name"))]
+        path = tmp_path / "templates.jsonl"
+        D.write_templates(written, path)
+        entries = D.read_templates(path)
+        assert entries == written
+        grep, sort, grep2, sort2, ls = entries
+        assert grep.utilities is grep2.utilities
+        assert sort.utilities is sort2.utilities
+        assert grep.utilities[0] is sort.utilities[0]
+        assert grep.pipe_partner is grep2.pipe_partner is grep2.utilities[1]
+        assert grep.flags[0] is sort.flags[0] is ls.flags[1]
+        assert ls.pipe_partner is None
+
+    def test_read_holds_little_per_entry(self, tmp_path, kb):
+        from bashsynth.generator import generate_piped
+
+        pairs = [(kb.get(head), kb.get(tail)) for head in kb.utilities
+                 for tail in kb.get(head).pipe_successors if tail in kb]
+        written = [entry for head, tail in pairs
+                   for entry in generate_piped(head, tail, None, 2)][:5000]
+        assert len(written) == 5000
+        path = tmp_path / "templates.jsonl"
+        D.write_templates(written, path)
+        del written
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            entries = D.read_templates(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 5000
+        assert held / len(entries) < 500
 
 
 class TestStats:
