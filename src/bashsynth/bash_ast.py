@@ -196,6 +196,9 @@ _HAS_NOT_PLAIN = re.compile(f"[{_NOT_PLAIN}]")
 _TOKEN_RE = re.compile(
     rf"(\||(?:{_PLAIN}|{_PIECE}){_PLAIN}*(?:(?:{_PIECE}){_PLAIN}*)*)", re.DOTALL
 )
+# A word is a command substitution only when one $(...) piece is all of it;
+# joined to other text on either side it is one parameter.
+_SUBSTITUTION = re.compile(rf"\$\(({_BODY})\)", re.DOTALL)
 _LEFTOVER_ERRORS = {
     "'": "unbalanced quote",
     '"': "unbalanced quote",
@@ -368,7 +371,7 @@ def _parse_stage(
     depth: int,
 ) -> UtilityNode:
     name = tokens[0]
-    if _is_flag(name) or name.startswith("$("):
+    if _is_flag(name) or _SUBSTITUTION.fullmatch(name):
         raise ParseError(f"stage has no utility token: {name!r}")
     util_hints = hints.get(name) if hints else None
 
@@ -379,33 +382,37 @@ def _parse_stage(
     while i < len(tokens):
         tok = tokens[i]
 
-        if tok in _EXEC_FLAGS:
-            if depth >= 1:
+        sub = _SUBSTITUTION.fullmatch(tok)
+        if sub is not None or tok in _EXEC_FLAGS:
+            if depth or (sub is not None and "$(" in sub[1]):
                 raise ParseError("nesting deeper than one level")
-            body, closer, i = _scan_exec_body(tokens, i + 1)
-            body_node = _parse_stage(body, hints, depth + 1)
-            items.append(ExecClause(tok, body_node, closer))
-            continue
-
-        if tok.startswith("$("):
-            if depth >= 1:
-                raise ParseError("nesting deeper than one level")
-            inner = tok[2:-1].strip()
-            if "$(" in inner:
-                raise ParseError("nesting deeper than one level")
+            if sub is None:
+                # the body runs to the first closer, or to the end unclosed
+                end = i + 1
+                while end < len(tokens) and tokens[end] not in _EXEC_CLOSERS:
+                    end += 1
+                if end == i + 1:
+                    raise ParseError("empty -exec body")
+                body = _parse_stage(tokens[i + 1:end], hints, 1)
+                closer = tokens[end] if end < len(tokens) else ""
+                items.append(ExecClause(tok, body, closer))
+                i = end + 1
+                continue
+            inner = sub[1].strip()
             if not inner:
                 raise ParseError("empty command substitution")
             stages = tuple(
-                _parse_stage(st, hints, depth + 1)
-                for st in _split_stages(_scan_tokens(inner))
+                _parse_stage(st, hints, 1) for st in _split_stages(_scan_tokens(inner))
             )
             items.append(Substitution(stages))
             i += 1
             continue
 
         if _is_flag(tok):
-            flag_items, i = _parse_flag(tokens, i, name, util_hints)
-            items.extend(flag_items)
+            flag = _parse_flag(tok, tokens[i + 1] if i + 1 < len(tokens) else None,
+                               name, util_hints)
+            items.append(flag)
+            i += 2 if flag.arg is not None and not flag.glued else 1
             continue
 
         declared: PlaceholderKind | None = None
@@ -432,73 +439,41 @@ def _parse_stage(
 
 
 def _parse_flag(
-    tokens: Sequence[str],
-    i: int,
+    tok: str,
+    nxt: str | None,
     utility: str,
     util_hints: UtilityHints | None,
-) -> tuple[list[Item], int]:
-    tok = tokens[i]
-
-    if tok.startswith("--") and "=" in tok:
-        flag_token, value = tok.split("=", 1)
-        declared = util_hints.flag_args.get(flag_token) if util_hints else None
-        arg = ParamNode(value, categorize(value, utility=utility, flag=flag_token,
-                                          declared=declared))
-        return [FlagNode(flag_token, arg, glued=True)], i + 1
-
-    def attach_arg(flag_token: str) -> ParamNode | None:
-        if util_hints is None or flag_token not in util_hints.flag_args:
-            return None
-        if i + 1 >= len(tokens):
-            return None
-        nxt = tokens[i + 1]
-        if _is_flag(nxt) or nxt in _EXEC_FLAGS or nxt.startswith("$("):
-            return None
-        declared = util_hints.flag_args[flag_token]
-        return ParamNode(nxt, categorize(nxt, utility=utility, flag=flag_token,
-                                         declared=declared))
-
+) -> FlagNode:
+    """A flag with the argument it binds: the value of ``--flag=value``, or
+    the next token ``nxt`` when the flag declares an argument and ``nxt`` is
+    neither a flag nor a substitution. Flags stay as written; a cluster binds
+    its trailing member's argument (``-cjf`` consumes a File for ``-f``)."""
+    glued = tok.startswith("--") and "=" in tok
+    if glued:
+        tok, nxt = tok.split("=", 1)
+    binder = tok
     if util_hints is not None and tok not in util_hints.known_flags:
-        cluster = _expand_cluster(tok, util_hints)
-        if cluster is not None:
-            # Flags stay as written; the expansion only binds the trailing
-            # member's declared argument (e.g. -cjf consumes a File for -f).
-            arg = attach_arg(cluster[-1])
-            return [FlagNode(tok, arg)], i + (2 if arg is not None else 1)
-
-    arg = attach_arg(tok)
-    return [FlagNode(tok, arg)], i + (2 if arg is not None else 1)
+        binder = _expand_cluster(tok, util_hints) or tok
+    declared = util_hints.flag_args.get(binder) if util_hints else None
+    if not glued and (declared is None or nxt is None or _is_flag(nxt)
+                      or _SUBSTITUTION.fullmatch(nxt)):
+        return FlagNode(tok)
+    arg = categorize(nxt, utility=utility, flag=binder, declared=declared)
+    return FlagNode(tok, ParamNode(nxt, arg), glued)
 
 
-def _expand_cluster(token: str, hints: UtilityHints) -> list[str] | None:
-    """Expand a combined short-flag token ("-cjf") using declared flags."""
+def _expand_cluster(token: str, hints: UtilityHints) -> str | None:
+    """The trailing member of a combined short-flag token ("-cjf" gives
+    "-f") whose members are all declared and only that member takes an
+    argument, if any does; otherwise None."""
     if not re.fullmatch(r"-[A-Za-z0-9]{2,}", token):
         return None
     parts = ["-" + ch for ch in token[1:]]
     if not all(p in hints.known_flags for p in parts):
         return None
-    taking_args = [p for p in parts if p in hints.flag_args]
-    # Only the final cluster member may consume the following token.
-    if taking_args and taking_args != [parts[-1]]:
+    if any(p in hints.flag_args for p in parts[:-1]):
         return None
-    return parts
-
-
-def _scan_exec_body(
-    tokens: Sequence[str], start: int
-) -> tuple[list[str], str, int]:
-    body: list[str] = []
-    i = start
-    while i < len(tokens):
-        if tokens[i] in _EXEC_CLOSERS:
-            if not body:
-                raise ParseError("empty -exec body")
-            return body, tokens[i], i + 1
-        body.append(tokens[i])
-        i += 1
-    if not body:
-        raise ParseError("empty -exec body")
-    return body, "", i
+    return parts[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,12 @@ def _blocked_reason(command: str) -> str | None:
         ast = bash_ast.parse(command)
     except bash_ast.ParseError as exc:
         return f"does not parse: {exc}"
+    # A substitution the parse did not make a node of, joined to a word or
+    # quoted, or a backtick one, would run a command the checks below miss.
+    substitutions = sum(isinstance(it, bash_ast.Substitution)
+                        for stage in ast.stages for it in stage.items)
+    if "`" in command or command.count("$(") > substitutions:
+        return "command substitution inside a word"
     for node in ast.walk_utilities():
         name = node.name.rsplit("/", 1)[-1]
         if name in _NETWORK_UTILITIES:

@@ -108,6 +108,8 @@ class TestParse:
             B.parse("")
         with pytest.raises(ParseError):
             B.parse("   ")
+        with pytest.raises(ParseError, match="empty command substitution"):
+            B.parse("echo $( )")
 
     def test_unbalanced_quote(self):
         with pytest.raises(ParseError):
@@ -139,14 +141,24 @@ class TestParse:
         stage = ast.stages[0]
         assert stage.nested[0].name == "rm"
         assert "-exec" in {f.token for f in stage.flags}
+        # an unterminated body runs to the end and has no closer
+        (clause,) = B.parse("find . -exec ls").stages[0].items[1:]
+        assert (clause.body.name, clause.closer) == ("ls", "")
 
     def test_exec_nesting_rejected(self):
-        with pytest.raises(ParseError):
-            B.parse("find . -exec find . -exec rm {} \\; \\;")
+        for source in ("find . -exec find . -exec rm {} \\; \\;",
+                       "find . -exec echo $(ls) \\;"):
+            with pytest.raises(ParseError, match="nesting deeper than one level"):
+                B.parse(source)
 
     def test_substitution(self):
         ast = B.parse("echo $(date -u)")
         assert ast.stages[0].nested[0].name == "date"
+        # joined to other text on either side, $(...) is part of one parameter
+        for word in ("x$(ls)", "$(ls)foo", "$(ls)$(pwd)"):
+            (stage,) = B.parse(f"echo {word}").stages
+            assert [p.literal for p in _params(stage)] == [word]
+            assert stage.nested == ()
 
     def test_substitution_nesting_rejected(self):
         with pytest.raises(ParseError):

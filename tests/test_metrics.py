@@ -151,6 +151,11 @@ class TestScorePair:
         pair = M.score_pair("find", [("ls", 0.5), ("du", 0.5)])
         assert pair.final == pytest.approx(-1.0)
 
+    def test_zero_confidence_takes_plain_mean(self):
+        pair = M.score_pair("find", [("ls", 0.0), ("find", 0.0), ("find", 0.0)])
+        assert pair.per_candidate == (-1.0, 1.0, 1.0)
+        assert pair.final == pytest.approx(1 / 3)
+
     def test_unparseable_candidate_scores_minus_one(self):
         pair = M.score_pair("ls", [('grep "broken', 1.0)])
         assert pair.per_candidate == (-1.0,)

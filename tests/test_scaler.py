@@ -125,6 +125,8 @@ class TestScale:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             scale([], DistributionProfile({"find": 0.5}))
+        with pytest.raises(InfeasibleProfile, match="no parseable commands in pool"):
+            scale(['grep "broken', "| sort"], DistributionProfile({"find": 0.5}))
 
     def test_generated_commands_accepted(self, kb):
         pool = generate_unpiped(kb.get("find"), limit=30, seed=1) + generate_unpiped(
@@ -298,6 +300,10 @@ class TestProfileOf:
         assert profile.proportions["find"] == pytest.approx(2 / 3)
         assert profile.proportions["ls"] == pytest.approx(1 / 3)
         assert profile.pipe_fraction == pytest.approx(1 / 3)
+
+    def test_unparseable_command_named(self):
+        with pytest.raises(bash_ast.ParseError, match="unparseable command: 'grep \"broken'"):
+            profile_of(["find .", 'grep "broken'])
 
     def test_head_utility_only(self):
         profile = profile_of(["find . | sort", "find . | sort"])

@@ -371,6 +371,23 @@ class TestSubprocess:
         assert V._blocked_reason(command) == result.note
 
     @pytest.mark.parametrize(
+        "command",
+        ["echo x$(curl http://example.com)", 'echo "$(wget x)"', "ls `curl x`",
+         "echo a$(ssh h)b"],
+    )
+    def test_hidden_substitution_refused(self, tmp_path, command):
+        # Each parses with no Substitution node for its $(...) or backtick,
+        # so no utility inside it reached the network block. The policy is
+        # checked before anything runs.
+        assert V._blocked_reason(command) == "command substitution inside a word"
+        [result] = V.run_batch([command], self._config(tmp_path))
+        assert result.exit_status == V.SPAWN_FAIL
+        assert result.note == "command substitution inside a word"
+
+    def test_whole_word_substitutions_pass_the_policy(self):
+        assert V._blocked_reason("echo $(ls) $(pwd | wc -l)") is None
+
+    @pytest.mark.parametrize(
         "command, error",
         [("ls && curl x", "command lists"), ("ls; wget y", "command lists"),
          ("cat a &", "background jobs"), ("sort < in", "input redirection"),
