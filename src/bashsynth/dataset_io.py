@@ -1,9 +1,11 @@
 """Line-delimited dataset files, corpus statistics, and seeded splits.
 
 A line file is UTF-8 with one JSON object per line; blank lines are
-skipped. ``read_lines`` and ``encode_line`` are the only code that parses
-or formats a line; each typed reader adds its own field checks, and a
-malformed line raises FormatError naming ``path:line``.
+skipped. ``read_lines`` is the only code that parses a line, and
+``encode_line`` formats every line but a template line, which
+``write_templates`` formats itself with the same string encoder: its bytes
+are ``encode_line(entry.as_dict())``'s. Each typed reader adds its own
+field checks, and a malformed line raises FormatError naming ``path:line``.
 
 Records have ``nl``, ``cmd``, ``source`` (original | generated | llm) and
 optional ``valid``; template corpora (generator output) have ``id``,
@@ -25,6 +27,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -109,29 +112,43 @@ class TemplateEntry:
 # The line format
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+_DECODER = json.JSONDecoder()
 
 
 def encode_line(obj: Mapping) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
+def _write(lines: Iterable[str], path: str | Path) -> None:
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
 def write_lines(objects: Iterable[Mapping], path: str | Path) -> None:
     """Write each object as one line as it arrives."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for obj in objects:
-            fh.write(encode_line(obj))
+    _write(map(encode_line, objects), path)
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line, one line at a time."""
     path = Path(path)
+    scan = _DECODER.raw_decode
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
+                try:
+                    obj, end = scan(line)
+                except ValueError:
+                    end = None
+                # raw_decode skips json.loads' per-call checks and whitespace
+                # scans. A line as the writers leave it is one value, then
+                # its "\n"; json.loads decides any other (padded, blank or
+                # not JSON) and words its error.
+                if end is None or line[end:] not in ("\n", ""):
+                    if not line.strip():
+                        continue
+                    obj = json.loads(line)
             except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
                 raise FormatError(f"not a JSON line: {exc}", path, lineno) from None
             if not isinstance(obj, dict):
@@ -232,12 +249,25 @@ def read_templates(path: str | Path) -> list[TemplateEntry]:
     ``utilities`` tuples and ``pipe_partner`` values are one object across
     the entries: a file holds a few hundred distinct values, repeated on
     every line."""
+    path = Path(path)
     # A memo local to the call, not sys.intern: it keeps nothing alive beyond
     # the entries. Each line's flags tuple stays its own, as almost every
     # line's is distinct.
     share = {}.setdefault
+    is_str = str.__instancecheck__
     entries = []
-    for id_, cmd, utilities, flags, partner in _checked(path, _TEMPLATE):
+    for lineno, obj in read_lines(path):
+        # _TEMPLATE's tests in one pass. A line that fails them, or lacks
+        # utilities or flags, goes through check_fields, which fills the
+        # defaults or raises the message naming the key.
+        get = obj.get
+        id_, cmd, utilities, flags, partner = (
+            get("id"), get("cmd"), get("utilities"), get("flags"), get("pipe_partner"))
+        if not (isinstance(id_, str) and id_ and isinstance(cmd, str) and cmd
+                and isinstance(utilities, list) and all(map(is_str, utilities))
+                and isinstance(flags, list) and all(map(is_str, flags))
+                and (partner is None or isinstance(partner, str))):
+            id_, cmd, utilities, flags, partner = check_fields(obj, _TEMPLATE, path, lineno)
         utilities = tuple(map(share, utilities, utilities))
         entries.append(TemplateEntry(
             id_, cmd, share(utilities, utilities), tuple(map(share, flags, flags)),
@@ -245,8 +275,18 @@ def read_templates(path: str | Path) -> list[TemplateEntry]:
     return entries
 
 
+def _template_line(e: TemplateEntry) -> str:
+    # encode_line(e.as_dict()), byte for byte: encode_basestring is the
+    # string encoder of a JSONEncoder(ensure_ascii=False)
+    partner = "null" if e.pipe_partner is None else encode_basestring(e.pipe_partner)
+    return (f'{{"id": {encode_basestring(e.id)}, "cmd": {encode_basestring(e.cmd)}, '
+            f'"utilities": [{", ".join(map(encode_basestring, e.utilities))}], '
+            f'"flags": [{", ".join(map(encode_basestring, e.flags))}], '
+            f'"pipe_partner": {partner}}}\n')
+
+
 def write_templates(entries: Iterable[TemplateEntry], path: str | Path) -> None:
-    write_lines((e.as_dict() for e in entries), path)
+    _write(map(_template_line, entries), path)
 
 
 def read_commands(path: str | Path) -> list[str]:

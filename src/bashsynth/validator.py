@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from . import bash_ast
 from .dataset_io import STRINGS, check_fields, read_json, shipped
@@ -185,6 +185,27 @@ _NETWORK_UTILITIES = frozenset(
 )
 
 
+# Utilities that run a command named by their words: xargs curl -O, env
+# wget x, timeout 5 nc, nohup, nice -n 5, sh -c 'curl x'
+_LAUNCHERS = frozenset({"xargs", "env", "sh", "bash", "timeout", "nohup", "nice"})
+# Quoting, dropped before a word is split: "cu"rl and 'curl x' name curl
+_QUOTING = re.compile(r"""['"\\]""")
+# What ends a program name in shell text: whitespace and ls;curl
+_SHELL_BREAKS = re.compile(r"[\s;&|()]+")
+
+
+def _launched_names(node: bash_ast.UtilityNode) -> Iterator[str]:
+    """The basename of each word a launcher node may run: every parameter
+    word (a flag's argument included) without its quoting, split at
+    whitespace and command separators, so the first word of a ``-c``
+    string is one of them."""
+    for item in node.items:
+        param = item.arg if isinstance(item, bash_ast.FlagNode) else item
+        if isinstance(param, bash_ast.ParamNode):
+            for word in _SHELL_BREAKS.split(_QUOTING.sub("", param.literal)):
+                yield word.rsplit("/", 1)[-1]
+
+
 def _blocked_reason(command: str) -> str | None:
     for pattern in _DENY_PATTERNS:
         if pattern.search(command):
@@ -203,6 +224,10 @@ def _blocked_reason(command: str) -> str | None:
         name = node.name.rsplit("/", 1)[-1]
         if name in _NETWORK_UTILITIES:
             return f"network utility {name!r} blocked"
+        if name in _LAUNCHERS:
+            launched = _NETWORK_UTILITIES.intersection(_launched_names(node))
+            if launched:
+                return f"network utility {min(launched)!r} blocked under {name!r}"
     return None
 
 
@@ -275,7 +300,8 @@ def _run_one(
         return ValidationResult(command, TIMEOUT, wall, False, note="killed")
 
     # a command that was not killed finished in time: the verdict is its exit
-    return ValidationResult(command, status, wall, status == 0)
+    note = "utility not installed" if status == 127 else ""
+    return ValidationResult(command, status, wall, status == 0, note)
 
 
 def run_batch(

@@ -7,7 +7,7 @@ import string
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bashsynth import dataset_io as D
 
@@ -67,6 +67,24 @@ class TestReadWrite:
         D.write_lines(iter(()), path)
         assert path.read_bytes() == b""
 
+    @pytest.mark.parametrize("line, error", [
+        ('{"cmd": "ls"} x', "Extra data"), ('{"cmd": "ls"}{}', "Extra data"),
+        ('{"cmd": "ls"}\x0b', "Extra data"), ('{"cmd": "ls"}\u2028', "Extra data"),
+        ('\ufeff{"cmd": "ls"}', "Unexpected UTF-8 BOM"), ('{"cmd": "ls"', "Expecting"),
+    ])
+    def test_line_is_one_json_value(self, tmp_path, line, error):
+        # what json.loads refuses, with its words
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{{"cmd": "a"}}\n{line}\n', encoding="utf-8")
+        with pytest.raises(D.FormatError, match=f"bad.jsonl:2: not a JSON line: {error}"):
+            D.read_commands(path)
+
+    def test_padded_lines_read(self, tmp_path):
+        path = tmp_path / "padded.jsonl"
+        path.write_text(' {"cmd": "a"}\n{"cmd": "b"} \t\r\n \n\t{"cmd": "c"}\r\n{"cmd": "d"}',
+                        encoding="utf-8")
+        assert D.read_commands(path) == ["a", "b", "c", "d"]
+
     def test_line_not_utf8(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b'{"cmd": "ls"}\n{"cmd": "\xff"}\n')
@@ -108,6 +126,85 @@ class TestReadWrite:
         path = tmp_path_factory.mktemp("rt") / "data.jsonl"
         D.write_records(records, path)
         assert D.read_records(path) == records
+
+
+# Every escape the JSON string encoder makes (quotes, backslashes, control
+# characters), U+2028/U+2029 (which JSON leaves unescaped), non-ASCII and
+# astral characters. Lone surrogates are left out: no UTF-8 file holds one.
+_TRICKY = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\u2028\u2029éあ\U0001f600'),
+    st.characters(blacklist_categories=("Cs",))), max_size=12)
+_TEMPLATE_FIELDS = ("id", "cmd", "utilities", "flags", "pipe_partner")
+
+template_entries = st.builds(
+    D.TemplateEntry,
+    id=_TRICKY.filter(bool), cmd=_TRICKY.filter(bool),
+    utilities=st.lists(_TRICKY, max_size=3).map(tuple),
+    flags=st.lists(_TRICKY, max_size=4).map(tuple),
+    pipe_partner=st.none() | _TRICKY,
+)
+# Values check_fields refuses for some template field and accepts for another.
+_ODD_VALUES = ["", "x", True, False, None, 0, 1.5, {"a": "b"}, [], [""], [["ls"]],
+               ["ls", 1], ["ls", None], ["ls", True], [{"x": "y"}]]
+_JSON_VALUES = st.none() | st.booleans() | st.integers() | _TRICKY | st.lists(_TRICKY)
+
+
+@st.composite
+def template_lines(draw):
+    """The line of a template object with some fields dropped or given odd
+    values, extra keys, shuffled keys and padding whitespace."""
+    obj = draw(template_entries).as_dict()
+    for key in draw(st.lists(st.sampled_from(_TEMPLATE_FIELDS), unique=True, max_size=3)):
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(st.sampled_from(_ODD_VALUES))
+    obj.update(draw(st.dictionaries(
+        st.text(max_size=4).filter(lambda k: k not in _TEMPLATE_FIELDS), _JSON_VALUES,
+        max_size=2)))
+    obj = dict(draw(st.permutations(list(obj.items()))))
+    pad = st.text(" \t", max_size=2)
+    text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    return f"{draw(pad)}{text}{draw(pad | st.just(chr(13)))}\n"
+
+
+class TestTemplateLines:
+    @given(entries=st.lists(template_entries, max_size=5))
+    @example(entries=[D.TemplateEntry("i", "c", ("",), ("", "-x"), "")])
+    def test_write_is_encode_line(self, entries, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tl") / "templates.jsonl"
+        D.write_templates(entries, path)
+        expected = "".join(D.encode_line(e.as_dict()) for e in entries)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert D.read_templates(path) == entries
+
+    def _agrees_with_check_fields(self, line, path):
+        obj = json.loads(line)
+        path.write_text(f"\n{line}", encoding="utf-8")
+        try:
+            id_, cmd, utilities, flags, partner = D.check_fields(obj, D._TEMPLATE, path, 2)
+        except D.FormatError as exc:
+            with pytest.raises(D.FormatError) as info:
+                D.read_templates(path)
+            assert (str(info.value), info.value.line) == (str(exc), 2)
+        else:
+            assert D.read_templates(path) == [D.TemplateEntry(
+                id_, cmd, tuple(utilities), tuple(flags), partner)]
+
+    @given(line=template_lines())
+    def test_read_checks_as_check_fields(self, line, tmp_path_factory):
+        self._agrees_with_check_fields(line, tmp_path_factory.mktemp("tl") / "t.jsonl")
+
+    def test_read_checks_each_field_as_check_fields(self, tmp_path):
+        # each field dropped or given each odd value, alone
+        base = {"id": "x", "cmd": "ls", "utilities": ["ls"], "flags": ["-l"],
+                "pipe_partner": None}
+        for key in _TEMPLATE_FIELDS:
+            dropped = {k: v for k, v in base.items() if k != key}
+            self._agrees_with_check_fields(json.dumps(dropped), tmp_path / "t.jsonl")
+            for value in _ODD_VALUES:
+                line = json.dumps({**base, key: value})
+                self._agrees_with_check_fields(line, tmp_path / "t.jsonl")
 
 
 class TestTemplates:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bashsynth import validator as V
 from bashsynth.bash_ast import PLACEHOLDER_BY_TOKEN, ParseError, parse
-from bashsynth.generator import generate_unpiped
+from bashsynth.generator import generate_piped, generate_unpiped
 from bashsynth.syntax_kb import PLACEHOLDER_RE, GenArgKind, to_parser_template
 
 
@@ -285,6 +285,11 @@ class TestSubprocess:
         assert results[0].verdict is True
         assert results[0].exit_status == 0
 
+    def test_missing_utility_noted(self, tmp_path):
+        [result] = V.run_batch(["bashsynth-no-such-utility -x"], self._config(tmp_path))
+        assert (result.exit_status, result.verdict, result.note) == (
+            127, False, "utility not installed")
+
     def test_missing_file_invalid(self, tmp_path):
         results = V.run_batch(["cat no_such_file"], self._config(tmp_path))
         assert results[0].verdict is False
@@ -386,6 +391,41 @@ class TestSubprocess:
 
     def test_whole_word_substitutions_pass_the_policy(self):
         assert V._blocked_reason("echo $(ls) $(pwd | wc -l)") is None
+
+    @pytest.mark.parametrize(
+        "command, utility, launcher",
+        [("find . | xargs curl -O", "curl", "xargs"), ("env wget x", "wget", "env"),
+         ("sh -c curl", "curl", "sh"), ("bash -c 'curl x'", "curl", "bash"),
+         ("timeout 5 nc -l 80", "nc", "timeout"), ("nohup /usr/bin/ping h", "ping", "nohup"),
+         ("nice -n 5 ssh h", "ssh", "nice"), ("sh -c 'ls;rsync a b'", "rsync", "sh"),
+         ("/usr/bin/env -i scp a b", "scp", "env"), ('xargs "cu"rl', "curl", "xargs"),
+         ("env \\wget x", "wget", "env")],
+    )
+    def test_network_block_sees_launched_utilities(self, tmp_path, command, utility,
+                                                   launcher):
+        # The network utility is a parameter word of its launcher, or in the
+        # launcher's -c string, not a utility node of the parse.
+        assert utility not in {node.name for node in parse(command).walk_utilities()}
+        note = f"network utility {utility!r} blocked under {launcher!r}"
+        assert V._blocked_reason(command) == note
+        [result] = V.run_batch([command], self._config(tmp_path))
+        assert (result.exit_status, result.note) == (V.SPAWN_FAIL, note)
+
+    @pytest.mark.parametrize(
+        "command", ["xargs -n 1", "find . | xargs ls\\", "env A=b sort", "sh -c 'ls -l'",
+                    "nice grep -c x a.txt", "timeout 5 ls"])
+    def test_launched_local_utilities_pass_the_policy(self, command):
+        assert V._blocked_reason(command) is None
+
+    def test_kb_xargs_templates_pass_the_policy(self, kb, fixtures):
+        xargs = kb.get("xargs")
+        templates = generate_unpiped(xargs) + [
+            entry for head in kb.specs() if "xargs" in head.pipe_successors
+            for entry in generate_piped(head, xargs)]
+        assert any(len(t.utilities) > 1 for t in templates)
+        for template in templates:
+            command = V.instantiate(template.cmd, fixtures)
+            assert V._blocked_reason(command) is None, command
 
     @pytest.mark.parametrize(
         "command, error",
