@@ -102,7 +102,7 @@ def cmd_generate(args: argparse.Namespace) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> None:
-    if args.exec_ and os.environ.get(EXEC_OPT_IN_ENV) != "1":
+    if args.exec and os.environ.get(EXEC_OPT_IN_ENV) != "1":
         raise UsageError(
             "refusing to execute commands: set "
             f"{EXEC_OPT_IN_ENV}=1 to confirm you understand that generated "
@@ -124,8 +124,8 @@ def cmd_validate(args: argparse.Namespace) -> None:
     config = validator.SandboxConfig(
         workspace=Path(args.workspace),
         timeout=args.timeout,
-        backend="subprocess" if args.exec_ else "dry_run",
-        allow_execution=args.exec_,
+        backend="subprocess" if args.exec else "dry_run",
+        allow_execution=args.exec,
         manifest=manifest,
         jobs=args.jobs,
     )
@@ -141,7 +141,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
         )
 
     rate = sum(r.verdict for r in results) / len(results) if results else 0.0
-    label = "validity" if args.exec_ else "parse"
+    label = "validity" if args.exec else "parse"
     print(f"{label} rate: {rate:.1%} over {len(results)} commands")
 
 
@@ -317,7 +317,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--survivors", default=None, help="write valid templates here")
-    p.add_argument("--exec", dest="exec_", action="store_true",
+    p.add_argument("--exec", action="store_true",
                    help=f"really execute (requires {EXEC_OPT_IN_ENV}=1)")
     p.add_argument("--workspace", default=".bashsynth_sandbox")
     p.add_argument("--timeout", type=float, default=validator.DEFAULT_TIMEOUT_SECONDS)

@@ -1,10 +1,9 @@
-"""Natural-language preprocessing and typed parameter extraction.
+"""Typed parameter extraction from English text.
 
-Sentences are lowercased, lemmatized by a small rule table, and filtered
-against a shipped stop list. Parameter extraction pulls quoted strings,
-numbers, and path-like tokens out of English text, in order of
-appearance, tagged with the same placeholder kinds the command parser
-uses, so the output feeds straight into template filling.
+Quoted strings, numbers and path-like tokens are pulled out of a
+sentence in order of appearance, tagged with the same placeholder kinds
+the command parser uses, so the output feeds straight into template
+filling.
 """
 
 from __future__ import annotations
@@ -12,79 +11,10 @@ from __future__ import annotations
 import re
 
 from .bash_ast import PlaceholderKind, categorize
-from .dataset_io import shipped
 
-__all__ = ["preprocess", "lemmatize", "extract_params"]
+__all__ = ["extract_params"]
 
 _STRIP_CHARS = "\"'().,;:!?"
-
-
-def _load_wordlist(name: str) -> frozenset[str]:
-    """The words of the shipped list ``name``, one a line, ``#`` comments skipped."""
-    text = shipped(name).read_text(encoding="utf-8")
-    return frozenset(
-        line.strip() for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    )
-
-
-_STOPWORDS = _load_wordlist("stopwords.txt")
-_LEMMA_EXCEPTIONS = _load_wordlist("lemma_exceptions.txt")
-
-
-def _lemma_step(word: str) -> str:
-    if word in _LEMMA_EXCEPTIONS or len(word) <= 3:
-        return word
-    if word.endswith("'s"):
-        return word[:-2]
-    if word.endswith("ies") and len(word) > 4:
-        return word[:-3] + "y"
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("es") and word[:-2].endswith(("ch", "sh", "x", "z", "s")):
-        return word[:-2]
-    if word.endswith(("ss", "us", "is")):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    if word.endswith("ing") and len(word) > 5:
-        stem = word[:-3]
-        if len(stem) >= 3 and stem[-1] == stem[-2] and stem[-1] not in "sl":
-            stem = stem[:-1]
-        return stem if len(stem) >= 3 else word
-    if word.endswith("ied") and len(word) > 4:
-        return word[:-3] + "y"
-    if word.endswith("ed") and len(word) > 4:
-        stem = word[:-2]
-        if len(stem) >= 3 and stem[-1] == stem[-2] and stem[-1] not in "sl":
-            stem = stem[:-1]
-        return stem if len(stem) >= 3 else word
-    return word
-
-
-def lemmatize(word: str) -> str:
-    """Strip plural/-ing/-ed suffixes, iterated to a fixed point."""
-    for _ in range(4):
-        reduced = _lemma_step(word)
-        if reduced == word:
-            return word
-        word = reduced
-    return word
-
-
-def preprocess(sentence: str, stopwords: frozenset[str] | None = None) -> list[str]:
-    """Lowercase, lemmatize, and stop-filter one sentence. Idempotent."""
-    stopwords = _STOPWORDS if stopwords is None else stopwords
-    tokens = []
-    for raw in sentence.lower().split():
-        token = raw.strip(_STRIP_CHARS)
-        if not token or token in stopwords:
-            continue
-        token = lemmatize(token)
-        if token and token not in stopwords:
-            tokens.append(token)
-    return tokens
-
 
 _SPAN_RE = re.compile(r"\"([^\"]*)\"|'([^']*)'|(\S+)")
 

@@ -828,12 +828,55 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     assert not (tmp_path / "t.jsonl.manifest.json").exists()
 
 
+def test_manifest_overrides_are_config_keys(tmp_path):
+    # A manifest's overrides, given back as a config, is accepted and gives
+    # the same overrides. Only parsing happens: nothing executes.
+    files = ["--in", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "r.jsonl")]
+    args = cli.build_parser().parse_args(["validate", *files, "--exec", "--jobs", "2"])
+    overrides = cli._manifest(args)["overrides"]
+    assert overrides == {"exec": True, "jobs": 2}
+    again = cli.build_parser(overrides).parse_args(["validate", *files])
+    assert cli._manifest(again)["overrides"] == overrides
+
+
+def test_run_opens_no_shipped_data_file_its_manifest_leaves_out(tmp_path):
+    # Every file under the package's data/ that a run opens is one of the
+    # manifest's inputs. The audit hook cannot be removed, so it runs in a
+    # child interpreter, installed before bashsynth is imported.
+    templates, out = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+    assert main(["generate", "--utility", "find", "--utility", "ls", "--piped",
+                 "--limit", "60", "--head-limit", "6", "--tail-limit", "6",
+                 "--out", str(templates)]) == 0
+    code = f"""
+import json, os, sys
+opened = set()
+def hook(event, args):
+    if event == "open" and not isinstance(args[0], int):
+        path = os.path.realpath(os.fsdecode(args[0]))
+        if "/bashsynth/data/" in path.replace(os.sep, "/"):
+            opened.add(path)
+sys.addaudithook(hook)
+from bashsynth import cli
+assert cli.main(["scale", "--in", {str(templates)!r}, "--out", {str(out)!r}]) == 0
+print(json.dumps(sorted(opened)))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(bash_ast.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    opened = json.loads(child.stdout.splitlines()[-1])
+    assert opened, "the run read no shipped file: the hook saw nothing"
+    manifest = json.loads((tmp_path / "s.jsonl.manifest.json").read_text())
+    inputs = {os.path.realpath(path) for path in manifest["inputs"]}
+    assert [path for path in opened if path not in inputs] == []
+
+
 def test_config_keys_are_flag_names(tmp_path, capsys):
     templates = tmp_path / "t.jsonl"
     assert main(["generate", "--utility", "cd", "--out", str(templates)]) == 0
     config = tmp_path / "config.json"
-    # --in and --exec, not their destinations infile and exec_; a config
-    # value also stands in for a required option
+    # --in, not its destination infile, and --exec, whose destination is
+    # its name; a config value also stands in for a required option
     config.write_text(json.dumps({"in": str(templates), "exec": False, "timeout": 1}))
     count = len(D.read_templates(templates))
     capsys.readouterr()

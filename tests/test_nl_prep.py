@@ -6,41 +6,6 @@ from bashsynth import nl_prep as N
 from bashsynth.bash_ast import PlaceholderKind, fill, parse
 
 
-class TestPreprocess:
-    def test_stop_words_removed(self):
-        assert N.preprocess("find the word foo in file bar") == [
-            "find", "word", "foo", "file", "bar",
-        ]
-
-    def test_lowercase_and_plural(self):
-        assert N.preprocess("Files") == ["file"]
-
-    def test_empty(self):
-        assert N.preprocess("") == []
-
-    def test_punctuation_stripped(self):
-        assert N.preprocess("Delete it, please!") == ["delete", "please"]
-
-    def test_idempotent_examples(self):
-        for sentence in (
-            "find the word foo in file bar",
-            "Copied listings of running processes",
-            "directories containing archived files",
-        ):
-            once = N.preprocess(sentence)
-            assert N.preprocess(" ".join(once)) == once
-
-    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz ", max_size=60))
-    def test_property_idempotent(self, sentence):
-        once = N.preprocess(sentence)
-        assert N.preprocess(" ".join(once)) == once
-
-    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=15))
-    def test_property_lemma_fixpoint(self, word):
-        lemma = N.lemmatize(word)
-        assert N.lemmatize(lemma) == lemma
-
-
 class TestExtractParams:
     def test_quoted_strings(self):
         assert N.extract_params('search in "bar" for "foo"') == [
@@ -61,6 +26,8 @@ class TestExtractParams:
         out = N.extract_params("show the first 10 lines of report.txt")
         assert (PlaceholderKind.NUMBER, "10") in out
         assert (PlaceholderKind.FILE, "report.txt") in out
+        out = N.extract_params('Find "foo" in the file bar.txt')
+        assert (PlaceholderKind.FILE, "bar.txt") in out
 
     def test_order_of_appearance(self):
         out = N.extract_params('copy "data" into /tmp and keep 3 versions')
@@ -85,17 +52,3 @@ class TestFillIntegration:
         filled, unfilled = fill(parse("find _PATH -name _REGEX -inum _NUMBER"), values)
         assert unfilled >= 0
         assert filled.startswith("find")
-
-
-def test_preprocess_and_extract_one_sentence():
-    sentence = 'Find "foo" in the file bar.txt'
-    tokens = N.preprocess(sentence)
-    assert "find" in tokens
-    assert all(t == t.lower() for t in tokens)
-    assert (PlaceholderKind.FILE, "bar.txt") in N.extract_params(sentence)
-
-
-def test_custom_stopword_list():
-    assert N.preprocess("keep every word", stopwords=frozenset()) == [
-        "keep", "every", "word",
-    ]
