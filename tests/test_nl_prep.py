@@ -26,8 +26,6 @@ class TestExtractParams:
         out = N.extract_params("show the first 10 lines of report.txt")
         assert (PlaceholderKind.NUMBER, "10") in out
         assert (PlaceholderKind.FILE, "report.txt") in out
-        out = N.extract_params('Find "foo" in the file bar.txt')
-        assert (PlaceholderKind.FILE, "bar.txt") in out
 
     def test_order_of_appearance(self):
         out = N.extract_params('copy "data" into /tmp and keep 3 versions')
@@ -37,6 +35,11 @@ class TestExtractParams:
         assert N.extract_params('use "12" as the count') == [
             (PlaceholderKind.NUMBER, "12")
         ]
+
+
+def test_preprocess_and_extract_one_sentence():
+    sentence = 'Find "foo" in the file bar.txt'
+    assert (PlaceholderKind.FILE, "bar.txt") in N.extract_params(sentence)
 
 
 class TestFillIntegration:
