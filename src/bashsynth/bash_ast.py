@@ -146,7 +146,11 @@ class UtilityNode:
         return tuple(out)
 
     def flag_tokens(self) -> frozenset[str]:
-        return frozenset(f.token for f in self.flags)
+        return frozenset(
+            it.token if isinstance(it, FlagNode) else it.flag
+            for it in self.items
+            if isinstance(it, (FlagNode, ExecClause))
+        )
 
 
 @dataclass(frozen=True)
@@ -180,13 +184,13 @@ def _walk_nested(node: UtilityNode) -> Iterator[UtilityNode]:
 # time without possessive quantifiers, which Python 3.10 lacks.
 #
 # A command holding none of _NOT_PLAIN's characters is plain text: every
-# character is whitespace, "|" or plain, so its words are its
-# whitespace-separated runs and each "|" stands alone. str.split() and the
-# regex's \s agree on all 29 whitespace code points, so _scan_tokens splits
-# such text with str methods and skips the regex's per-character work; the
-# commands the generator makes with the shipped fixtures are all plain.
-# Quotes, escapes and substitutions need the grammar, so any other text
-# goes through _TOKEN_RE.
+# character is whitespace, "|" or plain, so its stages are its "|"-separated
+# parts and their words the parts' whitespace-separated runs. str.split()
+# and the regex's \s agree on all 29 whitespace code points, so _scan_stages
+# splits such text with str methods and skips the regex's per-character
+# work; the commands the generator makes with the shipped fixtures are all
+# plain. Quotes, escapes and substitutions need the grammar, so any other
+# text goes through _TOKEN_RE.
 _NOT_PLAIN = r"""()'"\\$;&<"""
 _SPECIAL = r"""'[^']*'|"[^"]*"|\\(?:.|\Z)|\$(?!\()"""
 _BODY = rf"""[^()'"\\$]*(?:(?:{_SPECIAL})[^()'"\\$]*)*"""
@@ -212,10 +216,8 @@ _LEFTOVER_ERRORS = {
 
 
 def _scan_tokens(source: str) -> list[str]:
-    """Split a command into tokens, keeping quotes and $(...) groups intact;
-    a pipe is a token of its own."""
-    if not _HAS_NOT_PLAIN.search(source):
-        return source.replace("|", " | ").split()
+    """Split a command into tokens with _TOKEN_RE, keeping quotes and $(...)
+    groups intact; a pipe is a token of its own."""
     parts = _TOKEN_RE.split(source)
     gaps = "".join(parts[::2])
     if gaps and not gaps.isspace():
@@ -230,13 +232,16 @@ def _is_flag(token: str) -> bool:
 # ---------------------------------------------------------------------------
 # Categorization
 
-_DATE_PATTERNS = (
-    re.compile(r"\d{4}-\d{2}-\d{2}([T ]\d{2}:\d{2}(:\d{2})?)?"),
-    re.compile(r"\d{1,2}/\d{1,2}/\d{2,4}"),
-    re.compile(r"\d{1,2}:\d{2}(:\d{2})?"),
+# An ISO date with an optional time, a m/d/y date, or a clock time.
+_DATETIME = re.compile(
+    r"\d{4}-\d{2}-\d{2}(?:[T ]\d{2}:\d{2}(?::\d{2})?)?"
+    r"|\d{1,2}/\d{1,2}/\d{2,4}"
+    r"|\d{1,2}:\d{2}(?::\d{2})?"
 )
 _SIZE_LITERAL = re.compile(r"[+-]?\d+[kKmMgGtT][bB]?")
 _TIMESPAN_LITERAL = re.compile(r"[+-]?\d+[smhdw]")
+# "/" is no extension character, so a match on a whole literal always lies
+# in its last path segment.
 _EXTENSION = re.compile(r"\.[A-Za-z0-9]{1,7}$")
 
 _PERMISSION_UTILITIES = frozenset({"chmod", "umask"})
@@ -244,10 +249,6 @@ _PERMISSION_FLAGS = frozenset({"-m", "--mode", "-perm"})
 _SIZE_FLAGS = frozenset({"-size", "--size", "--block-size"})
 _TIME_FLAGS = frozenset({"-mtime", "-atime", "-ctime", "-mmin", "-amin", "-cmin"})
 _DIRECTORY_FLAGS = frozenset({"-C", "--directory", "--target-directory"})
-
-
-def _last_segment(literal: str) -> str:
-    return literal.rsplit("/", 1)[-1]
 
 
 def categorize(literal: str, *, utility: str = "", flag: str = "",
@@ -279,28 +280,24 @@ def categorize(literal: str, *, utility: str = "", flag: str = "",
             return PlaceholderKind.PERMISSION
         return PlaceholderKind.NUMBER
 
-    size_context = flag in _SIZE_FLAGS or "size" in flag
-    if size_context and _SIZE_LITERAL.fullmatch(literal):
-        return PlaceholderKind.SIZE
+    if flag:
+        size_context = flag in _SIZE_FLAGS or "size" in flag
+        if size_context and _SIZE_LITERAL.fullmatch(literal):
+            return PlaceholderKind.SIZE
+        time_context = flag in _TIME_FLAGS or "time" in flag
+        if time_context and _TIMESPAN_LITERAL.fullmatch(literal):
+            return PlaceholderKind.TIMESPAN
 
-    time_context = flag in _TIME_FLAGS or "time" in flag
-    if time_context and _TIMESPAN_LITERAL.fullmatch(literal):
-        return PlaceholderKind.TIMESPAN
-
-    if any(p.fullmatch(literal) for p in _DATE_PATTERNS):
+    if _DATETIME.fullmatch(literal):
         return PlaceholderKind.DATETIME
 
-    if literal in (".", "..", "~") or (
-        "/" in literal and not _EXTENSION.search(_last_segment(literal))
-    ):
+    has_extension = _EXTENSION.search(literal) is not None
+    if literal in (".", "..", "~") or ("/" in literal and not has_extension):
         if flag in _DIRECTORY_FLAGS or literal.endswith("/"):
             return PlaceholderKind.DIRECTORY
         return PlaceholderKind.PATH
 
-    if _EXTENSION.search(_last_segment(literal)):
-        return PlaceholderKind.FILE
-
-    return PlaceholderKind.REGEX
+    return PlaceholderKind.FILE if has_extension else PlaceholderKind.REGEX
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +334,7 @@ def parse(source: str, hints: Mapping[str, UtilityHints] | None = None) -> BashA
 
     hints_id = id(hints)
     stages: list[UtilityNode] = []
-    for tokens in _split_stages(_scan_tokens(source)):
+    for tokens in _scan_stages(source):
         key = (hints_id, tokens)
         hit = _stage_cache.get(key)
         if hit is None:
@@ -351,8 +348,20 @@ def parse(source: str, hints: Mapping[str, UtilityHints] | None = None) -> BashA
     return BashAst(stages=tuple(stages))
 
 
+def _scan_stages(source: str) -> list[tuple[str, ...]]:
+    """The tokens of each pipeline stage of a command; every stage must
+    hold at least one token."""
+    if _HAS_NOT_PLAIN.search(source):
+        stages = _split_stages(_scan_tokens(source))
+    else:
+        stages = [tuple(part.split()) for part in source.split("|")]
+    if not all(stages):
+        raise ParseError("pipeline stage with no utility token")
+    return stages
+
+
 def _split_stages(tokens: list[str]) -> list[tuple[str, ...]]:
-    """Split tokens at pipes; every stage must hold at least one token."""
+    """Split tokens at pipes."""
     stages: list[tuple[str, ...]] = []
     start = 0
     for _ in range(tokens.count("|")):
@@ -360,8 +369,6 @@ def _split_stages(tokens: list[str]) -> list[tuple[str, ...]]:
         stages.append(tuple(tokens[start:end]))
         start = end + 1
     stages.append(tuple(tokens[start:]))
-    if not all(stages):
-        raise ParseError("pipeline stage with no utility token")
     return stages
 
 
@@ -401,9 +408,7 @@ def _parse_stage(
             inner = sub[1].strip()
             if not inner:
                 raise ParseError("empty command substitution")
-            stages = tuple(
-                _parse_stage(st, hints, 1) for st in _split_stages(_scan_tokens(inner))
-            )
+            stages = tuple(_parse_stage(st, hints, 1) for st in _scan_stages(inner))
             items.append(Substitution(stages))
             i += 1
             continue
@@ -485,8 +490,8 @@ def render(ast: BashAst) -> str:
     return " | ".join(_render_stage(stage) for stage in ast.stages)
 
 
-def _render_stage(node: UtilityNode) -> str:
-    return " ".join(_stage_tokens(node))
+def _render_stage(node: UtilityNode, word: Callable[[str], str] = str) -> str:
+    return " ".join(_stage_tokens(node, word))
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +517,10 @@ def _map_params(node: UtilityNode, fn: Callable[[ParamNode], ParamNode]) -> Util
     return UtilityNode(node.name, tuple(items))
 
 
+# Frozen, so every templatized tree shares one node per kind.
+_PLACEHOLDER_NODES = {kind: ParamNode(kind.token, kind) for kind in PlaceholderKind}
+
+
 def templatize(ast: BashAst) -> BashAst:
     """Replace every parameter literal with its placeholder token.
 
@@ -523,7 +532,7 @@ def templatize(ast: BashAst) -> BashAst:
     def swap(p: ParamNode) -> ParamNode:
         if p.literal in PRESERVED_LITERALS:
             return p
-        return ParamNode(p.category.token, p.category)
+        return _PLACEHOLDER_NODES[p.category]
 
     stages = tuple(_map_params(s, swap) for s in ast.stages)
     return BashAst(stages=stages)
@@ -557,42 +566,48 @@ def fill(
         queues.setdefault(kind, deque()).append(literal)
     unfilled = 0
 
-    def consume(p: ParamNode) -> ParamNode:
+    def consume(literal: str) -> str:
         nonlocal unfilled
-        kind = PLACEHOLDER_BY_TOKEN.get(p.literal)
+        kind = PLACEHOLDER_BY_TOKEN.get(literal)
         if kind is not None and queues.get(kind):
-            return ParamNode(quote(queues[kind].popleft()), kind)
+            return quote(queues[kind].popleft())
         unfilled += kind is not None
-        return p
+        return literal
 
-    stages = tuple(_map_params(s, consume) for s in ast.stages)
-    return render(BashAst(stages=stages)), unfilled
+    # the render walk calls consume on each parameter left to right,
+    # -exec bodies, $(...) stages and --flag=value included
+    text = " | ".join(_render_stage(stage, consume) for stage in ast.stages)
+    return text, unfilled
 
 
 # ---------------------------------------------------------------------------
 # Vocabulary
 
 
-def _stage_tokens(node: UtilityNode) -> Iterator[str]:
+def _stage_tokens(
+    node: UtilityNode, word: Callable[[str], str] = str
+) -> Iterator[str]:
+    """The words of a stage in order; ``word`` maps each parameter literal
+    to the word written for it (``str`` writes it as it is)."""
     yield node.name
     for it in node.items:
         if isinstance(it, FlagNode):
             if it.arg is None:
                 yield it.token
             elif it.glued:
-                yield f"{it.token}={it.arg.literal}"
+                yield f"{it.token}={word(it.arg.literal)}"
             else:
                 yield it.token
-                yield it.arg.literal
+                yield word(it.arg.literal)
         elif isinstance(it, ParamNode):
-            yield it.literal
+            yield word(it.literal)
         elif isinstance(it, ExecClause):
             yield it.flag
-            yield from _stage_tokens(it.body)
+            yield from _stage_tokens(it.body, word)
             if it.closer:
                 yield it.closer
         else:
-            yield "$(" + " | ".join(_render_stage(s) for s in it.stages) + ")"
+            yield "$(" + " | ".join(_render_stage(s, word) for s in it.stages) + ")"
 
 
 def ast_tokens(ast: BashAst) -> Iterator[str]:

@@ -46,9 +46,27 @@ def flag_score(pred: Iterable[str], ref: Iterable[str]) -> float:
     return max(-1.0, min(1.0, raw))
 
 
-def _utility_sequence(command: BashAst | str, hints=None) -> list:
+_Sequence = list[tuple[str, frozenset[str]]]
+
+
+def _utility_sequence(command: BashAst | str, hints=None) -> _Sequence:
+    """(name, flag tokens) of each utility node in document order."""
     ast = command if isinstance(command, BashAst) else parse(command, hints)
-    return list(ast.walk_utilities())
+    return [(node.name, node.flag_tokens()) for node in ast.walk_utilities()]
+
+
+def _aligned_score(pred_seq: _Sequence, ref_seq: _Sequence) -> float:
+    t = max(len(pred_seq), len(ref_seq))
+
+    total = 0.0
+    for i in range(t):
+        p = pred_seq[i] if i < len(pred_seq) else None
+        r = ref_seq[i] if i < len(ref_seq) else None
+        if p is not None and r is not None and p[0] == r[0]:
+            total += 0.5 * (1.0 + flag_score(p[1], r[1]))
+        else:
+            total -= 1.0
+    return total / t
 
 
 def utility_score(
@@ -57,19 +75,7 @@ def utility_score(
     hints: Mapping[str, UtilityHints] | None = None,
 ) -> float:
     """Positional utility alignment score in [-1, 1]."""
-    pred_seq = _utility_sequence(pred, hints)
-    ref_seq = _utility_sequence(ref, hints)
-    t = max(len(pred_seq), len(ref_seq))
-
-    total = 0.0
-    for i in range(t):
-        p = pred_seq[i] if i < len(pred_seq) else None
-        r = ref_seq[i] if i < len(ref_seq) else None
-        if p is not None and r is not None and p.name == r.name:
-            total += 0.5 * (1.0 + flag_score(p.flag_tokens(), r.flag_tokens()))
-        else:
-            total -= 1.0
-    return total / t
+    return _aligned_score(_utility_sequence(pred, hints), _utility_sequence(ref, hints))
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,7 @@ def score_pair(
     if not candidates:
         raise ValueError("at least one candidate is required")
     ref_ast = reference if isinstance(reference, BashAst) else parse(reference, hints)
+    ref_seq = _utility_sequence(ref_ast)
 
     parsed: list[tuple[BashAst | None, float]] = []
     scores: list[float] = []
@@ -107,7 +114,8 @@ def score_pair(
             cand_ast = None
         parsed.append((cand_ast, confidence))
         scores.append(
-            utility_score(cand_ast, ref_ast) if cand_ast is not None else -1.0
+            _aligned_score(_utility_sequence(cand_ast), ref_seq)
+            if cand_ast is not None else -1.0
         )
 
     weighted = [c * s for (_, c), s in zip(parsed, scores)]

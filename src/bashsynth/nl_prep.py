@@ -27,13 +27,15 @@ def extract_params(sentence: str) -> list[tuple[PlaceholderKind, str]]:
     categorization rule fires, so plain English words stay out.
     """
     out: list[tuple[PlaceholderKind, str]] = []
-    for match in _SPAN_RE.finditer(sentence):
-        quoted = match.group(1) if match.group(1) is not None else match.group(2)
-        if quoted is not None:
+    # findall gives "" for a group that did not take part, and only a
+    # quote, never a bare word, can be empty
+    for double, single, word in _SPAN_RE.findall(sentence):
+        if not word:
+            quoted = double or single
             if quoted:
                 out.append((categorize(quoted), quoted))
             continue
-        token = match.group(3).strip(_STRIP_CHARS)
+        token = word.strip(_STRIP_CHARS)
         if not token:
             continue
         kind = categorize(token)

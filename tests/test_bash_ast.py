@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import re
 import shlex
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -460,16 +462,231 @@ def test_property_kb_commands_round_trip(kb, hints, fixtures, data):
     assert B.fill(template_ast, _params_in_order(ast.stages)) == (B.render(ast), 0)
 
 
+# ---------------------------------------------------------------------------
+# Random commands with nesting, which the shipped KB never generates:
+# -exec bodies closed by \; or +, whole-word $(...) stages, glued
+# --flag=value and flag arguments bound through hints.
+
+NESTING_HINTS = {
+    "find": UtilityHints(
+        known_flags=frozenset({"-name", "-size", "-mtime", "-perm", "-type"}),
+        flag_args={"-name": PlaceholderKind.REGEX, "-size": PlaceholderKind.SIZE,
+                   "-mtime": PlaceholderKind.TIMESPAN,
+                   "-perm": PlaceholderKind.PERMISSION},
+        positionals=(PlaceholderKind.PATH,),
+    ),
+    "grep": UtilityHints(
+        known_flags=frozenset({"-e", "-f", "-i", "-r"}),
+        flag_args={"-e": PlaceholderKind.REGEX, "-f": PlaceholderKind.FILE},
+        positionals=(PlaceholderKind.REGEX, PlaceholderKind.FILE),
+    ),
+    "tar": UtilityHints(
+        known_flags=frozenset({"-c", "-j", "-f", "-x"}),
+        flag_args={"-f": PlaceholderKind.FILE},
+    ),
+}
+
+_LITERAL = st.one_of(
+    st.text(alphabet="ab09./~_:", min_size=1, max_size=6),
+    st.sampled_from([*B.PLACEHOLDER_BY_TOKEN, *B.PRESERVED_LITERALS, "'a b'",
+                     '"x|y"', "10k", "5d", "0755", "2020-01-01", "abc/", "a.txt"]),
+)
+
+
+def _stage_words(top: bool) -> st.SearchStrategy[list[str]]:
+    """The words of one stage; a top-level stage may also hold -exec
+    clauses and substitutions, whose stages may not."""
+    items = [
+        _LITERAL.map(lambda w: [w]),
+        st.sampled_from(["-i", "-r", "-l", "-cjf", "--verbose"]).map(lambda f: [f]),
+        st.tuples(st.sampled_from(["-name", "-size", "-mtime", "-perm", "-e", "-f"]),
+                  _LITERAL).map(list),
+        st.tuples(st.sampled_from(["--block-size", "--mode", "--directory", "--size"]),
+                  _LITERAL).map(lambda t: [f"{t[0]}={t[1]}"]),
+    ]
+    if top:
+        inner = _stage_words(top=False)
+        items += [
+            st.tuples(st.sampled_from(["-exec", "-execdir", "-ok"]), inner,
+                      st.sampled_from(["\\;", "+"])).map(lambda t: [t[0], *t[1], t[2]]),
+            st.lists(inner, min_size=1, max_size=2).map(
+                lambda stages: ["$(" + " | ".join(map(" ".join, stages)) + ")"]),
+        ]
+    return st.tuples(
+        st.sampled_from(["find", "grep", "tar", "ls", "xargs"]),
+        st.lists(st.one_of(items), max_size=5),
+    ).map(lambda t: [t[0], *(w for item in t[1] for w in item)])
+
+
+nested_commands = st.lists(_stage_words(top=True), min_size=1, max_size=3).map(
+    lambda stages: " | ".join(map(" ".join, stages)))
+
+
+def _oracle_map_params(node, fn):
+    """A copy of the node with ``fn`` applied to every parameter, flag
+    arguments, -exec bodies and $(...) stages included."""
+    items = []
+    for it in node.items:
+        if isinstance(it, ParamNode):
+            items.append(fn(it))
+        elif isinstance(it, B.FlagNode):
+            items.append(it if it.arg is None else B.FlagNode(it.token, fn(it.arg), it.glued))
+        elif isinstance(it, B.ExecClause):
+            items.append(B.ExecClause(it.flag, _oracle_map_params(it.body, fn), it.closer))
+        else:
+            items.append(B.Substitution(tuple(_oracle_map_params(s, fn) for s in it.stages)))
+    return B.UtilityNode(node.name, tuple(items))
+
+
+def _oracle_fill(ast, values):
+    """fill as a rebuild of every node followed by render."""
+    queues = {}
+    for kind, literal in values:
+        queues.setdefault(kind, deque()).append(literal)
+    unfilled = 0
+
+    def consume(p):
+        nonlocal unfilled
+        kind = B.PLACEHOLDER_BY_TOKEN.get(p.literal)
+        if kind is not None and queues.get(kind):
+            return ParamNode(B.quote(queues[kind].popleft()), kind)
+        unfilled += kind is not None
+        return p
+
+    stages = tuple(_oracle_map_params(s, consume) for s in ast.stages)
+    return B.render(B.BashAst(stages)), unfilled
+
+
+def _oracle_templatize(ast):
+    def swap(p):
+        if p.literal in B.PRESERVED_LITERALS:
+            return p
+        return ParamNode(p.category.token, p.category)
+
+    return B.BashAst(tuple(_oracle_map_params(s, swap) for s in ast.stages))
+
+
+_FILL_VALUES = st.lists(
+    st.tuples(st.sampled_from(PlaceholderKind), st.text("ab '$|#-", max_size=4)),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=nested_commands, values=_FILL_VALUES)
+@example(
+    text="find _PATH -exec grep -e _REGEX {} \\; --mode=_PERMISSION "
+         "$(ls _PATH | tar -f _FILE) -exec rm _PATH +",
+    values=[(PlaceholderKind.PATH, "a"), (PlaceholderKind.REGEX, "x y"),
+            (PlaceholderKind.PATH, "b"), (PlaceholderKind.FILE, "c.txt"),
+            (PlaceholderKind.PERMISSION, "0755"), (PlaceholderKind.PATH, "-d")],
+)
+def test_property_fill_and_templatize_on_nested_commands(text, values):
+    ast = B.parse(text, NESTING_HINTS)
+    template = B.templatize(ast)
+    assert template == _oracle_templatize(ast)
+    assert B.templatize(template) == template
+    for tree in (ast, template):
+        assert B.fill(tree, values) == _oracle_fill(tree, values)
+
+
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-/*", min_size=1, max_size=12))
 def test_property_categorize_total(literal):
     assert B.categorize(literal) in PlaceholderKind
 
 
+# categorize's rule list with its three date patterns and its two searches
+# of the last path segment, kept as the reference.
+_ORACLE_DATE_PATTERNS = (
+    re.compile(r"\d{4}-\d{2}-\d{2}([T ]\d{2}:\d{2}(:\d{2})?)?"),
+    re.compile(r"\d{1,2}/\d{1,2}/\d{2,4}"),
+    re.compile(r"\d{1,2}:\d{2}(:\d{2})?"),
+)
+_ORACLE_SIZE_LITERAL = re.compile(r"[+-]?\d+[kKmMgGtT][bB]?")
+_ORACLE_TIMESPAN_LITERAL = re.compile(r"[+-]?\d+[smhdw]")
+_ORACLE_EXTENSION = re.compile(r"\.[A-Za-z0-9]{1,7}$")
+_ORACLE_PERMISSION_UTILITIES = frozenset({"chmod", "umask"})
+_ORACLE_PERMISSION_FLAGS = frozenset({"-m", "--mode", "-perm"})
+_ORACLE_SIZE_FLAGS = frozenset({"-size", "--size", "--block-size"})
+_ORACLE_TIME_FLAGS = frozenset({"-mtime", "-atime", "-ctime", "-mmin", "-amin", "-cmin"})
+_ORACLE_DIRECTORY_FLAGS = frozenset({"-C", "--directory", "--target-directory"})
+
+
+def _oracle_last_segment(literal: str) -> str:
+    return literal.rsplit("/", 1)[-1]
+
+
+def _oracle_categorize(literal: str, *, utility: str = "", flag: str = "") -> PlaceholderKind:
+    if not literal:
+        return PlaceholderKind.REGEX
+    if literal in B.PLACEHOLDER_BY_TOKEN:
+        return B.PLACEHOLDER_BY_TOKEN[literal]
+
+    if literal.isascii() and literal.isdigit():
+        if (
+            (utility in _ORACLE_PERMISSION_UTILITIES or flag in _ORACLE_PERMISSION_FLAGS)
+            and 3 <= len(literal) <= 4
+            and all(c in "01234567" for c in literal)
+        ):
+            return PlaceholderKind.PERMISSION
+        return PlaceholderKind.NUMBER
+
+    size_context = flag in _ORACLE_SIZE_FLAGS or "size" in flag
+    if size_context and _ORACLE_SIZE_LITERAL.fullmatch(literal):
+        return PlaceholderKind.SIZE
+
+    time_context = flag in _ORACLE_TIME_FLAGS or "time" in flag
+    if time_context and _ORACLE_TIMESPAN_LITERAL.fullmatch(literal):
+        return PlaceholderKind.TIMESPAN
+
+    if any(p.fullmatch(literal) for p in _ORACLE_DATE_PATTERNS):
+        return PlaceholderKind.DATETIME
+
+    if literal in (".", "..", "~") or (
+        "/" in literal and not _ORACLE_EXTENSION.search(_oracle_last_segment(literal))
+    ):
+        if flag in _ORACLE_DIRECTORY_FLAGS or literal.endswith("/"):
+            return PlaceholderKind.DIRECTORY
+        return PlaceholderKind.PATH
+
+    if _ORACLE_EXTENSION.search(_oracle_last_segment(literal)):
+        return PlaceholderKind.FILE
+
+    return PlaceholderKind.REGEX
+
+
+# Digits (whole years too, so dates come up), letters, date and path
+# punctuation, and the size and time suffixes.
+_CATEGORIZE_CHUNKS = [*"0123456789", "12", "2020", *"abxyzAZ", *"-/:._~ T",
+                      *"kKmMbBsmhdw"]
+
+
+@settings(max_examples=1000)
+@given(
+    literal=st.lists(st.sampled_from(_CATEGORIZE_CHUNKS), max_size=12).map("".join),
+    flag=st.sampled_from(["", "-size", "--block-size", "-mtime", "-perm", "--mode", "-C"]),
+    utility=st.sampled_from(["", "chmod", "umask"]),
+)
+@example(literal="2020-01-01 12:30", flag="", utility="")
+@example(literal="1/2/2020", flag="", utility="")
+@example(literal="12:30", flag="", utility="")
+@example(literal="a.b/c", flag="", utility="")
+@example(literal="d/f.txt", flag="", utility="")
+@example(literal="~", flag="", utility="")
+@example(literal="abc/", flag="", utility="")
+@example(literal="0755", flag="", utility="chmod")
+@example(literal="10k", flag="-size", utility="")
+def test_property_categorize_matches_rule_list(literal, flag, utility):
+    assert (B.categorize(literal, utility=utility, flag=flag)
+            is _oracle_categorize(literal, utility=utility, flag=flag))
+
+
 # Single characters of the alphabet a - | ( ) ' " \ $ { } ; & < space tab,
 # plus "$(" as one draw so that substitutions, nested or not, come up often,
 # and whitespace beyond ASCII's that str.split() and the regex's \s both
-# break at. Drawn texts with none of ( ) ' " \ $ ; & < take the plain-text
-# path, the rest the regex; the oracle holds both.
+# break at. _scan_tokens runs the regex on every drawn text;
+# test_property_plain_text_tokens_match_regex ties the plain-text stage
+# split to the regex.
 _WHITESPACE = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
 _TOKENIZER_CHUNKS = [*"a-|()'\"\\${};&< \t", "$(", *_WHITESPACE]
 
@@ -507,12 +724,29 @@ _PLAIN_TEXT = st.lists(
 ).map("".join)
 
 
+def _stages_or_error(split, text):
+    try:
+        return split(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _regex_stages(text):
+    stages = B._split_stages(B._TOKEN_RE.split(text)[1::2])
+    if not all(stages):
+        raise ParseError("pipeline stage with no utility token")
+    return stages
+
+
 @settings(max_examples=500)
 @given(_PLAIN_TEXT)
 @example("a|b | c")
 @example("\u3000a\x1c|\x85b")
+@example("a || b")
 def test_property_plain_text_tokens_match_regex(text):
-    assert B._scan_tokens(text) == B._TOKEN_RE.split(text)[1::2]
+    assert not B._HAS_NOT_PLAIN.search(text)
+    assert (_stages_or_error(B._scan_stages, text)
+            == _stages_or_error(_regex_stages, text))
 
 
 @pytest.mark.parametrize(

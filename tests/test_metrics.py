@@ -3,10 +3,11 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bashsynth import bash_ast as B
 from bashsynth import metrics as M
+from test_bash_ast import NESTING_HINTS, nested_commands
 
 # ---------------------------------------------------------------------------
 # Independent oracle: evaluates the two score formulas from scratch on
@@ -41,6 +42,37 @@ def oracle_utility_score(pred_stages, ref_stages):
         else:
             total -= 1.0
     return total / t
+
+
+def oracle_stages(ast):
+    """(name, flag tuple) of every utility node, depth first in document
+    order: a stage, then its -exec bodies and $(...) stages."""
+    out = []
+
+    def visit(node):
+        flags = tuple(it.token if isinstance(it, B.FlagNode) else it.flag
+                      for it in node.items
+                      if isinstance(it, (B.FlagNode, B.ExecClause)))
+        out.append((node.name, flags))
+        for it in node.items:
+            if isinstance(it, B.ExecClause):
+                visit(it.body)
+            elif isinstance(it, B.Substitution):
+                for stage in it.stages:
+                    visit(stage)
+
+    for stage in ast.stages:
+        visit(stage)
+    return out
+
+
+def oracle_final(scores, confidences):
+    weighted = [c * s for c, s in zip(confidences, scores)]
+    if max(weighted) > 0:
+        return max(weighted)
+    if sum(confidences) > 0:
+        return sum(weighted) / sum(confidences)
+    return sum(scores) / len(scores)
 
 
 def ast_of(stages):
@@ -131,6 +163,30 @@ class TestOracleEquivalence:
                 assert got == want
                 cases += 1
         assert cases == 78 * 78
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_property_scores_match_oracle_on_nested_commands(data):
+    ref = data.draw(nested_commands, label="ref")
+    texts = st.one_of(st.just(ref), nested_commands, st.just("| broken"))
+    candidates = data.draw(st.lists(
+        st.tuples(texts, st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        min_size=1, max_size=3), label="candidates")
+    ref_ast = B.parse(ref, NESTING_HINTS)
+    want = []
+    for text, _ in candidates:
+        try:
+            cand_ast = B.parse(text, NESTING_HINTS)
+        except B.ParseError:
+            want.append(-1.0)
+            continue
+        want.append(oracle_utility_score(oracle_stages(cand_ast), oracle_stages(ref_ast)))
+        assert M.utility_score(cand_ast, ref_ast) == want[-1]
+        assert M.utility_score(text, ref, NESTING_HINTS) == want[-1]
+    pair = M.score_pair(ref, candidates, NESTING_HINTS)
+    assert pair.per_candidate == tuple(want)
+    assert pair.final == oracle_final(want, [c for _, c in candidates])
 
 
 class TestScorePair:
