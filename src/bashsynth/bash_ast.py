@@ -135,16 +135,6 @@ class UtilityNode:
                 out.append(FlagNode(it.flag))
         return tuple(out)
 
-    @property
-    def nested(self) -> tuple["UtilityNode", ...]:
-        out: list[UtilityNode] = []
-        for it in self.items:
-            if isinstance(it, ExecClause):
-                out.append(it.body)
-            elif isinstance(it, Substitution):
-                out.extend(it.stages)
-        return tuple(out)
-
     def flag_tokens(self) -> frozenset[str]:
         return frozenset(
             it.token if isinstance(it, FlagNode) else it.flag
@@ -159,15 +149,18 @@ class BashAst:
 
     def walk_utilities(self) -> Iterator[UtilityNode]:
         """All utility nodes in document order, including nested ones."""
-        for stage in self.stages:
-            yield stage
-            yield from _walk_nested(stage)
+        return _walk(self.stages)
 
 
-def _walk_nested(node: UtilityNode) -> Iterator[UtilityNode]:
-    for inner in node.nested:
-        yield inner
-        yield from _walk_nested(inner)
+def _walk(nodes: Iterable[UtilityNode]) -> Iterator[UtilityNode]:
+    """Each node, then its ``-exec`` body or ``$(...)`` stages."""
+    for node in nodes:
+        yield node
+        for it in node.items:
+            if isinstance(it, ExecClause):
+                yield from _walk((it.body,))
+            elif isinstance(it, Substitution):
+                yield from _walk(it.stages)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +603,6 @@ def _stage_tokens(
             yield "$(" + " | ".join(_render_stage(s, word) for s in it.stages) + ")"
 
 
-def ast_tokens(ast: BashAst) -> Iterator[str]:
-    for stage in ast.stages:
-        yield from _stage_tokens(stage)
-
-
 def vocabulary(corpus: Iterable[BashAst], templatized: bool = False) -> set[str]:
     """Distinct tokens across a corpus, optionally after templatization."""
     asts = list(corpus)
@@ -624,5 +612,6 @@ def vocabulary(corpus: Iterable[BashAst], templatized: bool = False) -> set[str]
     for ast in asts:
         if templatized:
             ast = templatize(ast)
-        vocab.update(ast_tokens(ast))
+        for stage in ast.stages:
+            vocab.update(_stage_tokens(stage))
     return vocab

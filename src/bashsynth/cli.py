@@ -110,10 +110,17 @@ def cmd_validate(args: argparse.Namespace) -> None:
             f"{validator.DEFAULT_TIMEOUT_SECONDS}s timeout)"
         )
 
-    entries = dataset_io.read_templates(args.infile)
     fixtures = validator.load_fixture_values(args.fixtures)
-    manifest = validator.load_manifest(args.sandbox_manifest)
+    config = validator.SandboxConfig(
+        workspace=Path(args.workspace),
+        timeout=args.timeout,
+        backend="subprocess" if args.exec else "dry_run",
+        allow_execution=args.exec,
+        manifest=validator.load_manifest(args.sandbox_manifest),
+        jobs=args.jobs,
+    )
 
+    entries = dataset_io.read_templates(args.infile)
     concrete = []
     for entry in entries:
         try:
@@ -121,14 +128,6 @@ def cmd_validate(args: argparse.Namespace) -> None:
         except validator.MissingFixture as exc:
             raise ValueError(f"{entry.id}: {exc}") from None
 
-    config = validator.SandboxConfig(
-        workspace=Path(args.workspace),
-        timeout=args.timeout,
-        backend="subprocess" if args.exec else "dry_run",
-        allow_execution=args.exec,
-        manifest=manifest,
-        jobs=args.jobs,
-    )
     results = validator.run_batch(concrete, config)
 
     # one line per result: its fields in order, wall time rounded

@@ -80,8 +80,6 @@ def utility_score(
 
 @dataclass(frozen=True)
 class ScoredPair:
-    reference: BashAst
-    candidates: tuple[tuple[BashAst | None, float], ...]
     per_candidate: tuple[float, ...]
     final: float
 
@@ -100,41 +98,29 @@ def score_pair(
     """
     if not candidates:
         raise ValueError("at least one candidate is required")
-    ref_ast = reference if isinstance(reference, BashAst) else parse(reference, hints)
-    ref_seq = _utility_sequence(ref_ast)
+    ref_seq = _utility_sequence(reference, hints)
 
-    parsed: list[tuple[BashAst | None, float]] = []
     scores: list[float] = []
     for cand, confidence in candidates:
         if not 0.0 <= confidence <= 1.0:
             raise ValueError(f"confidence {confidence} outside [0, 1]")
         try:
-            cand_ast = cand if isinstance(cand, BashAst) else parse(cand, hints)
+            scores.append(_aligned_score(_utility_sequence(cand, hints), ref_seq))
         except ParseError:
-            cand_ast = None
-        parsed.append((cand_ast, confidence))
-        scores.append(
-            _aligned_score(_utility_sequence(cand_ast), ref_seq)
-            if cand_ast is not None else -1.0
-        )
+            scores.append(-1.0)
 
-    weighted = [c * s for (_, c), s in zip(parsed, scores)]
+    weighted = [c * s for (_, c), s in zip(candidates, scores)]
     best = max(weighted)
     if best > 0:
         final = best
     else:
-        conf_sum = sum(c for _, c in parsed)
+        conf_sum = sum(c for _, c in candidates)
         if conf_sum > 0:
             final = sum(weighted) / conf_sum
         else:
             final = sum(scores) / len(scores)
 
-    return ScoredPair(
-        reference=ref_ast,
-        candidates=tuple(parsed),
-        per_candidate=tuple(scores),
-        final=final,
-    )
+    return ScoredPair(per_candidate=tuple(scores), final=final)
 
 
 def dataset_accuracy(pairs: Sequence[ScoredPair]) -> float:

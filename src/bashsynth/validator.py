@@ -21,6 +21,7 @@ import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import count, repeat
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -345,10 +346,7 @@ def run_batch(
         raise SandboxSetupError(f"cannot create workspace {root}: {exc}") from exc
 
     manifest = config.manifest if config.manifest is not None else load_manifest()
+    # map cancels the queued commands when one raises
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        futures = [
-            pool.submit(_run_one, i, cmd, config, manifest)
-            for i, cmd in enumerate(commands)
-        ]
-        return [f.result() for f in futures]
+        return list(pool.map(_run_one, count(), commands, repeat(config), repeat(manifest)))
 

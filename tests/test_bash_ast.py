@@ -141,7 +141,7 @@ class TestParse:
     def test_exec_clause(self):
         ast = B.parse("find . -exec rm {} \\;")
         stage = ast.stages[0]
-        assert stage.nested[0].name == "rm"
+        assert [n.name for n in ast.walk_utilities()] == ["find", "rm"]
         assert "-exec" in {f.token for f in stage.flags}
         # an unterminated body runs to the end and has no closer
         (clause,) = B.parse("find . -exec ls").stages[0].items[1:]
@@ -155,12 +155,13 @@ class TestParse:
 
     def test_substitution(self):
         ast = B.parse("echo $(date -u)")
-        assert ast.stages[0].nested[0].name == "date"
+        assert [n.name for n in ast.walk_utilities()] == ["echo", "date"]
         # joined to other text on either side, $(...) is part of one parameter
         for word in ("x$(ls)", "$(ls)foo", "$(ls)$(pwd)"):
-            (stage,) = B.parse(f"echo {word}").stages
+            ast = B.parse(f"echo {word}")
+            (stage,) = ast.stages
             assert [p.literal for p in _params(stage)] == [word]
-            assert stage.nested == ()
+            assert [n.name for n in ast.walk_utilities()] == ["echo"]
 
     def test_substitution_nesting_rejected(self):
         with pytest.raises(ParseError):

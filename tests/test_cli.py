@@ -143,6 +143,14 @@ def test_cli_imports_no_requests():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_validate_checks_config_before_reading_input(tmp_path, capsys):
+    # a bad --jobs is refused before the (here missing) input is read
+    code = main(["validate", "--in", str(tmp_path / "missing.jsonl"),
+                 "--out", str(tmp_path / "r.jsonl"), "--jobs", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+
+
 def test_validate_exec_refuses_foreign_workspace(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(EXEC_OPT_IN_ENV, "1")
     templates = tmp_path / "templates.jsonl"

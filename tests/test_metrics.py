@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bashsynth import bash_ast as B
 from bashsynth import metrics as M
+from bashsynth.dataset_io import stats
 from test_bash_ast import NESTING_HINTS, nested_commands
 
 # ---------------------------------------------------------------------------
@@ -174,6 +176,12 @@ def test_property_scores_match_oracle_on_nested_commands(data):
         st.tuples(texts, st.sampled_from([0.0, 0.25, 0.5, 1.0])),
         min_size=1, max_size=3), label="candidates")
     ref_ast = B.parse(ref, NESTING_HINTS)
+    ref_stages = oracle_stages(ref_ast)
+    assert [node.name for node in ref_ast.walk_utilities()] == [n for n, _ in ref_stages]
+    report = stats([ref], NESTING_HINTS)
+    assert report.utility_counts == Counter(n for n, _ in ref_stages)
+    assert report.flag_count_hist == Counter(len(flags) for _, flags in ref_stages)
+    assert report.piped == (len(ref_ast.stages) > 1)
     want = []
     for text, _ in candidates:
         try:
@@ -181,7 +189,7 @@ def test_property_scores_match_oracle_on_nested_commands(data):
         except B.ParseError:
             want.append(-1.0)
             continue
-        want.append(oracle_utility_score(oracle_stages(cand_ast), oracle_stages(ref_ast)))
+        want.append(oracle_utility_score(oracle_stages(cand_ast), ref_stages))
         assert M.utility_score(cand_ast, ref_ast) == want[-1]
         assert M.utility_score(text, ref, NESTING_HINTS) == want[-1]
     pair = M.score_pair(ref, candidates, NESTING_HINTS)
@@ -215,7 +223,6 @@ class TestScorePair:
     def test_unparseable_candidate_scores_minus_one(self):
         pair = M.score_pair("ls", [('grep "broken', 1.0)])
         assert pair.per_candidate == (-1.0,)
-        assert pair.candidates[0][0] is None
 
     def test_no_candidates_rejected(self):
         with pytest.raises(ValueError):

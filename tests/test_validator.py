@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -344,6 +345,22 @@ class TestSubprocess:
         serial = V.run_batch(commands, self._config(tmp_path / "s"))
         parallel = V.run_batch(commands, self._config(tmp_path / "p", jobs=3))
         assert [r.verdict for r in serial] == [r.verdict for r in parallel]
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_error_stops_queued_commands(self, tmp_path, monkeypatch, jobs):
+        ran = []
+
+        def run_one(index, command, config, manifest):
+            ran.append(index)
+            if index == 3:
+                raise V.SandboxSetupError("cannot create workspace")
+            time.sleep(0.01)
+            return V.ValidationResult(command, 0, 0.0, True)
+
+        monkeypatch.setattr(V, "_run_one", run_one)
+        with pytest.raises(V.SandboxSetupError):
+            V.run_batch(["true"] * 50, self._config(tmp_path, jobs=jobs))
+        assert len(ran) < 15
 
     def test_deny_list_blocks_destructive(self, tmp_path):
         results = V.run_batch(
