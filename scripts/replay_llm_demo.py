@@ -2,9 +2,10 @@
 """Offline LLM pipeline demo against an in-memory stub transport.
 
 Shows the generate -> dedup -> parse-filter -> backtranslate flow without
-any network access and prints the audit trail. The session appends every
-exchange to a log in a temporary directory; the demo then replays that log
-and exits 1 if the replayed records differ from the first run's.
+any network access. The session appends every exchange to a log in a
+temporary directory, and the demo prints the audit trail read back from
+that log. It then replays the log into a second log and exits 1 unless the
+replay gives the same records and the same exchange lines, latency aside.
 
 Run: PYTHONPATH=src python scripts/replay_llm_demo.py
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+from bashsynth.dataset_io import read_exchanges
 from bashsynth.llm_bridge import (
     GEN_TEMPERATURE,
     GENERATION_PROMPT,
@@ -31,6 +33,10 @@ def _request(prompt: str, temperature: float) -> dict:
         "messages": [{"role": "user", "content": prompt}],
         "temperature": temperature,
     }
+
+
+def _without_latency(exchanges: list[dict]) -> list[dict]:
+    return [{k: v for k, v in e.items() if k != "latency"} for e in exchanges]
 
 
 GENERATIONS = [
@@ -60,17 +66,19 @@ def main() -> int:
     ]
 
     with tempfile.TemporaryDirectory() as tmp:
-        log = Path(tmp) / "exchanges.jsonl"
+        log, replay_log = Path(tmp) / "exchanges.jsonl", Path(tmp) / "replayed.jsonl"
         session = LlmSession(LlmConfig(), ReplayTransport(entries), log_path=log)
         records = session.pipeline(len(GENERATIONS))
-        replayed = LlmSession(LlmConfig(), ReplayTransport(log)).pipeline(len(GENERATIONS))
+        replay = LlmSession(LlmConfig(), ReplayTransport(log), log_path=replay_log)
+        replayed = replay.pipeline(len(GENERATIONS))
+        trail, replayed_trail = read_exchanges(log), read_exchanges(replay_log)
 
     print(f"{len(GENERATIONS)} prompts -> {len(records)} records\n")
     for record in records:
         print(f"  {record.cmd:<35} {record.nl}")
 
-    print(f"\naudit trail ({len(session.audit)} exchanges):")
-    for exchange in session.audit:
+    print(f"\naudit trail ({len(trail)} exchanges):")
+    for exchange in trail:
         print(f"  [{exchange['task']} #{exchange['index']}] "
               f"t={exchange['request']['temperature']} "
               f"attempt={exchange['attempt']} -> {exchange['response'][:50]!r}")
@@ -78,7 +86,11 @@ def main() -> int:
     if replayed != records:
         print("\nreplaying the exchange log gave different records")
         return 1
-    print(f"\nreplaying the exchange log gave the same {len(records)} records")
+    if _without_latency(replayed_trail) != _without_latency(trail):
+        print("\nreplaying the exchange log gave different exchanges")
+        return 1
+    print(f"\nreplaying the exchange log gave the same {len(records)} records "
+          f"and {len(trail)} exchanges")
     return 0
 
 

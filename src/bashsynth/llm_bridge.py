@@ -94,7 +94,9 @@ def _request_key(payload: dict) -> str:
 
 
 class Transport(Protocol):
-    def send(self, payload: dict) -> str: ...
+    """``index`` is the batch item a call is for, or None; a replay reads it."""
+
+    def send(self, payload: dict, index: int | None = None) -> str: ...
 
 
 class HttpTransport:
@@ -105,7 +107,7 @@ class HttpTransport:
     def __init__(self, config: LlmConfig):
         self._config = config
 
-    def send(self, payload: dict) -> str:
+    def send(self, payload: dict, index: int | None = None) -> str:
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(AUTH_ENV, "")
         if token:
@@ -149,57 +151,38 @@ def _retry_after_seconds(value: str | None) -> float | None:
 
 
 class ReplayTransport:
-    """Serve canned responses keyed by request content, FIFO per key.
+    """Serve canned responses keyed by request content and item index.
 
     Entries are exchange-log lines (a log file is read through
-    ``dataset_io.read_exchanges``; a session's ``audit`` holds the same
-    lines) or hand-written ``{request, response}`` pairs. A failed attempt
-    (``error`` set) keeps its slot and is replayed as a failure: ``send``
-    raises TransportError with the logged error. A concurrent run logs in
-    completion order, so each key's replies are served in item ``index``
-    order, which is the order the run produced its results.
+    ``dataset_io.read_exchanges``) or hand-written ``{request, response}``
+    pairs. Each (request, index) pair is served in log order, so a
+    concurrent run, logged in completion order, and several batches of one
+    prompt replay as they ran. A call with no line left at its index takes
+    the request's next unindexed line. A failed attempt (``error`` not
+    null) replays as the same failure: ``send`` raises TransportError.
     """
 
     def __init__(self, exchanges: Sequence[dict] | str | Path):
         if isinstance(exchanges, (str, Path)):
             exchanges = read_exchanges(exchanges)
-        by_key: dict[str, list[dict]] = {}
+        self._queues: dict[tuple[str, int | None], deque[dict]] = {}
         for entry in exchanges:
-            by_key.setdefault(_request_key(entry["request"]), []).append(entry)
-        self._queues = {key: deque(_item_order(e)) for key, e in by_key.items()}
+            key = (_request_key(entry["request"]), entry.get("index"))
+            self._queues.setdefault(key, deque()).append(entry)
         self._lock = threading.Lock()
 
-    def send(self, payload: dict) -> str:
+    def send(self, payload: dict, index: int | None = None) -> str:
         key = _request_key(payload)
         with self._lock:
-            queue = self._queues.get(key)
+            queue = self._queues.get((key, index)) or self._queues.get((key, None))
             if not queue:
                 raise TransportError(
                     f"replay log has no response for request {key[:12]}"
                 )
             entry = queue.popleft()
-        if entry.get("error"):
+        if entry.get("error") is not None:
             raise TransportError(entry["error"])
         return entry["response"]
-
-
-def _item_order(entries: list[dict]) -> list[dict]:
-    """Entries with the indexed ones stably sorted by (batch, index) among
-    their own slots; unindexed ones stay where they are. A session's batches
-    run one after another, so an index seen again starts the next batch,
-    unless the line is a retry (``attempt`` above 1) of that index."""
-    keyed, seen, batch = [], set(), 0
-    for entry in entries:
-        index = entry.get("index")
-        if index is None:
-            continue
-        if index in seen and entry.get("attempt") in (None, 1):
-            batch, seen = batch + 1, set()
-        seen.add(index)
-        keyed.append(((batch, index), entry))
-    ordered = iter(sorted(keyed, key=lambda item: item[0]))
-    return [entry if entry.get("index") is None else next(ordered)[1]
-            for entry in entries]
 
 
 def _extract_command(text: str) -> str:
@@ -222,11 +205,11 @@ def _extract_command(text: str) -> str:
 class LlmSession:
     """One configured connection: retries, rate limiting, exchange log.
 
-    Every attempt becomes one exchange-log line, kept in ``audit`` and, with
-    ``log_path`` (truncated once), appended there the moment it completes,
-    so a killed run keeps every finished exchange. ReplayTransport reads
-    either back; a session replaying it runs its items one at a time and
-    sleeps for neither backoff nor pacing.
+    With ``log_path`` (truncated once), every attempt becomes one
+    exchange-log line, appended the moment it completes, so a killed run
+    keeps every finished exchange. The log is the session's only record of
+    its exchanges. ReplayTransport reads it back; a session replaying it
+    runs its items one at a time and sleeps for neither backoff nor pacing.
     """
 
     def __init__(
@@ -238,13 +221,12 @@ class LlmSession:
         self.config = config
         self.transport = transport if transport is not None else HttpTransport(config)
         # A replay contacts no endpoint, so there is nothing to wait for, and
-        # serves each request's replies in log order, so it runs serially.
+        # serves unindexed lines in the order calls arrive, so it runs serially.
         self._replay = isinstance(self.transport, ReplayTransport)
-        self.audit: list[dict] = []
         self._log_path = Path(log_path) if log_path is not None else None
         if self._log_path is not None:
             self._log_path.write_text("", encoding="utf-8")
-        self._audit_lock = threading.Lock()
+        self._log_lock = threading.Lock()
         self._item = threading.local()  # index of the item _map_ordered is on
         self._pace_lock = threading.Lock()
         self._last_call = 0.0
@@ -265,16 +247,17 @@ class LlmSession:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
         }
+        index = getattr(self._item, "index", None)
         attempts = self.config.max_retries + 1
         last_error: Exception | None = None
         for attempt in range(1, attempts + 1):
             self._pace()
             start = time.perf_counter()
             try:
-                response = self.transport.send(payload)
+                response = self.transport.send(payload, index)
             except TransportError as exc:
                 last_error = exc
-                self._log(task, payload, "", start, attempt, str(exc))
+                self._log(task, index, payload, "", start, attempt, str(exc))
                 if attempt < attempts and not self._replay:
                     wait = self.config.backoff * attempt
                     if exc.retry_after is not None:
@@ -283,33 +266,33 @@ class LlmSession:
                         wait = max(wait, min(exc.retry_after, self.config.request_timeout))
                     time.sleep(wait)
                 continue
-            self._log(task, payload, response, start, attempt, None)
+            self._log(task, index, payload, response, start, attempt, None)
             return response
         raise TransportError(f"{task}: retries exhausted: {last_error}")
 
     def _log(
         self,
         task: str,
+        index: int | None,
         payload: dict,
         response: str,
         start: float,
         attempt: int,
         error: str | None,
     ) -> None:
+        if self._log_path is None:
+            return
         line = {
             "task": task,
-            "index": getattr(self._item, "index", None),
+            "index": index,
             "attempt": attempt,
             "request": payload,
             "response": response,
             "error": error,
             "latency": round(time.perf_counter() - start, 6),
         }
-        with self._audit_lock:
-            self.audit.append(line)
-            if self._log_path is not None:
-                with self._log_path.open("a", encoding="utf-8") as fh:
-                    fh.write(encode_line(line))
+        with self._log_lock, self._log_path.open("a", encoding="utf-8") as fh:
+            fh.write(encode_line(line))
 
     def _map_ordered(
         self, fn: Callable[[_T], _R], items: Sequence[_T]

@@ -103,7 +103,7 @@ class SlowTransport:
     def _sleep(self, position: int) -> None:
         time.sleep(self.delay * (3 - position % 3))
 
-    def send(self, payload):
+    def send(self, payload, index=None):
         prompt = payload["messages"][0]["content"]
         if prompt == GENERATION_PROMPT:
             with self.lock:

@@ -220,13 +220,15 @@ def test_criterion_09_dataset_io(tmp_path):
 
 def test_criterion_10_llm_pipeline_offline(tmp_path):
     out_a, out_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    session = L.LlmSession(L.LlmConfig(), L.ReplayTransport(make_replay_entries()))
+    log = tmp_path / "log.jsonl"
+    session = L.LlmSession(L.LlmConfig(), L.ReplayTransport(make_replay_entries()),
+                           log_path=log)
     records = session.pipeline(10, out_path=out_a)
 
     assert len(records) == 5
     for record in records:
         B.parse(record.cmd)
-    assert len(session.audit) == 15
+    assert len(log.read_text().splitlines()) == 15
 
     L.LlmSession(L.LlmConfig(), L.ReplayTransport(make_replay_entries())).pipeline(
         10, out_path=out_b

@@ -581,6 +581,21 @@ def test_replay_run_log_replays_identically(tmp_path):
     assert len(runs[0][1]) == 15
 
 
+def test_replay_and_audit_log_may_name_one_file(tmp_path):
+    # The replay reads the log before the session truncates it to rewrite it.
+    fixture, log = tmp_path / "fixture.jsonl", tmp_path / "run.log"
+    _write_log(fixture, make_replay_entries())
+    runs = []
+    for name, replay in (("a", fixture), ("b", log)):
+        out = tmp_path / f"{name}.jsonl"
+        code = main(["llm-pipeline", "--n", "10", "--out", str(out),
+                     "--replay", str(replay), "--audit-log", str(log)])
+        assert code == 0
+        runs.append((out.read_bytes(), _without_latency(log)))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 15
+
+
 def test_llm_pipeline_log_replays_live_order(tmp_path, monkeypatch):
     commands = [f"echo {i}" for i in range(6)]
     monkeypatch.setattr(L, "HttpTransport", lambda config: SlowTransport(commands))
