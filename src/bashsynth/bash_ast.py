@@ -17,6 +17,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -142,6 +143,36 @@ class UtilityNode:
             if isinstance(it, (FlagNode, ExecClause))
         )
 
+    # The views below are computed on first use and kept in the instance
+    # __dict__ (the class has no __slots__), outside the dataclass fields, so
+    # equality, hashing and repr are unchanged. parse shares one node per
+    # distinct stage, so each is computed once per stage, not per call.
+
+    @cached_property
+    def signature(self) -> tuple[tuple[str, frozenset[str]], ...]:
+        """``(name, flag tokens)`` of this node and its nested ``-exec`` and
+        ``$(...)`` nodes, in :meth:`BashAst.walk_utilities` order."""
+        return tuple((node.name, node.flag_tokens()) for node in _walk((self,)))
+
+    @cached_property
+    def template(self) -> UtilityNode:
+        """This node with every parameter swapped for its placeholder node;
+        see :func:`templatize`."""
+        items: list[Item] = []
+        for it in self.items:
+            if isinstance(it, ParamNode):
+                items.append(_placeholder(it))
+            elif isinstance(it, FlagNode):
+                if it.arg is None:
+                    items.append(it)
+                else:
+                    items.append(FlagNode(it.token, _placeholder(it.arg), it.glued))
+            elif isinstance(it, ExecClause):
+                items.append(ExecClause(it.flag, it.body.template, it.closer))
+            else:
+                items.append(Substitution(tuple(s.template for s in it.stages)))
+        return UtilityNode(self.name, tuple(items))
+
 
 @dataclass(frozen=True)
 class BashAst:
@@ -237,6 +268,11 @@ _TIMESPAN_LITERAL = re.compile(r"[+-]?\d+[smhdw]")
 # in its last path segment.
 _EXTENSION = re.compile(r"\.[A-Za-z0-9]{1,7}$")
 
+# Every shape rule below needs a digit (any Unicode decimal digit, as the
+# \d of the rules' patterns matches), ".", "/" or "~"; a literal with none
+# of them is REGEX. Most words of an English sentence are such literals.
+_SHAPE_CHAR = re.compile(r"[\d./~]")
+
 _PERMISSION_UTILITIES = frozenset({"chmod", "umask"})
 _PERMISSION_FLAGS = frozenset({"-m", "--mode", "-perm"})
 _SIZE_FLAGS = frozenset({"-size", "--size", "--block-size"})
@@ -261,6 +297,8 @@ def categorize(literal: str, *, utility: str = "", flag: str = "",
         return PLACEHOLDER_BY_TOKEN[literal]
     if declared is not None:
         return declared
+    if _SHAPE_CHAR.search(literal) is None:
+        return PlaceholderKind.REGEX
 
     if literal.isascii() and literal.isdigit():
         # Octal mode strings under chmod-like context take priority over the
@@ -460,11 +498,15 @@ def _parse_flag(
     return FlagNode(tok, ParamNode(nxt, arg), glued)
 
 
+# A combined short-flag token such as -cjf.
+_CLUSTER = re.compile(r"-[A-Za-z0-9]{2,}")
+
+
 def _expand_cluster(token: str, hints: UtilityHints) -> str | None:
     """The trailing member of a combined short-flag token ("-cjf" gives
     "-f") whose members are all declared and only that member takes an
     argument, if any does; otherwise None."""
-    if not re.fullmatch(r"-[A-Za-z0-9]{2,}", token):
+    if not _CLUSTER.fullmatch(token):
         return None
     parts = ["-" + ch for ch in token[1:]]
     if not all(p in hints.known_flags for p in parts):
@@ -491,27 +533,14 @@ def _render_stage(node: UtilityNode, word: Callable[[str], str] = str) -> str:
 # Templatize / fill
 
 
-def _map_params(node: UtilityNode, fn: Callable[[ParamNode], ParamNode]) -> UtilityNode:
-    items: list[Item] = []
-    for it in node.items:
-        if isinstance(it, ParamNode):
-            items.append(fn(it))
-        elif isinstance(it, FlagNode):
-            if it.arg is None:
-                items.append(it)
-            else:
-                items.append(FlagNode(it.token, fn(it.arg), it.glued))
-        elif isinstance(it, ExecClause):
-            items.append(ExecClause(it.flag, _map_params(it.body, fn), it.closer))
-        else:
-            items.append(
-                Substitution(tuple(_map_params(s, fn) for s in it.stages))
-            )
-    return UtilityNode(node.name, tuple(items))
-
-
 # Frozen, so every templatized tree shares one node per kind.
 _PLACEHOLDER_NODES = {kind: ParamNode(kind.token, kind) for kind in PlaceholderKind}
+
+
+def _placeholder(p: ParamNode) -> ParamNode:
+    if p.literal in PRESERVED_LITERALS:
+        return p
+    return _PLACEHOLDER_NODES[p.category]
 
 
 def templatize(ast: BashAst) -> BashAst:
@@ -519,16 +548,10 @@ def templatize(ast: BashAst) -> BashAst:
 
     Utilities, flag tokens and structural literals ("{}", ">", "-") are
     untouched, and a token categorizes as its own kind, so the operation is
-    idempotent. Any other literal is replaced, "[aeiou]" included.
+    idempotent. Any other literal is replaced, "[aeiou]" included. Each
+    stage's template is computed once per node (:attr:`UtilityNode.template`).
     """
-
-    def swap(p: ParamNode) -> ParamNode:
-        if p.literal in PRESERVED_LITERALS:
-            return p
-        return _PLACEHOLDER_NODES[p.category]
-
-    stages = tuple(_map_params(s, swap) for s in ast.stages)
-    return BashAst(stages=stages)
+    return BashAst(tuple(s.template for s in ast.stages))
 
 
 # A fill value bash would not read back as the very same word: empty, a

@@ -31,12 +31,13 @@ __all__ = [
 
 def raw_flag_score(pred: Iterable[str], ref: Iterable[str]) -> float:
     """Flag score exactly as printed; may fall below -1."""
-    fp, fr = set(pred), set(ref)
+    fp = pred if isinstance(pred, frozenset) else frozenset(pred)
+    fr = ref if isinstance(ref, frozenset) else frozenset(ref)
     n = max(len(fp), len(fr))
     if n == 0:
         return 1.0  # vacuous perfect match
     inter = len(fp & fr)
-    union = len(fp | fr)
+    union = len(fp) + len(fr) - inter
     return (2.0 * inter - union) / n
 
 
@@ -46,27 +47,30 @@ def flag_score(pred: Iterable[str], ref: Iterable[str]) -> float:
     return max(-1.0, min(1.0, raw))
 
 
-_Sequence = list[tuple[str, frozenset[str]]]
+_Sequence = tuple[tuple[str, frozenset[str]], ...]
 
 
 def _utility_sequence(command: BashAst | str, hints=None) -> _Sequence:
     """(name, flag tokens) of each utility node in document order."""
     ast = command if isinstance(command, BashAst) else parse(command, hints)
-    return [(node.name, node.flag_tokens()) for node in ast.walk_utilities()]
+    seq: _Sequence = ()
+    for stage in ast.stages:
+        seq += stage.signature
+    return seq
 
 
 def _aligned_score(pred_seq: _Sequence, ref_seq: _Sequence) -> float:
-    t = max(len(pred_seq), len(ref_seq))
-
     total = 0.0
-    for i in range(t):
-        p = pred_seq[i] if i < len(pred_seq) else None
-        r = ref_seq[i] if i < len(ref_seq) else None
-        if p is not None and r is not None and p[0] == r[0]:
-            total += 0.5 * (1.0 + flag_score(p[1], r[1]))
+    for (pred_name, pred_flags), (ref_name, ref_flags) in zip(pred_seq, ref_seq):
+        if pred_name == ref_name:
+            total += 0.5 * (1.0 + flag_score(pred_flags, ref_flags))
         else:
             total -= 1.0
-    return total / t
+    # one -1 per position only the longer sequence has, added one at a time
+    # as a position-by-position walk would, so the sum rounds the same way
+    for _ in range(abs(len(pred_seq) - len(ref_seq))):
+        total -= 1.0
+    return total / max(len(pred_seq), len(ref_seq))
 
 
 def utility_score(

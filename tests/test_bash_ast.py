@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 import shlex
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bashsynth import bash_ast as B
-from bashsynth import generator, validator
+from bashsynth import generator, metrics, validator
 from bashsynth.bash_ast import ParamNode, ParseError, PlaceholderKind, UtilityHints
 
 
@@ -656,10 +657,11 @@ def _oracle_categorize(literal: str, *, utility: str = "", flag: str = "") -> Pl
     return PlaceholderKind.REGEX
 
 
-# Digits (whole years too, so dates come up), letters, date and path
-# punctuation, and the size and time suffixes.
-_CATEGORIZE_CHUNKS = [*"0123456789", "12", "2020", *"abxyzAZ", *"-/:._~ T",
-                      *"kKmMbBsmhdw"]
+# Digits (whole years too, so dates come up), Arabic-Indic digits (which
+# the rules' \d matches, so "\u0661\u0662:\u0663\u0664" is a DATETIME), letters,
+# date and path punctuation, and the size and time suffixes.
+_CATEGORIZE_CHUNKS = [*"0123456789", "12", "2020", "\u0663", "\u0661\u0662", *"abxyzAZ",
+                      *"-/:._~ T", *"kKmMbBsmhdw"]
 
 
 @settings(max_examples=1000)
@@ -677,6 +679,7 @@ _CATEGORIZE_CHUNKS = [*"0123456789", "12", "2020", *"abxyzAZ", *"-/:._~ T",
 @example(literal="abc/", flag="", utility="")
 @example(literal="0755", flag="", utility="chmod")
 @example(literal="10k", flag="-size", utility="")
+@example(literal="\u0661\u0662:\u0663\u0664", flag="", utility="")
 def test_property_categorize_matches_rule_list(literal, flag, utility):
     assert (B.categorize(literal, utility=utility, flag=flag)
             is _oracle_categorize(literal, utility=utility, flag=flag))
@@ -818,6 +821,50 @@ class TestStageCache:
         for i in range(B._STAGE_CACHE_SIZE + 100):
             B.parse(f"ls d{i} | wc -l")
             assert len(B._stage_cache) <= B._STAGE_CACHE_SIZE
+
+    def test_views_follow_the_node_not_the_text(self):
+        # one stage text, parsed under two hints objects that give head's
+        # positionals different kinds, so the two trees differ only in
+        # categories; a view keyed by the text would serve one tree's
+        # template for the other
+        text = "find . -exec head -n 10 a.log \\; | head -n 10 access.log"
+        variants = [
+            {"head": UtilityHints(positionals=(kind,))}
+            for kind in (PlaceholderKind.DIRECTORY, PlaceholderKind.FILE)
+        ]
+        B._stage_cache.clear()
+        asts = [B.parse(text, h) for h in variants]
+        oracles = [_oracle_templatize(ast) for ast in asts]
+        assert oracles[0] != oracles[1]
+        assert B.render(oracles[0]) == (
+            "find _PATH -exec head -n _DIRECTORY _FILE \\; | head -n _DIRECTORY _FILE")
+        candidates = [(B.parse("find . -exec head -n 1 b \\; | head c"), 0.5),
+                      ("cat -n x", 1.0)]
+        scored = metrics.score_pair(asts[0], candidates)
+        assert scored.per_candidate == (2 / 3, -1.0)
+        for _ in range(2):
+            for h, ast, oracle in zip(variants, asts, oracles):
+                again = B.parse(text, h)
+                assert again.stages[0] is ast.stages[0]
+                assert B.templatize(again) == oracle
+                assert B.templatize(ast) == oracle
+                assert metrics.score_pair(again, candidates) == scored
+
+    def test_views_leave_fields_equality_hash_and_repr(self, hints):
+        text = "find . -name '*.txt' -exec grep -l foo {} \\; | xargs echo $(date -u)"
+        viewed = B.parse(text, hints)
+        for node in viewed.walk_utilities():
+            assert node.signature and node.template
+        B._stage_cache.clear()
+        fresh = B.parse(text, hints)
+        for node, new in zip(viewed.walk_utilities(), fresh.walk_utilities()):
+            assert new is not node
+            assert {"signature", "template"} <= vars(node).keys()
+            assert not {"signature", "template"} & vars(new).keys()
+            assert node == new
+            assert hash(node) == hash(new)
+            assert repr(node) == repr(new)
+        assert [f.name for f in dataclasses.fields(B.UtilityNode)] == ["name", "items"]
 
     def test_threads_with_different_hints(self, variants, corpus_lines, monkeypatch):
         texts = [self.TEXT, *corpus_lines[:40]]
