@@ -17,7 +17,6 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -120,6 +119,25 @@ class Substitution:
 Item = Union[FlagNode, ParamNode, ExecClause, Substitution]
 
 
+class _view:
+    """A value computed from a node on first read and stored in the node's
+    ``__dict__`` under the same name, where later reads find it before the
+    descriptor. Like :func:`functools.cached_property` but without the lock
+    that Python 3.11 and earlier take on every first read: a view is a pure
+    function of the frozen node, so two threads that compute it at once
+    store equal values."""
+
+    def __init__(self, func: Callable):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = node.__dict__[self.name] = self.func(node)
+        return value
+
+
 @dataclass(frozen=True)
 class UtilityNode:
     name: str
@@ -148,13 +166,13 @@ class UtilityNode:
     # equality, hashing and repr are unchanged. parse shares one node per
     # distinct stage, so each is computed once per stage, not per call.
 
-    @cached_property
+    @_view
     def signature(self) -> tuple[tuple[str, frozenset[str]], ...]:
         """``(name, flag tokens)`` of this node and its nested ``-exec`` and
         ``$(...)`` nodes, in :meth:`BashAst.walk_utilities` order."""
         return tuple((node.name, node.flag_tokens()) for node in _walk((self,)))
 
-    @cached_property
+    @_view
     def template(self) -> UtilityNode:
         """This node with every parameter swapped for its placeholder node;
         see :func:`templatize`."""

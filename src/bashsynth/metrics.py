@@ -31,8 +31,7 @@ __all__ = [
 
 def raw_flag_score(pred: Iterable[str], ref: Iterable[str]) -> float:
     """Flag score exactly as printed; may fall below -1."""
-    fp = pred if isinstance(pred, frozenset) else frozenset(pred)
-    fr = ref if isinstance(ref, frozenset) else frozenset(ref)
+    fp, fr = frozenset(pred), frozenset(ref)
     n = max(len(fp), len(fr))
     if n == 0:
         return 1.0  # vacuous perfect match
