@@ -199,10 +199,31 @@ def load_specs(path: str | Path) -> list[UtilitySpec]:
     return list(specs.values())
 
 
+# libyaml parses when PyYAML was built with it, pure Python otherwise.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# Deepest collection nesting a spec file may hold. The schema needs 3
+# (document, flags, flag); the margin leaves a mistyped value, such as a
+# list where a string belongs, to the field checks. libyaml composes a
+# document by recursing in C, which a deep enough file crashes, so the
+# event stream, which nothing recurses over, is checked first.
+_MAX_DEPTH = 32
+
+
 def _read_specs(path: Path) -> list[UtilitySpec]:
     try:
-        docs = list(yaml.safe_load_all(path.read_text(encoding="utf-8")))
-    except (yaml.YAMLError, RecursionError) as exc:  # not YAML, too deep
+        text = path.read_text(encoding="utf-8")
+        depth = 0
+        for event in yaml.parse(text, Loader=_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_DEPTH:
+                    raise SchemaError(f"collections nested more than {_MAX_DEPTH} deep",
+                                      path, event.start_mark.line + 1)
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        docs = list(yaml.load_all(text, Loader=_LOADER))
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:  # not UTF-8, not YAML
         raise SchemaError(f"{path}: not valid YAML: {exc}") from None
     return [
         _spec_from_doc(doc, f"{path}: document {ordinal}")

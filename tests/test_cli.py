@@ -763,7 +763,7 @@ def test_outputs_of_one_run_share_one_manifest(tmp_path):
     "unknown utility", "exec without opt-in", "backtranslate without endpoint",
     "llm-pipeline without endpoint", "infeasible profile", "count mismatch",
     "man page without flags", "parser-form validate", "deep config", "deep profile",
-    "deep fixtures", "deep specs",
+    "deep fixtures", "deep specs", "non-UTF-8 specs",
 ])
 def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     monkeypatch.delenv(EXEC_OPT_IN_ENV, raising=False)
@@ -777,10 +777,13 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     profile, man = tmp_path / "profile.json", tmp_path / "cp.txt"
     profile.write_text(json.dumps({"proportions": {}, "pipe_fraction": 0.5}))
     man.write_text("nothing here\n")
-    # nested past the interpreter's recursion limit
+    # nested past the interpreter's recursion limit, and past the depth
+    # that crashes libyaml's composer
     deep_json, deep_yaml = tmp_path / "deep.json", tmp_path / "deep.yaml"
     deep_json.write_text("[" * 100_000 + "]" * 100_000)
-    deep_yaml.write_text("[" * 20_000 + "]" * 20_000)
+    deep_yaml.write_text("[" * 100_000 + "]" * 100_000)
+    latin1_yaml = tmp_path / "latin1.yaml"
+    latin1_yaml.write_bytes("name: l\xe9\n".encode("latin-1"))
     out = str(tmp_path / "out.jsonl")
     code, want, argv = {
         "unknown utility": (2, "unknown utility 'frobnicate'",
@@ -811,8 +814,10 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
         "deep fixtures": (1, f"{deep_json}: not JSON: maximum recursion depth",
                           ["validate", "--in", str(templates), "--out", out,
                            "--fixtures", str(deep_json)]),
-        "deep specs": (1, f"{deep_yaml}: not valid YAML: maximum recursion depth",
+        "deep specs": (1, f"{deep_yaml}:1: collections nested more than 32 deep",
                        ["generate", "--specs", str(deep_yaml), "--out", out]),
+        "non-UTF-8 specs": (1, f"{latin1_yaml}: not valid YAML: 'utf-8' codec can't decode",
+                            ["generate", "--specs", str(latin1_yaml), "--out", out]),
     }[case]
     assert main(argv) == code
     err = capsys.readouterr().err

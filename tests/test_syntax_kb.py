@@ -1,9 +1,19 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bashsynth.bash_ast import PlaceholderKind
 from bashsynth import syntax_kb as K
+
+# The pure-Python loader is the fallback for a PyYAML built without libyaml.
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 TAR_FIXTURE = """\
 name: tar
@@ -27,39 +37,48 @@ def test_load_specs_fixture(tmp_path):
     assert spec.flags[2].arg is K.GenArgKind.FILE
 
 
+def refusal(path, monkeypatch) -> str:
+    """The SchemaError message ``load_specs(path)`` raises, the same under
+    every loader."""
+    messages = set()
+    for loader in LOADERS:
+        monkeypatch.setattr(K, "_LOADER", loader)
+        with pytest.raises(K.SchemaError) as exc:
+            K.load_specs(path)
+        messages.add(str(exc.value))
+    assert len(messages) == 1, messages
+    return messages.pop()
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("")
     assert K.load_specs(path) == []
 
 
-def test_duplicate_names_rejected(tmp_path):
+def test_duplicate_names_rejected(tmp_path, monkeypatch):
     path = tmp_path / "dupe.yaml"
     path.write_text("name: find\n---\nname: find\n")
-    with pytest.raises(K.SchemaError, match="duplicate"):
-        K.load_specs(path)
+    assert "duplicate" in refusal(path, monkeypatch)
 
 
-def test_duplicate_names_across_files_rejected(tmp_path):
+def test_duplicate_names_across_files_rejected(tmp_path, monkeypatch):
     (tmp_path / "a.yaml").write_text("name: ls\n")
     (tmp_path / "b.yaml").write_text("name: cd\n---\nname: ls\n")
-    with pytest.raises(K.SchemaError) as exc:
-        K.load_specs(tmp_path)
-    assert str(exc.value) == f"{tmp_path / 'b.yaml'}: duplicate utility spec: ls"
+    assert refusal(tmp_path, monkeypatch) == (
+        f"{tmp_path / 'b.yaml'}: duplicate utility spec: ls")
 
 
-def test_schema_error_names_field(tmp_path):
+def test_schema_error_names_field(tmp_path, monkeypatch):
     path = tmp_path / "bad.yaml"
     path.write_text("name: ls\nflags:\n  - {arg: File}\n")
-    with pytest.raises(K.SchemaError, match="token"):
-        K.load_specs(path)
+    assert "token" in refusal(path, monkeypatch)
 
 
-def test_unknown_arg_kind_rejected(tmp_path):
+def test_unknown_arg_kind_rejected(tmp_path, monkeypatch):
     path = tmp_path / "bad.yaml"
     path.write_text('name: ls\nflags:\n  - {token: "-x", arg: Gizmo}\n')
-    with pytest.raises(K.SchemaError, match="Gizmo"):
-        K.load_specs(path)
+    assert "Gizmo" in refusal(path, monkeypatch)
 
 
 MISTYPED = {
@@ -74,26 +93,99 @@ MISTYPED = {
 
 
 @pytest.mark.parametrize("field, text", MISTYPED.items(), ids=list(MISTYPED))
-def test_mistyped_field_rejected(tmp_path, field, text):
+def test_mistyped_field_rejected(tmp_path, monkeypatch, field, text):
     path = tmp_path / "bad.yaml"
     path.write_text(text if field == "name" else f"name: find\n{text}\n")
-    with pytest.raises(K.SchemaError) as exc:
-        K.load_specs(path)
-    assert str(exc.value).startswith(f"{path}: document 0: ")
-    assert f"'{field}' must be" in str(exc.value)
+    message = refusal(path, monkeypatch)
+    assert message.startswith(f"{path}: document 0: ")
+    assert f"'{field}' must be" in message
 
 
-def test_duplicate_flags_rejected(tmp_path):
+def test_duplicate_flags_rejected(tmp_path, monkeypatch):
     path = tmp_path / "bad.yaml"
     path.write_text('name: ls\nflags:\n  - {token: "-a"}\n  - {token: "-a"}\n')
-    with pytest.raises(K.SchemaError, match="duplicate flag"):
-        K.load_specs(path)
+    assert "duplicate flag" in refusal(path, monkeypatch)
+
+
+def test_nesting_limit(tmp_path, monkeypatch):
+    # the document's mapping is the first level, each "[" one more; the
+    # blank line puts the refused list on line 3
+    at_limit, past_limit = tmp_path / "at.yaml", tmp_path / "past.yaml"
+    levels = K._MAX_DEPTH - 1
+    at_limit.write_text("name: ls\ntemplate: " + "[" * levels + "]" * levels + "\n")
+    levels += 1
+    past_limit.write_text("name: ls\n\ntemplate: " + "[" * levels + "]" * levels + "\n")
+    assert f"{at_limit}: document 0: 'template' must be" in refusal(at_limit, monkeypatch)
+    assert refusal(past_limit, monkeypatch) == (
+        f"{past_limit}:3: collections nested more than {K._MAX_DEPTH} deep")
+
+
+@pytest.mark.parametrize("loader", [loader.__name__ for loader in LOADERS])
+def test_deep_file_refused_without_crash(tmp_path, loader):
+    # In a child process: libyaml's recursive composer crashes the
+    # interpreter at this depth, which would end the whole test run.
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = f"""
+import yaml
+from bashsynth import syntax_kb as K
+K._LOADER = yaml.{loader}
+try:
+    K.load_specs({str(path)!r})
+except K.SchemaError as exc:
+    print(exc)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(K.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == f"{path}:1: collections nested more than {K._MAX_DEPTH} deep\n"
+
+
+def test_default_loader_is_libyaml_when_built():
+    assert K._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+def test_shipped_kb_same_under_every_loader(monkeypatch, kb):
+    for loader in LOADERS:
+        monkeypatch.setattr(K, "_LOADER", loader)
+        assert K.load_specs(K.default_specs_path()) == list(kb.specs())
 
 
 def test_save_load_round_trip(tmp_path, kb):
     path = tmp_path / "specs.yaml"
     K.save_specs(kb.specs(), path)
     assert K.load_specs(path) == list(kb.specs())
+
+
+# Any text YAML can hold: no surrogates, which UTF-8 cannot encode.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_NAME = _TEXT.filter(lambda s: s and not any(c.isspace() for c in s))
+_SPECS = st.lists(
+    st.builds(
+        K.UtilitySpec,
+        name=_NAME,
+        template=st.lists(st.sampled_from(["FLAGS", *(k.value for k in K.GenArgKind)]),
+                          max_size=4).map(lambda slots: ("UTILITY", *slots)),
+        flags=st.lists(st.builds(K.FlagSpec, token=_TEXT.map(lambda s: "-" + s),
+                                 arg=st.none() | st.sampled_from(K.GenArgKind)),
+                       max_size=4, unique_by=lambda f: f.token).map(tuple),
+        pipe_successors=st.lists(_NAME, max_size=3).map(tuple),
+        needs_review=st.booleans(),
+    ),
+    max_size=4, unique_by=lambda spec: spec.name,
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(specs=_SPECS)
+def test_property_save_load_round_trip(tmp_path, monkeypatch, specs):
+    path = tmp_path / "specs.yaml"
+    K.save_specs(specs, path)
+    for loader in LOADERS:
+        monkeypatch.setattr(K, "_LOADER", loader)
+        assert K.load_specs(path) == specs
 
 
 def test_load_specs_from_directory(tmp_path):
