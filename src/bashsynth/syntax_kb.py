@@ -223,7 +223,9 @@ def _read_specs(path: Path) -> list[UtilitySpec]:
             elif isinstance(event, yaml.CollectionEndEvent):
                 depth -= 1
         docs = list(yaml.load_all(text, Loader=_LOADER))
-    except (UnicodeDecodeError, yaml.YAMLError) as exc:  # not UTF-8, not YAML
+    except (UnicodeDecodeError, yaml.YAMLError, RecursionError) as exc:
+        # not UTF-8, not YAML, or merge keys (<<) chained past the recursion
+        # limit: the constructor follows each one by recursing, at any depth
         raise SchemaError(f"{path}: not valid YAML: {exc}") from None
     return [
         _spec_from_doc(doc, f"{path}: document {ordinal}")

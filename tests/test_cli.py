@@ -763,7 +763,7 @@ def test_outputs_of_one_run_share_one_manifest(tmp_path):
     "unknown utility", "exec without opt-in", "backtranslate without endpoint",
     "llm-pipeline without endpoint", "infeasible profile", "count mismatch",
     "man page without flags", "parser-form validate", "deep config", "deep profile",
-    "deep fixtures", "deep specs", "non-UTF-8 specs",
+    "deep fixtures", "deep specs", "merge-chain specs", "non-UTF-8 specs",
 ])
 def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     monkeypatch.delenv(EXEC_OPT_IN_ENV, raising=False)
@@ -782,6 +782,10 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     deep_json, deep_yaml = tmp_path / "deep.json", tmp_path / "deep.yaml"
     deep_json.write_text("[" * 100_000 + "]" * 100_000)
     deep_yaml.write_text("[" * 100_000 + "]" * 100_000)
+    # merge keys (<<) chained past the recursion limit, each mapping shallow
+    merge_yaml = tmp_path / "merge.yaml"
+    chain = ["&a0 {x: 1}"] + [f"&a{i} {{<<: *a{i - 1}}}" for i in range(1, 1501)]
+    merge_yaml.write_text("{k: [" + ", ".join(chain) + "], <<: *a1500}\n")
     latin1_yaml = tmp_path / "latin1.yaml"
     latin1_yaml.write_bytes("name: l\xe9\n".encode("latin-1"))
     out = str(tmp_path / "out.jsonl")
@@ -816,6 +820,8 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
                            "--fixtures", str(deep_json)]),
         "deep specs": (1, f"{deep_yaml}:1: collections nested more than 32 deep",
                        ["generate", "--specs", str(deep_yaml), "--out", out]),
+        "merge-chain specs": (1, f"{merge_yaml}: not valid YAML: maximum recursion depth",
+                              ["generate", "--specs", str(merge_yaml), "--out", out]),
         "non-UTF-8 specs": (1, f"{latin1_yaml}: not valid YAML: 'utf-8' codec can't decode",
                             ["generate", "--specs", str(latin1_yaml), "--out", out]),
     }[case]

@@ -142,8 +142,14 @@ except K.SchemaError as exc:
     assert child.stdout == f"{path}:1: collections nested more than {K._MAX_DEPTH} deep\n"
 
 
-def test_default_loader_is_libyaml_when_built():
-    assert K._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+def test_merge_chain_refused(tmp_path, monkeypatch):
+    # Every mapping sits at depth 3 at most, so the nesting limit passes the
+    # file, but the constructor recurses once per merge key it follows.
+    path = tmp_path / "merge.yaml"
+    chain = ["&a0 {x: 1}"] + [f"&a{i} {{<<: *a{i - 1}}}" for i in range(1, 1501)]
+    path.write_text("{k: [" + ", ".join(chain) + "], <<: *a1500}\n")
+    assert refusal(path, monkeypatch).startswith(
+        f"{path}: not valid YAML: maximum recursion depth")
 
 
 def test_shipped_kb_same_under_every_loader(monkeypatch, kb):
