@@ -299,7 +299,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     def add_specs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--specs", default=str(syntax_kb.default_specs_path()),
-                       help="utility spec file or directory (default: %(default)s)")
+                       help="utility spec file, or a directory of *.json ones "
+                            "(default: %(default)s)")
 
     p = sub.add_parser("generate", help="enumerate command templates from specs")
     add_specs(p)

@@ -13,11 +13,12 @@ optional ``valid``; template corpora (generator output) have ``id``,
 shares equal ``utilities`` tuples, utility names, flag tokens and
 ``pipe_partner`` values across the entries it returns. ``read_commands``
 reads the ``cmd`` of either kind, ``read_predictions`` a ``score``
-prediction file and ``read_exchanges`` an LLM exchange log. ``read_json``
-and ``check_fields`` serve the JSON and YAML documents other modules load
-(fixtures, manifest, profile, specs): a value of the wrong type raises
-FormatError naming the file and the key. ``shipped`` is the path of a
-data file shipped with the package, the default of each such input.
+prediction file and ``read_exchanges`` an LLM exchange log. ``read_json``,
+``check_fields`` and ``check_object`` serve the JSON documents other
+modules load (fixtures, manifest, profile, specs): a value of the wrong
+type, or a key outside a closed schema, raises FormatError naming the file
+and the key. ``shipped`` is the path of a data file shipped with the
+package, the default of each such input.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "REQUIRED",
     "STRINGS",
     "check_fields",
+    "check_object",
     "read_json",
     "shipped",
     "DatasetRecord",
@@ -208,6 +210,17 @@ def check_fields(obj: Mapping, schema: Mapping, path: str | Path | None = None,
             raise FormatError(f"{key!r} must be {want}, not {obj[key]!r:.60}",
                               path, lineno)
     return values
+
+
+def check_object(obj: Mapping, schema: Mapping, path: str | Path | None = None) -> list:
+    """``check_fields`` for an object that may hold no key outside the
+    schema, so a misspelled key is refused, naming ``path`` and the key,
+    rather than read as its field's default. Line files are not closed:
+    exchange-log lines carry keys no reader checks."""
+    for key in obj:
+        if key not in schema:
+            raise FormatError(f"unknown field {key!r}", path)
+    return check_fields(obj, schema, path)
 
 
 def read_json(path: str | Path) -> dict:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Mapping, Sequence, TypeVar
 
 from . import bash_ast
-from .dataset_io import check_fields, read_json, shipped
+from .dataset_io import check_fields, check_object, read_json, shipped
 
 __all__ = [
     "InfeasibleProfile",
@@ -63,10 +63,10 @@ _FRACTION = (lambda v: type(v) in (int, float), "a number", None)
 
 def load_profile(path: str | Path) -> DistributionProfile:
     """The profile in a JSON object with a ``proportions`` object of
-    fractions and an optional ``pipe_fraction``; a value of the wrong type
-    (a boolean or a string is not a number) raises FormatError naming the
-    file and the key."""
-    proportions, pipe = check_fields(read_json(Path(path)), _PROFILE, path)
+    fractions and an optional ``pipe_fraction``; another key, or a value of
+    the wrong type (a boolean or a string is not a number), raises
+    FormatError naming the file and the key."""
+    proportions, pipe = check_object(read_json(Path(path)), _PROFILE, path)
     check_fields(proportions, dict.fromkeys(proportions, _FRACTION), path)
     return DistributionProfile(
         proportions={k: float(v) for k, v in proportions.items()},

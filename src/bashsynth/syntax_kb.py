@@ -1,12 +1,15 @@
 """Per-utility syntax templates and flag/argument metadata.
 
-Specs are curated YAML documents (one per utility) shipped with the
-package; :func:`import_manpage` is an authoring aid that drafts a spec
-from manual-page text for later human review.
+Specs are curated entries of a JSON spec file, ``{"specs": [...]}`` with
+one utility per line, shipped with the package; the spec file, each spec
+and each flag may hold only the keys the schema names.
+:func:`import_manpage` is an authoring aid that drafts a spec from
+manual-page text for later human review.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -14,10 +17,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-import yaml
-
 from .bash_ast import PlaceholderKind, UtilityHints
-from .dataset_io import REQUIRED, STRINGS, FormatError, check_fields, shipped
+from .dataset_io import REQUIRED, STRINGS, FormatError, check_object, read_json, shipped
 
 __all__ = [
     "SchemaError",
@@ -151,11 +152,12 @@ class UtilitySpec:
 # Spec file loading / saving
 
 
+_SPEC_FILE = {"specs": (lambda v: isinstance(v, list), "a list", REQUIRED)}
 _SPEC = {
     "name": (lambda v: isinstance(v, str), "a string", REQUIRED),
     "template": (*STRINGS[:2], ["UTILITY", "FLAGS"]),
     "flags": (lambda v: isinstance(v, list) and all(isinstance(f, dict) for f in v),
-              "a list of mappings", ()),
+              "a list of objects", ()),
     "pipe_successors": STRINGS,
     "needs_review": (lambda v: isinstance(v, bool), "true or false", False),
 }
@@ -169,14 +171,11 @@ _FLAG = {
 def _spec_from_doc(doc: object, where: str) -> UtilitySpec:
     try:
         if not isinstance(doc, dict):
-            raise SchemaError(f"expected a mapping, got {type(doc).__name__}")
-        unknown = set(doc) - set(_SPEC)
-        if unknown:
-            raise SchemaError(f"unknown fields {sorted(unknown)}")
-        name, template, flags, successors, needs_review = check_fields(doc, _SPEC)
+            raise SchemaError(f"expected an object, got {type(doc).__name__}")
+        name, template, flags, successors, needs_review = check_object(doc, _SPEC)
         flag_specs = []
         for j, item in enumerate(flags):
-            token, arg = check_fields(item, _FLAG, f"flags[{j}]")
+            token, arg = check_object(item, _FLAG, f"flags[{j}]")
             flag_specs.append(FlagSpec(token, _GEN_BY_VALUE.get(arg)))
         return UtilitySpec(name, tuple(template), tuple(flag_specs), tuple(successors),
                            needs_review)
@@ -185,57 +184,28 @@ def _spec_from_doc(doc: object, where: str) -> UtilitySpec:
 
 
 def load_specs(path: str | Path) -> list[UtilitySpec]:
-    """Load utility specs from a YAML file or a directory of YAML files;
-    each utility name may appear once among them all."""
+    """Load utility specs from a spec file or a directory of them (its
+    ``*.json`` files); each utility name may appear once among them all.
+    A refused file raises FormatError naming it, a SchemaError when an
+    entry breaks the schema."""
     path = Path(path)
-    files = (sorted(path.glob("*.yaml")) + sorted(path.glob("*.yml")) if path.is_dir()
-             else [path])
+    files = sorted(path.glob("*.json")) if path.is_dir() else [path]
+    if not files:
+        raise SchemaError("directory holds no *.json spec file", path)
     specs: dict[str, UtilitySpec] = {}
     for file in files:
-        for spec in _read_specs(file):
+        entries, = check_object(read_json(file), _SPEC_FILE, file)
+        for index, entry in enumerate(entries):
+            spec = _spec_from_doc(entry, f"{file}: specs[{index}]")
             if spec.name in specs:
                 raise SchemaError(f"duplicate utility spec: {spec.name}", file)
             specs[spec.name] = spec
     return list(specs.values())
 
 
-# libyaml parses when PyYAML was built with it, pure Python otherwise.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-# Deepest collection nesting a spec file may hold. The schema needs 3
-# (document, flags, flag); the margin leaves a mistyped value, such as a
-# list where a string belongs, to the field checks. libyaml composes a
-# document by recursing in C, which a deep enough file crashes, so the
-# event stream, which nothing recurses over, is checked first.
-_MAX_DEPTH = 32
-
-
-def _read_specs(path: Path) -> list[UtilitySpec]:
-    try:
-        text = path.read_text(encoding="utf-8")
-        depth = 0
-        for event in yaml.parse(text, Loader=_LOADER):
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > _MAX_DEPTH:
-                    raise SchemaError(f"collections nested more than {_MAX_DEPTH} deep",
-                                      path, event.start_mark.line + 1)
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-        docs = list(yaml.load_all(text, Loader=_LOADER))
-    except (UnicodeDecodeError, yaml.YAMLError, RecursionError) as exc:
-        # not UTF-8, not YAML, or merge keys (<<) chained past the recursion
-        # limit: the constructor follows each one by recursing, at any depth
-        raise SchemaError(f"{path}: not valid YAML: {exc}") from None
-    return [
-        _spec_from_doc(doc, f"{path}: document {ordinal}")
-        for ordinal, doc in enumerate(docs)
-        if doc is not None
-    ]
-
-
 def save_specs(specs: Iterable[UtilitySpec], path: str | Path) -> None:
-    docs = []
+    """Write a spec file, one utility per line."""
+    lines = []
     for spec in specs:
         doc: dict[str, object] = {
             "name": spec.name,
@@ -248,14 +218,13 @@ def save_specs(specs: Iterable[UtilitySpec], path: str | Path) -> None:
         }
         if spec.needs_review:
             doc["needs_review"] = True
-        docs.append(doc)
-    Path(path).write_text(
-        yaml.safe_dump_all(docs, sort_keys=False), encoding="utf-8"
-    )
+        lines.append(json.dumps(doc, ensure_ascii=False))
+    Path(path).write_text('{"specs": [\n' + ",\n".join(lines) + "\n]}\n",
+                          encoding="utf-8")
 
 
 def default_specs_path() -> Path:
-    return shipped("specs/core.yaml")
+    return shipped("specs/core.json")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from . import bash_ast
-from .dataset_io import STRINGS, check_fields, read_json, shipped
+from .dataset_io import STRINGS, check_fields, check_object, read_json, shipped
 from .syntax_kb import PLACEHOLDER_RE
 
 __all__ = [
@@ -124,9 +124,10 @@ def load_fixture_values(path: str | Path = DEFAULT_FIXTURES) -> dict[str, list[s
 
 def load_manifest(path: str | Path = DEFAULT_MANIFEST) -> dict[str, object]:
     """Workspace manifest: a JSON object whose ``dirs`` array names the
-    directories to create and whose ``files`` object maps paths to contents."""
+    directories to create and whose ``files`` object maps paths to contents;
+    it may hold no other key."""
     data = read_json(path)
-    check_fields(data, _MANIFEST, path)
+    check_object(data, _MANIFEST, path)
     return data
 
 

@@ -127,20 +127,26 @@ def test_malformed_json_input_exits_1(tmp_path, capsys, stage, flag, text):
 
 
 def test_generate_refuses_mistyped_spec(tmp_path, capsys):
-    specs = tmp_path / "specs.yaml"
-    specs.write_text("name: find\ntemplate: [UTILITY, Path, FLAGS]\npipe_successors: sort\n")
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps({"specs": [
+        {"name": "find", "template": ["UTILITY", "Path", "FLAGS"], "pipe_successors": "sort"},
+    ]}))
     code = main(["generate", "--specs", str(specs), "--piped", "--out", str(tmp_path / "t")])
     assert code == 1
     assert capsys.readouterr().err.startswith(
-        f"error: {specs}: document 0: 'pipe_successors' must be a list of strings"
+        f"error: {specs}: specs[0]: 'pipe_successors' must be a list of strings"
     )
 
 
-def test_cli_imports_no_requests():
-    # HTTP goes through the standard library; PyYAML is the one runtime dependency.
-    code = "import sys, bashsynth.cli; sys.exit('requests' in sys.modules)"
+def test_cli_imports_no_requests_or_yaml():
+    # HTTP goes through the standard library and every input is JSON: the
+    # package has no runtime dependency.
+    code = ("import sys, bashsynth.cli; "
+            "sys.exit(sorted({'requests', 'yaml'} & set(sys.modules)) or None)")
     env = {**os.environ, "PYTHONPATH": str(Path(bash_ast.__file__).parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
 
 
 def test_validate_checks_config_before_reading_input(tmp_path, capsys):
@@ -628,7 +634,7 @@ _MAN_PAGE = "OPTIONS\n  -r, --recursive\n      copy directories recursively\n"
 def test_import_man_subcommand(tmp_path):
     man = tmp_path / "cp.txt"
     man.write_text(_MAN_PAGE)
-    out = tmp_path / "cp.yaml"
+    out = tmp_path / "cp.json"
     assert main(["import-man", "--man", str(man), "--utility", "cp", "--out", str(out)]) == 0
     from bashsynth.syntax_kb import load_specs
 
@@ -688,7 +694,7 @@ def test_each_output_gets_its_subcommands_manifest(tmp_path, subcommand):
 
     # the files each run reads, the shipped ones its options default to included
     specs, profile, *sandbox = (str(D.shipped(name)) for name in (
-        "specs/core.yaml", "profiles/original.json", "sandbox/values.json",
+        "specs/core.json", "profiles/original.json", "sandbox/values.json",
         "sandbox/manifest.json"))
     argv, outputs, read = {
         "generate": (["--utility", "ls", "--limit", "3", "--out", o("t.jsonl")],
@@ -704,8 +710,8 @@ def test_each_output_gets_its_subcommands_manifest(tmp_path, subcommand):
                        [str(records), specs]),
         "fill": (["--in", str(records), "--out", o("f.jsonl")], ["f.jsonl"],
                  [str(records), specs]),
-        "import-man": (["--man", str(man), "--utility", "cp", "--out", o("cp.yaml")],
-                       ["cp.yaml"], [str(man)]),
+        "import-man": (["--man", str(man), "--utility", "cp", "--out", o("cp.json")],
+                       ["cp.json"], [str(man)]),
         "backtranslate": (["--in", str(templates), "--out", o("d.jsonl"),
                            "--replay", str(translations)], ["d.jsonl"],
                           [str(templates), str(translations)]),
@@ -763,7 +769,8 @@ def test_outputs_of_one_run_share_one_manifest(tmp_path):
     "unknown utility", "exec without opt-in", "backtranslate without endpoint",
     "llm-pipeline without endpoint", "infeasible profile", "count mismatch",
     "man page without flags", "parser-form validate", "deep config", "deep profile",
-    "deep fixtures", "deep specs", "merge-chain specs", "non-UTF-8 specs",
+    "deep fixtures", "deep specs", "non-UTF-8 specs",
+    "specs directory without a spec file",
 ])
 def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     monkeypatch.delenv(EXEC_OPT_IN_ENV, raising=False)
@@ -777,17 +784,15 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     profile, man = tmp_path / "profile.json", tmp_path / "cp.txt"
     profile.write_text(json.dumps({"proportions": {}, "pipe_fraction": 0.5}))
     man.write_text("nothing here\n")
-    # nested past the interpreter's recursion limit, and past the depth
-    # that crashes libyaml's composer
-    deep_json, deep_yaml = tmp_path / "deep.json", tmp_path / "deep.yaml"
+    # nested past the interpreter's recursion limit
+    deep_json = tmp_path / "deep.json"
     deep_json.write_text("[" * 100_000 + "]" * 100_000)
-    deep_yaml.write_text("[" * 100_000 + "]" * 100_000)
-    # merge keys (<<) chained past the recursion limit, each mapping shallow
-    merge_yaml = tmp_path / "merge.yaml"
-    chain = ["&a0 {x: 1}"] + [f"&a{i} {{<<: *a{i - 1}}}" for i in range(1, 1501)]
-    merge_yaml.write_text("{k: [" + ", ".join(chain) + "], <<: *a1500}\n")
-    latin1_yaml = tmp_path / "latin1.yaml"
-    latin1_yaml.write_bytes("name: l\xe9\n".encode("latin-1"))
+    latin1_json = tmp_path / "latin1.json"
+    latin1_json.write_bytes('{"specs": [{"name": "l\xe9"}]}'.encode("latin-1"))
+    # a directory of YAML specs, the format before JSON, holds no spec file
+    yaml_dir = tmp_path / "yaml_specs"
+    yaml_dir.mkdir()
+    (yaml_dir / "core.yaml").write_text("name: ls\n")
     out = str(tmp_path / "out.jsonl")
     code, want, argv = {
         "unknown utility": (2, "unknown utility 'frobnicate'",
@@ -818,12 +823,13 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
         "deep fixtures": (1, f"{deep_json}: not JSON: maximum recursion depth",
                           ["validate", "--in", str(templates), "--out", out,
                            "--fixtures", str(deep_json)]),
-        "deep specs": (1, f"{deep_yaml}:1: collections nested more than 32 deep",
-                       ["generate", "--specs", str(deep_yaml), "--out", out]),
-        "merge-chain specs": (1, f"{merge_yaml}: not valid YAML: maximum recursion depth",
-                              ["generate", "--specs", str(merge_yaml), "--out", out]),
-        "non-UTF-8 specs": (1, f"{latin1_yaml}: not valid YAML: 'utf-8' codec can't decode",
-                            ["generate", "--specs", str(latin1_yaml), "--out", out]),
+        "deep specs": (1, f"{deep_json}: not JSON: maximum recursion depth",
+                       ["generate", "--specs", str(deep_json), "--out", out]),
+        "non-UTF-8 specs": (1, f"{latin1_json}: not JSON: 'utf-8' codec can't decode",
+                            ["generate", "--specs", str(latin1_json), "--out", out]),
+        "specs directory without a spec file": (
+            1, f"{yaml_dir}: directory holds no *.json spec file",
+            ["generate", "--specs", str(yaml_dir), "--out", out]),
     }[case]
     assert main(argv) == code
     err = capsys.readouterr().err

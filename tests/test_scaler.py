@@ -68,6 +68,9 @@ class TestProfile:
         ('{"pipe_fraction": "half"}', "'pipe_fraction'"),
         ('{"proportions": {"find": "0.5"}}', "'find'"),
         ('{"pipe_fraction": true}', "'pipe_fraction'"),
+        # misspelled: read as absent, the profile would constrain no pipes
+        ('{"proportions": {"find": 0.6344}, "pipe_fracton": 0.3136}',
+         "unknown field 'pipe_fracton'"),
     ])
     def test_load_profile_refuses_malformed_shapes(self, tmp_path, text, key):
         path = tmp_path / "profile.json"

@@ -1,34 +1,29 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
 
 import pytest
-import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bashsynth.bash_ast import PlaceholderKind
+from bashsynth.dataset_io import FormatError
 from bashsynth import syntax_kb as K
 
-# The pure-Python loader is the fallback for a PyYAML built without libyaml.
-LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+TAR_FIXTURE = {
+    "name": "tar",
+    "template": ["UTILITY", "FLAGS", "Path"],
+    "flags": [{"token": "-c"}, {"token": "-j"}, {"token": "-f", "arg": "File"}],
+    "pipe_successors": [],
+}
 
-TAR_FIXTURE = """\
-name: tar
-template: [UTILITY, FLAGS, Path]
-flags:
-  - {token: "-c"}
-  - {token: "-j"}
-  - {token: "-f", arg: File}
-pipe_successors: []
-"""
+
+def write_specs(path, *entries) -> None:
+    path.write_text(json.dumps({"specs": list(entries)}))
 
 
 def test_load_specs_fixture(tmp_path):
-    path = tmp_path / "tar.yaml"
-    path.write_text(TAR_FIXTURE)
+    path = tmp_path / "tar.json"
+    write_specs(path, TAR_FIXTURE)
     specs = K.load_specs(path)
     assert len(specs) == 1
     spec = specs[0]
@@ -37,134 +32,122 @@ def test_load_specs_fixture(tmp_path):
     assert spec.flags[2].arg is K.GenArgKind.FILE
 
 
-def refusal(path, monkeypatch) -> str:
-    """The SchemaError message ``load_specs(path)`` raises, the same under
-    every loader."""
-    messages = set()
-    for loader in LOADERS:
-        monkeypatch.setattr(K, "_LOADER", loader)
-        with pytest.raises(K.SchemaError) as exc:
-            K.load_specs(path)
-        messages.add(str(exc.value))
-    assert len(messages) == 1, messages
-    return messages.pop()
+def refusal(path) -> str:
+    """The FormatError message ``load_specs(path)`` raises."""
+    with pytest.raises(FormatError) as exc:
+        K.load_specs(path)
+    return str(exc.value)
 
 
 def test_load_empty_file(tmp_path):
-    path = tmp_path / "empty.yaml"
-    path.write_text("")
+    path = tmp_path / "empty.json"
+    write_specs(path)
     assert K.load_specs(path) == []
+    path.write_text("")
+    assert refusal(path).startswith(f"{path}: not JSON: ")
 
 
-def test_duplicate_names_rejected(tmp_path, monkeypatch):
-    path = tmp_path / "dupe.yaml"
-    path.write_text("name: find\n---\nname: find\n")
-    assert "duplicate" in refusal(path, monkeypatch)
+def test_duplicate_names_rejected(tmp_path):
+    path = tmp_path / "dupe.json"
+    write_specs(path, {"name": "find"}, {"name": "find"})
+    assert "duplicate" in refusal(path)
 
 
-def test_duplicate_names_across_files_rejected(tmp_path, monkeypatch):
-    (tmp_path / "a.yaml").write_text("name: ls\n")
-    (tmp_path / "b.yaml").write_text("name: cd\n---\nname: ls\n")
-    assert refusal(tmp_path, monkeypatch) == (
-        f"{tmp_path / 'b.yaml'}: duplicate utility spec: ls")
+def test_duplicate_names_across_files_rejected(tmp_path):
+    write_specs(tmp_path / "a.json", {"name": "ls"})
+    write_specs(tmp_path / "b.json", {"name": "cd"}, {"name": "ls"})
+    assert refusal(tmp_path) == f"{tmp_path / 'b.json'}: duplicate utility spec: ls"
 
 
-def test_schema_error_names_field(tmp_path, monkeypatch):
-    path = tmp_path / "bad.yaml"
-    path.write_text("name: ls\nflags:\n  - {arg: File}\n")
-    assert "token" in refusal(path, monkeypatch)
+def test_schema_error_names_field(tmp_path):
+    path = tmp_path / "bad.json"
+    write_specs(path, {"name": "ls", "flags": [{"arg": "File"}]})
+    assert "token" in refusal(path)
 
 
-def test_unknown_arg_kind_rejected(tmp_path, monkeypatch):
-    path = tmp_path / "bad.yaml"
-    path.write_text('name: ls\nflags:\n  - {token: "-x", arg: Gizmo}\n')
-    assert "Gizmo" in refusal(path, monkeypatch)
+def test_unknown_arg_kind_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    write_specs(path, {"name": "ls", "flags": [{"token": "-x", "arg": "Gizmo"}]})
+    assert "Gizmo" in refusal(path)
 
 
 MISTYPED = {
-    "pipe_successors": "pipe_successors: sort",  # not the successors s, o, r, t
-    "needs_review": "needs_review: 'no'",  # not True
-    "name": "name: 123",  # not "123"
-    "template": "template: UTILITY",
-    "flags": "flags: [-a]",
-    "token": "flags:\n  - {token: 1}",
-    "arg": "flags:\n  - {token: -x, arg: [File]}",
+    "pipe_successors": {"pipe_successors": "sort"},  # not the successors s, o, r, t
+    "needs_review": {"needs_review": "no"},  # not True
+    "name": {"name": 123},  # not "123"
+    "template": {"template": "UTILITY"},
+    "flags": {"flags": ["-a"]},
+    "token": {"flags": [{"token": 1}]},
+    "arg": {"flags": [{"token": "-x", "arg": ["File"]}]},
 }
 
 
-@pytest.mark.parametrize("field, text", MISTYPED.items(), ids=list(MISTYPED))
-def test_mistyped_field_rejected(tmp_path, monkeypatch, field, text):
-    path = tmp_path / "bad.yaml"
-    path.write_text(text if field == "name" else f"name: find\n{text}\n")
-    message = refusal(path, monkeypatch)
-    assert message.startswith(f"{path}: document 0: ")
+@pytest.mark.parametrize("field, entry", MISTYPED.items(), ids=list(MISTYPED))
+def test_mistyped_field_rejected(tmp_path, field, entry):
+    path = tmp_path / "bad.json"
+    write_specs(path, {"name": "ls"}, entry if field == "name" else {"name": "find", **entry})
+    message = refusal(path)
+    assert message.startswith(f"{path}: specs[1]: ")
     assert f"'{field}' must be" in message
 
 
-def test_duplicate_flags_rejected(tmp_path, monkeypatch):
-    path = tmp_path / "bad.yaml"
-    path.write_text('name: ls\nflags:\n  - {token: "-a"}\n  - {token: "-a"}\n')
-    assert "duplicate flag" in refusal(path, monkeypatch)
+# A misspelled key, read as absent, would leave its field at the default:
+# {"token": "-f", "ar": "File"} loaded as a flag without an argument.
+MISSPELLED = {
+    "file": ({"specs": [], "spec": [TAR_FIXTURE]}, "unknown field 'spec'"),
+    "spec": ({"specs": [{**TAR_FIXTURE, "pipe_sucessors": ["xargs"]}]},
+             "specs[0]: unknown field 'pipe_sucessors'"),
+    "flag": ({"specs": [{"name": "tar", "flags": [{"token": "-f", "ar": "File"}]}]},
+             "specs[0]: flags[0]: unknown field 'ar'"),
+}
 
 
-def test_nesting_limit(tmp_path, monkeypatch):
-    # the document's mapping is the first level, each "[" one more; the
-    # blank line puts the refused list on line 3
-    at_limit, past_limit = tmp_path / "at.yaml", tmp_path / "past.yaml"
-    levels = K._MAX_DEPTH - 1
-    at_limit.write_text("name: ls\ntemplate: " + "[" * levels + "]" * levels + "\n")
-    levels += 1
-    past_limit.write_text("name: ls\n\ntemplate: " + "[" * levels + "]" * levels + "\n")
-    assert f"{at_limit}: document 0: 'template' must be" in refusal(at_limit, monkeypatch)
-    assert refusal(past_limit, monkeypatch) == (
-        f"{past_limit}:3: collections nested more than {K._MAX_DEPTH} deep")
+@pytest.mark.parametrize("doc, want", MISSPELLED.values(), ids=list(MISSPELLED))
+def test_unknown_key_rejected(tmp_path, doc, want):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert refusal(path) == f"{path}: {want}"
 
 
-@pytest.mark.parametrize("loader", [loader.__name__ for loader in LOADERS])
-def test_deep_file_refused_without_crash(tmp_path, loader):
-    # In a child process: libyaml's recursive composer crashes the
-    # interpreter at this depth, which would end the whole test run.
-    path = tmp_path / "deep.yaml"
-    path.write_text("[" * 100_000 + "]" * 100_000)
-    code = f"""
-import yaml
-from bashsynth import syntax_kb as K
-K._LOADER = yaml.{loader}
-try:
-    K.load_specs({str(path)!r})
-except K.SchemaError as exc:
-    print(exc)
-"""
-    env = {**os.environ, "PYTHONPATH": str(Path(K.__file__).parents[1])}
-    child = subprocess.run([sys.executable, "-c", code], env=env,
-                           capture_output=True, text=True)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout == f"{path}:1: collections nested more than {K._MAX_DEPTH} deep\n"
+def test_duplicate_flags_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    write_specs(path, {"name": "ls", "flags": [{"token": "-a"}, {"token": "-a"}]})
+    assert "duplicate flag" in refusal(path)
 
 
-def test_merge_chain_refused(tmp_path, monkeypatch):
-    # Every mapping sits at depth 3 at most, so the nesting limit passes the
-    # file, but the constructor recurses once per merge key it follows.
-    path = tmp_path / "merge.yaml"
-    chain = ["&a0 {x: 1}"] + [f"&a{i} {{<<: *a{i - 1}}}" for i in range(1, 1501)]
-    path.write_text("{k: [" + ", ".join(chain) + "], <<: *a1500}\n")
-    assert refusal(path, monkeypatch).startswith(
-        f"{path}: not valid YAML: maximum recursion depth")
+def test_nesting_limit(tmp_path):
+    # nesting the JSON decoder reads reaches the field checks; past the
+    # interpreter's recursion limit the file is not JSON
+    at_limit, past_limit = tmp_path / "at.json", tmp_path / "past.json"
+    for path, levels in ((at_limit, 900), (past_limit, 100_000)):
+        path.write_text('{"specs": [{"name": "ls", "template": '
+                        + "[" * levels + "]" * levels + "}]}")
+    assert refusal(at_limit).startswith(f"{at_limit}: specs[0]: 'template' must be")
+    assert refusal(past_limit).startswith(
+        f"{past_limit}: not JSON: maximum recursion depth")
 
 
-def test_shipped_kb_same_under_every_loader(monkeypatch, kb):
-    for loader in LOADERS:
-        monkeypatch.setattr(K, "_LOADER", loader)
-        assert K.load_specs(K.default_specs_path()) == list(kb.specs())
+def test_yaml_spec_file_refused_as_not_json(tmp_path):
+    path = tmp_path / "tar.yaml"
+    path.write_text("name: tar\ntemplate: [UTILITY, FLAGS, Path]\n")
+    assert refusal(path).startswith(f"{path}: not JSON: ")
 
 
 def test_save_load_round_trip(tmp_path, kb):
-    path = tmp_path / "specs.yaml"
+    path = tmp_path / "specs.json"
     K.save_specs(kb.specs(), path)
     assert K.load_specs(path) == list(kb.specs())
 
 
-# Any text YAML can hold: no surrogates, which UTF-8 cannot encode.
+def test_shipped_kb_is_as_save_specs_writes_it(tmp_path, kb):
+    # one utility per line, so a KB edit is a one-line diff
+    path = tmp_path / "specs.json"
+    K.save_specs(kb.specs(), path)
+    assert path.read_bytes() == K.default_specs_path().read_bytes()
+    assert len(path.read_text().splitlines()) == len(kb.utilities) + 2
+
+
+# Any text UTF-8 can encode: no surrogates.
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _NAME = _TEXT.filter(lambda s: s and not any(c.isspace() for c in s))
 _SPECS = st.lists(
@@ -186,17 +169,17 @@ _SPECS = st.lists(
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(specs=_SPECS)
-def test_property_save_load_round_trip(tmp_path, monkeypatch, specs):
-    path = tmp_path / "specs.yaml"
+def test_property_save_load_round_trip(tmp_path, specs):
+    path = tmp_path / "specs.json"
     K.save_specs(specs, path)
-    for loader in LOADERS:
-        monkeypatch.setattr(K, "_LOADER", loader)
-        assert K.load_specs(path) == specs
+    assert K.load_specs(path) == specs
 
 
 def test_load_specs_from_directory(tmp_path):
-    (tmp_path / "b.yaml").write_text("name: ls\n")
-    (tmp_path / "a.yaml").write_text(TAR_FIXTURE)
+    write_specs(tmp_path / "b.json", {"name": "ls"})
+    write_specs(tmp_path / "a.json", TAR_FIXTURE)
+    # not spec files: a directory's *.json files are
+    (tmp_path / "c.yaml").write_text("name: cd\n")
     specs = K.load_specs(tmp_path)
     assert [s.name for s in specs] == ["tar", "ls"]
 

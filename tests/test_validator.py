@@ -42,6 +42,8 @@ class TestLoaders:
         ({"files": ["a.txt"]}, "'files'"),
         ({"dirs": [None]}, "'dirs'"),
         ({"files": {"a.txt": None}}, "'files'"),
+        # misspelled: read as absent, the manifest would provision no file
+        ({"dirs": ["abc"], "file": {"a.txt": "x"}}, "unknown field 'file'"),
     ])
     def test_manifest_refuses_malformed_shapes(self, tmp_path, data, key):
         path = tmp_path / "manifest.json"
