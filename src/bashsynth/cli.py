@@ -409,10 +409,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     schema: dict[str, tuple] = {}
     for key, action in options:
         schema.setdefault(key, _config_type(action))
-    unknown = sorted(set(config) - set(schema))
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    dataset_io.check_fields(config, {key: schema[key] for key in config}, "config")
+    dataset_io.check_object(config, schema, "config")
     for key, action in options:
         if key in config and _config_type(action)[0](config[key]):
             action.default, action.required = config[key], False

@@ -15,10 +15,11 @@ shares equal ``utilities`` tuples, utility names, flag tokens and
 reads the ``cmd`` of either kind, ``read_predictions`` a ``score``
 prediction file and ``read_exchanges`` an LLM exchange log. ``read_json``,
 ``check_fields`` and ``check_object`` serve the JSON documents other
-modules load (fixtures, manifest, profile, specs): a value of the wrong
-type, or a key outside a closed schema, raises FormatError naming the file
-and the key. ``shipped`` is the path of a data file shipped with the
-package, the default of each such input.
+modules load (fixtures, manifest, profile, specs, ``--config``): a key
+repeated in one object, a value of the wrong type, or a key outside a
+closed schema, raises FormatError naming the file and the key.
+``shipped`` is the path of a data file shipped with the package, the
+default of each such input.
 """
 
 from __future__ import annotations
@@ -214,19 +215,39 @@ def check_fields(obj: Mapping, schema: Mapping, path: str | Path | None = None,
 
 def check_object(obj: Mapping, schema: Mapping, path: str | Path | None = None) -> list:
     """``check_fields`` for an object that may hold no key outside the
-    schema, so a misspelled key is refused, naming ``path`` and the key,
-    rather than read as its field's default. Line files are not closed:
-    exchange-log lines carry keys no reader checks."""
-    for key in obj:
-        if key not in schema:
-            raise FormatError(f"unknown field {key!r}", path)
+    schema, so a misspelled key is refused, naming ``path`` and every such
+    key in sorted order, rather than read as its field's default. Line
+    files are not closed: exchange-log lines carry keys no reader checks."""
+    unknown = sorted(key for key in obj if key not in schema)
+    if unknown:
+        plural = "s" if len(unknown) > 1 else ""
+        raise FormatError(f"unknown field{plural} {', '.join(map(repr, unknown))}", path)
     return check_fields(obj, schema, path)
 
 
+class _DuplicateKey(ValueError):
+    pass
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKey(key)
+            seen.add(key)
+    return obj
+
+
 def read_json(path: str | Path) -> dict:
-    """The JSON object in the file at ``path``."""
+    """The JSON object in the file at ``path``; an object at any depth that
+    repeats a key is refused, rather than read as the key's last value."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=_unique_keys)
+    except _DuplicateKey as exc:
+        raise FormatError(f"duplicate key {exc.args[0]!r}", path) from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise FormatError(f"not JSON: {exc}", path) from None
     if not isinstance(data, dict):

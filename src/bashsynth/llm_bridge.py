@@ -202,8 +202,19 @@ def _extract_command(text: str) -> str:
     return ""
 
 
+class _Item(threading.local):
+    """What ``_map_ordered`` tells ``_call`` about the calling thread."""
+
+    index: int | None = None  # the batch item the thread is on
+    cut: Callable[[], bool] | None = None  # true once an earlier item failed
+    slot = False  # whether the thread holds one of the session's slots
+
+
 class LlmSession:
     """One configured connection: retries, rate limiting, exchange log.
+
+    ``config.concurrency`` bounds the session's requests in flight: a
+    request holds one of that many slots while it paces and is sent.
 
     With ``log_path`` (truncated once), every attempt becomes one
     exchange-log line, appended the moment it completes, so a killed run
@@ -227,7 +238,8 @@ class LlmSession:
         if self._log_path is not None:
             self._log_path.write_text("", encoding="utf-8")
         self._log_lock = threading.Lock()
-        self._item = threading.local()  # index of the item _map_ordered is on
+        self._slots = threading.BoundedSemaphore(config.concurrency)
+        self._item = _Item()
         self._pace_lock = threading.Lock()
         self._last_call = 0.0
 
@@ -241,34 +253,67 @@ class LlmSession:
                 time.sleep(wait)
             self._last_call = time.monotonic()
 
+    def _take_slot(self) -> None:
+        """Hold a slot; on a batch item, raise TransportError instead once
+        an earlier item has failed, so the item sends nothing."""
+        item = self._item
+        if not item.slot:
+            self._slots.acquire()
+            item.slot = True
+        if item.cut is not None and item.cut():
+            raise TransportError("not sent: an earlier item failed")
+
+    def _free_slot(self) -> None:
+        if self._item.slot:
+            self._item.slot = False
+            self._slots.release()
+
     def _call(self, task: str, prompt: str, temperature: float) -> str:
+        """Send one prompt, retrying a TransportError up to ``max_retries``
+        times; raise TransportError once every attempt has failed.
+
+        Each attempt holds a slot while it paces and is sent. A plain
+        ``backoff × attempt`` wait holds none, so another request can use it;
+        a wait the endpoint asked for with ``Retry-After`` keeps its slot,
+        so the endpoint sees no more load while this client waits. On a
+        batch item the last slot is freed by ``_map_ordered`` once the
+        item's outcome is recorded; otherwise when the call returns.
+        """
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
         }
-        index = getattr(self._item, "index", None)
+        index = self._item.index
         attempts = self.config.max_retries + 1
         last_error: Exception | None = None
-        for attempt in range(1, attempts + 1):
-            self._pace()
-            start = time.perf_counter()
-            try:
-                response = self.transport.send(payload, index)
-            except TransportError as exc:
-                last_error = exc
-                self._log(task, index, payload, "", start, attempt, str(exc))
-                if attempt < attempts and not self._replay:
-                    wait = self.config.backoff * attempt
-                    if exc.retry_after is not None:
-                        # The endpoint's ask, capped so a reply cannot stall
-                        # the run for longer than one request may take.
-                        wait = max(wait, min(exc.retry_after, self.config.request_timeout))
-                    time.sleep(wait)
-                continue
-            self._log(task, index, payload, response, start, attempt, None)
-            return response
-        raise TransportError(f"{task}: retries exhausted: {last_error}")
+        try:
+            for attempt in range(1, attempts + 1):
+                self._take_slot()
+                self._pace()
+                start = time.perf_counter()
+                try:
+                    response = self.transport.send(payload, index)
+                except TransportError as exc:
+                    last_error = exc
+                    self._log(task, index, payload, "", start, attempt, str(exc))
+                    if attempt < attempts and not self._replay:
+                        wait = self.config.backoff * attempt
+                        if exc.retry_after is None:
+                            self._free_slot()
+                        else:
+                            # The endpoint's ask, capped so a reply cannot
+                            # stall the run for longer than one request may take.
+                            wait = max(wait, min(exc.retry_after,
+                                                 self.config.request_timeout))
+                        time.sleep(wait)
+                    continue
+                self._log(task, index, payload, response, start, attempt, None)
+                return response
+            raise TransportError(f"{task}: retries exhausted: {last_error}")
+        finally:
+            if self._item.cut is None:
+                self._free_slot()
 
     def _log(
         self,
@@ -299,12 +344,15 @@ class LlmSession:
     ) -> Iterator[_R]:
         """Yield ``fn(item)`` for each item, in input order.
 
-        The calls run in a pool of ``config.concurrency`` workers, or of one
-        on a replay. The first exception in input order
-        propagates. Once a call has raised, queued calls for later items
-        never start: only the calls already in flight, at most
-        ``concurrency - 1``, still finish. Each exchange an item's call makes
-        is logged with the item's index.
+        The calls run in a pool of ``2 * concurrency - 1`` workers, or of one
+        on a replay, and share the session's ``concurrency`` request slots:
+        while one item backs off without a slot, a spare worker sends the
+        next item's request. At ``concurrency=1`` the one worker runs the
+        items strictly one after another. The first exception in input
+        order propagates. Once a call has raised, no later item sends
+        anything more: only the requests already in flight, at most
+        ``concurrency - 1``, still finish. Each exchange an item's call
+        makes is logged with the item's index.
         """
         failed_at = len(items)
         lock = threading.Lock()
@@ -313,7 +361,8 @@ class LlmSession:
             nonlocal failed_at
             if index > failed_at:
                 return None  # never read: the failure at failed_at raises first
-            self._item.index = index
+            item = self._item
+            item.index, item.cut = index, lambda: failed_at < index
             try:
                 return fn(items[index])
             except BaseException:
@@ -321,9 +370,13 @@ class LlmSession:
                     failed_at = min(failed_at, index)
                 raise
             finally:
-                self._item.index = None
+                # Freed only now, so no later item takes this slot and sends
+                # before a failure here is recorded in failed_at.
+                self._free_slot()
+                item.index = item.cut = None
 
-        pool = ThreadPoolExecutor(max_workers=1 if self._replay else self.config.concurrency)
+        workers = 1 if self._replay else 2 * self.config.concurrency - 1
+        pool = ThreadPoolExecutor(max_workers=workers)
         try:
             yield from pool.map(guarded, range(len(items)))
         finally:

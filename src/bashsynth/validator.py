@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count, repeat
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from . import bash_ast
 from .dataset_io import STRINGS, check_fields, check_object, read_json, shipped
@@ -256,27 +256,33 @@ def _provision(run_dir: Path, manifest: Mapping[str, Any]) -> None:
         raise SandboxSetupError(f"cannot provision workspace {run_dir}: {exc}") from exc
 
 
-def _shell() -> str:
-    return shutil.which("bash") or "/bin/sh"
+_SANDBOX_PATH = "/usr/bin:/bin"
+
+
+class _Batch(NamedTuple):
+    """What every command of one ``run_batch`` is run with."""
+
+    manifest: Mapping[str, object]
+    shell: str  # bash as the sandbox PATH finds it, else /bin/sh
 
 
 def _run_one(
-    index: int, command: str, config: SandboxConfig, manifest: Mapping[str, object]
+    index: int, command: str, config: SandboxConfig, batch: _Batch
 ) -> ValidationResult:
     reason = _blocked_reason(command)
     if reason is not None:
         return ValidationResult(command, SPAWN_FAIL, 0.0, False, note=reason)
 
     run_dir = Path(config.workspace) / f"run_{index:05d}"
-    _provision(run_dir, manifest)
+    _provision(run_dir, batch.manifest)
     # a reduced environment rooted in the run directory
-    env = {"PATH": "/usr/bin:/bin", "HOME": str(run_dir), "TMPDIR": str(run_dir),
+    env = {"PATH": _SANDBOX_PATH, "HOME": str(run_dir), "TMPDIR": str(run_dir),
            "LC_ALL": "C", "LANG": "C"}
 
     start = time.perf_counter()
     try:
         proc = subprocess.Popen(
-            [_shell(), "-c", command],
+            [batch.shell, "-c", command],
             cwd=run_dir,
             env=env,
             stdin=subprocess.DEVNULL,
@@ -347,7 +353,8 @@ def run_batch(
         raise SandboxSetupError(f"cannot create workspace {root}: {exc}") from exc
 
     manifest = config.manifest if config.manifest is not None else load_manifest()
+    batch = _Batch(manifest, shutil.which("bash", path=_SANDBOX_PATH) or "/bin/sh")
     # map cancels the queued commands when one raises
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(_run_one, count(), commands, repeat(config), repeat(manifest)))
+        return list(pool.map(_run_one, count(), commands, repeat(config), repeat(batch)))
 

@@ -86,19 +86,34 @@ class SlowTransport:
 
     Generation prompts get ``generations`` in turn; a translation prompt
     gets ``nl: <command>``, or raises at once for a command in ``fail``.
+    A command in ``busy`` gets a 503 on its first attempt, asking to wait
+    ``retry_after`` seconds (None: no ``Retry-After``); that 503 comes only
+    once ``fail`` commands have been sent ``hold`` times in all. For each
+    translation started while a busy command waits to be retried,
+    ``during_wait`` holds the command and the translations then in flight.
     Of every three generations, and of every three translations, started,
     the first sleeps longest, so replies come back out of order.
     """
 
-    def __init__(self, generations=(), fail=(), delay=0.02):
+    def __init__(self, generations=(), fail=(), delay=0.02, busy=(), retry_after=None,
+                 hold=0):
         self.generations = list(generations)
         self.fail = set(fail)
         self.delay = delay
+        self.busy = set(busy)
+        self.retry_after = retry_after
+        self.hold = hold
         self.lock = threading.Lock()
         self.in_flight = 0
         self.peak = 0
         self.generated = 0
         self.started: list[str] = []  # translated commands, in start order
+        self.failed = 0  # sends of fail commands
+        self.held = threading.Event()  # set once failed reaches hold
+        if hold == 0:
+            self.held.set()
+        self.waiting: set[str] = set()  # busy commands waiting to be retried
+        self.during_wait: list[tuple[str, int]] = []
 
     def _sleep(self, position: int) -> None:
         time.sleep(self.delay * (3 - position % 3))
@@ -118,14 +133,28 @@ class SlowTransport:
             self.started.append(cmd)
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
+            self.waiting.discard(cmd)
+            if self.waiting:
+                self.during_wait.append((cmd, self.in_flight))
+            busy = cmd in self.busy
+            self.busy.discard(cmd)
+            if cmd in self.fail:
+                self.failed += 1
+                if self.failed >= self.hold:
+                    self.held.set()
         try:
             if cmd in self.fail:
                 raise TransportError(f"no translation for {cmd}")
+            if busy:
+                self.held.wait(timeout=5)
+                raise TransportError("endpoint returned 503", self.retry_after)
             self._sleep(position)
             return f"nl: {cmd}"
         finally:
             with self.lock:
                 self.in_flight -= 1
+                if busy:
+                    self.waiting.add(cmd)
 
 
 COMMANDS = [f"echo {i}" for i in range(12)]

@@ -770,7 +770,7 @@ def test_outputs_of_one_run_share_one_manifest(tmp_path):
     "llm-pipeline without endpoint", "infeasible profile", "count mismatch",
     "man page without flags", "parser-form validate", "deep config", "deep profile",
     "deep fixtures", "deep specs", "non-UTF-8 specs",
-    "specs directory without a spec file",
+    "specs directory without a spec file", "duplicate config key", "unknown config keys",
 ])
 def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     monkeypatch.delenv(EXEC_OPT_IN_ENV, raising=False)
@@ -793,6 +793,9 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     yaml_dir = tmp_path / "yaml_specs"
     yaml_dir.mkdir()
     (yaml_dir / "core.yaml").write_text("name: ls\n")
+    duplicate, unknown = tmp_path / "duplicate.json", tmp_path / "unknown.json"
+    duplicate.write_text('{"seed": 1, "seed": 2}')
+    unknown.write_text('{"seed": 1, "zz": 1, "no_such_key": 1}')
     out = str(tmp_path / "out.jsonl")
     code, want, argv = {
         "unknown utility": (2, "unknown utility 'frobnicate'",
@@ -830,6 +833,10 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
         "specs directory without a spec file": (
             1, f"{yaml_dir}: directory holds no *.json spec file",
             ["generate", "--specs", str(yaml_dir), "--out", out]),
+        "duplicate config key": (2, f"{duplicate}: duplicate key 'seed'",
+                                 ["--config", str(duplicate), "stats", "--in", str(templates)]),
+        "unknown config keys": (2, "config: unknown fields 'no_such_key', 'zz'",
+                                ["--config", str(unknown), "stats", "--in", str(templates)]),
     }[case]
     assert main(argv) == code
     err = capsys.readouterr().err

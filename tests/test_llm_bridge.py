@@ -379,11 +379,22 @@ class TestConcurrentTranslation:
         assert [e["index"] for e in _lines(log)] == list(range(len(COMMANDS)))
         assert transport.peak == 1
 
-    @pytest.mark.parametrize("k", [0, 2, 7, 11])
-    def test_failure_keeps_earlier_records(self, tmp_path, k):
+    @pytest.mark.parametrize("k, backoff", [
+        pytest.param(0, False, id="0"),
+        pytest.param(2, False, id="2"),
+        pytest.param(7, False, id="7"),
+        pytest.param(11, False, id="11"),
+        pytest.param(2, True, id="2-backoff"),
+    ])
+    def test_failure_keeps_earlier_records(self, tmp_path, k, backoff):
+        # With backoff, the item after k gets a plain 503 as k is sent for
+        # the last time, so it is backing off, with no slot, when k's
+        # failure is recorded: the slot it takes next must send nothing.
         concurrency = 3
-        transport = SlowTransport(fail=[COMMANDS[k]])
-        config = L.LlmConfig(concurrency=concurrency, max_retries=0)
+        retries = 1 if backoff else 0
+        busy = [COMMANDS[k + 1]] if backoff else []
+        transport = SlowTransport(fail=[COMMANDS[k]], busy=busy, hold=retries + 1)
+        config = L.LlmConfig(concurrency=concurrency, max_retries=retries, backoff=0.1)
         log = tmp_path / "log.jsonl"
         session = L.LlmSession(config, transport, log_path=log)
         out = tmp_path / "records.jsonl"
@@ -393,10 +404,32 @@ class TestConcurrentTranslation:
         assert [(r["cmd"], r["nl"]) for r in lines] == [
             (c, f"nl: {c}") for c in COMMANDS[:k]
         ]
-        after = transport.started[transport.started.index(COMMANDS[k]) + 1:]
+        last = len(transport.started) - transport.started[::-1].index(COMMANDS[k])
+        after = transport.started[last:]  # started after k's last attempt
         assert len(after) <= concurrency - 1
         assert transport.in_flight == 0  # calls in flight finished first
         assert len(_lines(log)) == len(transport.started)
+        if backoff:
+            assert transport.started.count(COMMANDS[k + 1]) <= 1
+
+    def test_plain_backoff_frees_its_slot(self):
+        # Items 0 and 1 get a plain 503 first; while they back off, their
+        # slots carry later items' requests.
+        transport = SlowTransport(busy=COMMANDS[:2])
+        session = L.LlmSession(L.LlmConfig(concurrency=2, backoff=0.2), transport)
+        records = session.backtranslate_records(COMMANDS)
+        assert [(r.cmd, r.nl) for r in records] == [(c, f"nl: {c}") for c in COMMANDS]
+        assert {cmd for cmd, _ in transport.during_wait} - set(COMMANDS[:2])
+        assert transport.peak <= 2
+
+    def test_retry_after_wait_keeps_its_slot(self):
+        # While item 0 waits as its Retry-After asks, one slot is left.
+        transport = SlowTransport(busy=COMMANDS[:1], retry_after=0.2)
+        session = L.LlmSession(L.LlmConfig(concurrency=2, backoff=0.0), transport)
+        records = session.backtranslate_records(COMMANDS)
+        assert [(r.cmd, r.nl) for r in records] == [(c, f"nl: {c}") for c in COMMANDS]
+        assert transport.during_wait
+        assert max(n for _, n in transport.during_wait) == 1
 
     def test_first_failure_in_input_order_under_stress(self, tmp_path):
         commands = [f"echo {i}" for i in range(60)]

@@ -71,6 +71,9 @@ class TestProfile:
         # misspelled: read as absent, the profile would constrain no pipes
         ('{"proportions": {"find": 0.6344}, "pipe_fracton": 0.3136}',
          "unknown field 'pipe_fracton'"),
+        # repeated: read as its last value, the profile would leave pipes free
+        ('{"pipe_fraction": 0.3136, "pipe_fraction": null}',
+         "duplicate key 'pipe_fraction'"),
     ])
     def test_load_profile_refuses_malformed_shapes(self, tmp_path, text, key):
         path = tmp_path / "profile.json"

@@ -109,6 +109,14 @@ def test_unknown_key_rejected(tmp_path, doc, want):
     assert refusal(path) == f"{path}: {want}"
 
 
+def test_duplicate_key_rejected(tmp_path):
+    # read as its last value, the repeated key would drop -f's argument
+    path = tmp_path / "bad.json"
+    path.write_text('{"specs": [{"name": "tar", "flags": '
+                    '[{"token": "-f", "arg": "File", "arg": null}]}]}')
+    assert refusal(path) == f"{path}: duplicate key 'arg'"
+
+
 def test_duplicate_flags_rejected(tmp_path):
     path = tmp_path / "bad.json"
     write_specs(path, {"name": "ls", "flags": [{"token": "-a"}, {"token": "-a"}]})

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 
 import pytest
@@ -51,6 +52,20 @@ class TestLoaders:
         with pytest.raises(ValueError) as exc:
             V.load_manifest(path)
         assert str(exc.value).startswith(f"{path}: {key}")
+
+
+    @pytest.mark.parametrize("load, text, key", [
+        pytest.param(V.load_manifest, '{"files": {"a.txt": "x", "a.txt": "y"}}', "a.txt",
+                     id="manifest"),
+        pytest.param(V.load_fixture_values, '{"File": ["a.txt"], "File": []}', "File",
+                     id="fixtures"),
+    ])
+    def test_duplicate_key_refused(self, tmp_path, load, text, key):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: duplicate key {key!r}"
 
 
 class TestInstantiate:
@@ -363,6 +378,16 @@ class TestSubprocess:
         with pytest.raises(V.SandboxSetupError):
             V.run_batch(["true"] * 50, self._config(tmp_path, jobs=jobs))
         assert len(ran) < 15
+
+    def test_shell_is_found_on_the_sandbox_path(self, tmp_path, monkeypatch):
+        # a bash earlier on the caller's PATH than the sandbox's is not run
+        fake = tmp_path / "bin" / "bash"
+        fake.parent.mkdir()
+        fake.write_text("#!/bin/sh\nexit 7\n")
+        fake.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{fake.parent}:{os.environ.get('PATH', '')}")
+        [result] = V.run_batch(["true"], self._config(tmp_path))
+        assert (result.exit_status, result.verdict) == (0, True)
 
     def test_deny_list_blocks_destructive(self, tmp_path):
         results = V.run_batch(
