@@ -39,14 +39,8 @@ class UsageError(Exception):
 
 def _manifest(args: argparse.Namespace) -> dict:
     """What every output of the run records; ``output`` is set per file."""
-    # An option's built-in default is the one it has without --config, so
-    # a value that differs from it came from the command line or the config.
-    # Inputs, outputs and the seed have fields of their own.
-    (subparsers,) = [a for a in build_parser()._actions
-                     if isinstance(a, argparse._SubParsersAction)]
-    builtin = {a.dest: a.default for a in subparsers.choices[args.subcommand]._actions}
-    for name in (*_INPUT_ARGS, *_OUTPUT_ARGS, "seed"):
-        builtin.pop(name, None)
+    # A value off its built-in default came from the command line or the config.
+    builtin = args.builtin_defaults
     overrides = {k: v for k, v in vars(args).items() if k in builtin and v != builtin[k]}
     inputs = [
         str(getattr(args, name))
@@ -284,15 +278,27 @@ def _config_type(action: argparse.Action) -> tuple:
     return (lambda v: isinstance(v, str)), "a string", None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a refusal for :func:`main` to print instead of exiting."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+# Read first, as it sets the real parser's defaults; --help lists it there.
+_CONFIG_PARSER = _Parser(add_help=False, allow_abbrev=False, prog="bashsynth")
+_CONFIG_PARSER.add_argument("--config", metavar="FILE", help="option defaults (see below)")
+
+
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bashsynth",
+    parser = _Parser(
+        prog="bashsynth", parents=[_CONFIG_PARSER], allow_abbrev=False,
         description="Synthesize, validate, scale, and score Bash command datasets.",
-        epilog="--config FILE loads a JSON object whose keys are flag names "
-        "(--head-limit as head_limit) and whose values, of the option's type, "
-        "act as defaults; explicit flags win, and a key no subcommand defines "
-        "is an error. "
-        "Secrets come from the environment, never from flags or config.",
+        epilog="--config FILE (or --config=FILE, anywhere on the line) loads a "
+        "JSON object whose keys are flag names with underscores (--head-limit "
+        "as head_limit) and whose values, of the option's type, act as "
+        "defaults; explicit flags win, and a key no subcommand defines is an "
+        "error. Secrets come from the environment, never from flags or config.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -397,11 +403,16 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_import_man)
 
-    # A config key is a flag name, dashes as underscores. Its value must
-    # have the type of the first option of that name (generate's --utility,
-    # a list) and becomes the default of every option of that name it fits,
-    # so it also stands in for a required one (--in).
-    config = {key.replace("-", "_"): value for key, value in (config or {}).items()}
+    # The defaults without --config, for the manifest's overrides; inputs,
+    # outputs and the seed have fields of their own there.
+    for p in sub.choices.values():
+        p.set_defaults(builtin_defaults={a.dest: a.default for a in p._actions if a.dest
+                                         not in (*_INPUT_ARGS, *_OUTPUT_ARGS, "seed")})
+
+    # A config key is a flag name spelt with underscores. Its value must have the
+    # type of the first option of that name (generate's --utility, a list) and
+    # becomes the default of every option of that name it fits, required or not.
+    config = config or {}
     options = [(flag[2:].replace("-", "_"), action)
                for p in sub.choices.values() for action in p._actions
                for flag in action.option_strings
@@ -417,29 +428,18 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _split_config(argv: list[str]) -> tuple[list[str], dict]:
-    """Pop --config FILE from argv and load its JSON object."""
-    if "--config" not in argv:
-        return argv, {}
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise ValueError("--config requires a file argument")
-    return argv[:at] + argv[at + 2:], dataset_io.read_json(Path(argv[at + 1]))
-
-
 def _error(exc: Exception, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, config = _split_config(argv)
-        parser = build_parser(config)
-    except (ValueError, OSError) as exc:
+        known, argv = _CONFIG_PARSER.parse_known_args(argv)
+        config = {} if known.config is None else dataset_io.read_json(Path(known.config))
+        args = build_parser(config).parse_args(argv)
+    except (UsageError, ValueError, OSError) as exc:
         return _error(exc, 2)
-    args = parser.parse_args(argv)
     try:
         args.func(args)
     except UsageError as exc:

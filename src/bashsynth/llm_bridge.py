@@ -11,14 +11,11 @@ access, which is how most of the test suite runs.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import math
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -108,6 +105,11 @@ class HttpTransport:
         self._config = config
 
     def send(self, payload: dict, index: int | None = None) -> str:
+        # imported here, so a process that sends nothing never loads them
+        import http.client
+        import urllib.error
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(AUTH_ENV, "")
         if token:

@@ -137,6 +137,8 @@ def scale(
     Unparseable commands are discarded first. Raises
     :class:`InfeasibleProfile` when no nonzero-size subset fits.
     """
+    if not 0 <= tolerance < float("inf"):  # nan too: no share would miss it
+        raise ValueError(f"tolerance must be a finite number >= 0, not {tolerance}")
     if not pool:
         raise ValueError("empty pool")
     shares = profile.proportions

@@ -80,8 +80,8 @@ class SandboxConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < float("inf"):  # nan too: a wait would never end
+            raise ValueError(f"timeout must be a finite number above 0, not {self.timeout}")
         if self.backend not in ("dry_run", "subprocess"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.jobs < 1:

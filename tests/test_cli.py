@@ -141,8 +141,9 @@ def test_generate_refuses_mistyped_spec(tmp_path, capsys):
 def test_cli_imports_no_requests_or_yaml():
     # HTTP goes through the standard library and every input is JSON: the
     # package has no runtime dependency.
-    code = ("import sys, bashsynth.cli; "
-            "sys.exit(sorted({'requests', 'yaml'} & set(sys.modules)) or None)")
+    # The HTTP stack loads with the first request, so no other run pays for it.
+    code = ("import sys, bashsynth.cli; sys.exit(sorted("
+            "{'requests', 'yaml', 'http.client', 'urllib.request'} & set(sys.modules)) or None)")
     env = {**os.environ, "PYTHONPATH": str(Path(bash_ast.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-c", code], env=env,
                            capture_output=True, text=True)
@@ -771,6 +772,8 @@ def test_outputs_of_one_run_share_one_manifest(tmp_path):
     "man page without flags", "parser-form validate", "deep config", "deep profile",
     "deep fixtures", "deep specs", "non-UTF-8 specs",
     "specs directory without a spec file", "duplicate config key", "unknown config keys",
+    "generate without --out", "non-integer --limit", "unknown subcommand",
+    "--config without a file", "dashed config key", "nan tolerance", "nan timeout",
 ])
 def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     monkeypatch.delenv(EXEC_OPT_IN_ENV, raising=False)
@@ -796,6 +799,9 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     duplicate, unknown = tmp_path / "duplicate.json", tmp_path / "unknown.json"
     duplicate.write_text('{"seed": 1, "seed": 2}')
     unknown.write_text('{"seed": 1, "zz": 1, "no_such_key": 1}')
+    # one key in two spellings: only the underscore one is a config key
+    dashed = tmp_path / "dashed.json"
+    dashed.write_text('{"head_limit": 1, "head-limit": 5}')
     out = str(tmp_path / "out.jsonl")
     code, want, argv = {
         "unknown utility": (2, "unknown utility 'frobnicate'",
@@ -837,6 +843,24 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
                                  ["--config", str(duplicate), "stats", "--in", str(templates)]),
         "unknown config keys": (2, "config: unknown fields 'no_such_key', 'zz'",
                                 ["--config", str(unknown), "stats", "--in", str(templates)]),
+        # argparse's refusals name the subcommand and print no usage text
+        "generate without --out": (
+            2, "bashsynth generate: the following arguments are required: --out",
+            ["generate"]),
+        "non-integer --limit": (2, "bashsynth generate: argument --limit: invalid int value",
+                                ["generate", "--limit", "abc", "--out", out]),
+        "unknown subcommand": (2, "bashsynth: argument subcommand: invalid choice: 'frob'",
+                               ["frob"]),
+        "--config without a file": (2, "bashsynth: argument --config: expected one argument",
+                                    ["stats", "--in", str(templates), "--config"]),
+        "dashed config key": (2, "config: unknown field 'head-limit'",
+                              ["--config", str(dashed), "generate", "--out", out]),
+        "nan tolerance": (1, "tolerance must be a finite number >= 0, not nan",
+                          ["scale", "--in", str(templates), "--out", out,
+                           "--tolerance", "nan"]),
+        "nan timeout": (1, "timeout must be a finite number above 0, not nan",
+                        ["validate", "--in", str(templates), "--out", out,
+                         "--timeout", "nan"]),
     }[case]
     assert main(argv) == code
     err = capsys.readouterr().err
@@ -854,12 +878,34 @@ def test_config_file_sets_defaults(tmp_path):
     assert main(["generate", "--utility", "grep", "--limit", "5", "--seed", "99",
                  "--out", str(out_cli)]) == 0
     assert out_cfg.read_bytes() == out_cli.read_bytes()
+    # --config=FILE, and --config after the subcommand, read the same file
+    for argv in (["--config=" + str(config), "generate"],
+                 ["generate", "--config", str(config)]):
+        out = tmp_path / "again.jsonl"
+        assert main([*argv, "--utility", "grep", "--out", str(out)]) == 0
+        assert out.read_bytes() == out_cli.read_bytes()
 
     # explicit flags win over the config file
     out_flag = tmp_path / "flag.jsonl"
     assert main(["--config", str(config), "generate", "--utility", "grep",
                  "--limit", "2", "--out", str(out_flag)]) == 0
     assert len(D.read_templates(out_flag)) == 2
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    # The manifest's overrides come from the defaults the one parser
+    # recorded before --config applied, not from a second parser.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"limit": 2, "piped": False}))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build(*a))
+    out = tmp_path / "t.jsonl"
+    assert main(["--config", str(config), "generate", "--utility", "ls",
+                 "--out", str(out)]) == 0
+    assert len(built) == 1
+    manifest = json.loads((tmp_path / "t.jsonl.manifest.json").read_text())
+    assert manifest["overrides"] == {"utility": ["ls"], "limit": 2}
 
 
 def test_config_unknown_keys_rejected(tmp_path, capsys):

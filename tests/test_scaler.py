@@ -134,6 +134,14 @@ class TestScale:
         with pytest.raises(InfeasibleProfile, match="no parseable commands in pool"):
             scale(['grep "broken', "| sort"], DistributionProfile({"find": 0.5}))
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -0.5])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance, monkeypatch):
+        # refused before any work: no item of the pool is looked at
+        monkeypatch.setattr(scaler_mod, "_head_and_piped", None)
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0") as exc:
+            scale(_pool(90, 10), DistributionProfile({"find": 0.6344}), tolerance=tolerance)
+        assert not isinstance(exc.value, InfeasibleProfile)
+
     def test_generated_commands_accepted(self, kb):
         pool = generate_unpiped(kb.get("find"), limit=30, seed=1) + generate_unpiped(
             kb.get("ls"), limit=30, seed=1

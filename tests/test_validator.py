@@ -529,8 +529,9 @@ class TestSubprocess:
 
 
 def test_bad_config_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        V.SandboxConfig(workspace=tmp_path, timeout=0)
+    for timeout in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="timeout must be a finite number above 0"):
+            V.SandboxConfig(workspace=tmp_path, timeout=timeout)
     with pytest.raises(ValueError):
         V.SandboxConfig(workspace=tmp_path, backend="vm")
     with pytest.raises(ValueError):
