@@ -25,6 +25,7 @@ __all__ = [
     "UtilityHints",
     "ParamNode",
     "FlagNode",
+    "is_flag_token",
     "ExecClause",
     "Substitution",
     "UtilityNode",
@@ -96,8 +97,8 @@ class FlagNode:
     glued: bool = False  # True for the --flag=value form
 
     def __post_init__(self) -> None:
-        if not self.token.startswith("-"):
-            raise ValueError(f"flag token must begin with '-': {self.token!r}")
+        if not is_flag_token(self.token):
+            raise ValueError(f"not a flag token as the parser reads it: {self.token!r}")
 
 
 @dataclass(frozen=True)
@@ -269,6 +270,13 @@ def _scan_tokens(source: str) -> list[str]:
 
 def _is_flag(token: str) -> bool:
     return token.startswith("-") and len(token) > 1
+
+
+def is_flag_token(token: str) -> bool:
+    """Whether the parser reads ``token``, as written, as one flag: a word
+    that starts with ``-`` and is longer than it, but not the glued
+    ``--name=value`` form, which it reads as flag ``--name`` with a value."""
+    return _is_flag(token) and not (token.startswith("--") and "=" in token)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +510,7 @@ def _parse_flag(
     the next token ``nxt`` when the flag declares an argument and ``nxt`` is
     neither a flag nor a substitution. Flags stay as written; a cluster binds
     its trailing member's argument (``-cjf`` consumes a File for ``-f``)."""
-    glued = tok.startswith("--") and "=" in tok
+    glued = not is_flag_token(tok)  # _is_flag(tok) holds, so: --flag=value
     if glued:
         tok, nxt = tok.split("=", 1)
     binder = tok

@@ -279,20 +279,25 @@ def _config_type(action: argparse.Action) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a refusal for :func:`main` to print instead of exiting."""
+    """Raises a refusal for :func:`main` to print instead of exiting, and
+    takes options only as spelled in full, as do the subcommand parsers
+    argparse builds from this class."""
+
+    def __init__(self, *args, allow_abbrev: bool = False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")
 
 
 # Read first, as it sets the real parser's defaults; --help lists it there.
-_CONFIG_PARSER = _Parser(add_help=False, allow_abbrev=False, prog="bashsynth")
+_CONFIG_PARSER = _Parser(add_help=False, prog="bashsynth")
 _CONFIG_PARSER.add_argument("--config", metavar="FILE", help="option defaults (see below)")
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="bashsynth", parents=[_CONFIG_PARSER], allow_abbrev=False,
+        prog="bashsynth", parents=[_CONFIG_PARSER],
         description="Synthesize, validate, scale, and score Bash command datasets.",
         epilog="--config FILE (or --config=FILE, anywhere on the line) loads a "
         "JSON object whose keys are flag names with underscores (--head-limit "

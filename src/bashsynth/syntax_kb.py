@@ -17,7 +17,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .bash_ast import PlaceholderKind, UtilityHints
+from .bash_ast import PlaceholderKind, UtilityHints, is_flag_token
 from .dataset_io import REQUIRED, STRINGS, FormatError, check_object, read_json, shipped
 
 __all__ = [
@@ -111,8 +111,8 @@ class FlagSpec:
     arg: GenArgKind | None = None
 
     def __post_init__(self) -> None:
-        if not self.token.startswith("-"):
-            raise SchemaError(f"flag token must begin with '-': {self.token!r}")
+        if not is_flag_token(self.token):
+            raise SchemaError(f"not a flag token as the parser reads it: {self.token!r}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ without executing anything.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import shutil
@@ -23,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count, repeat
 from pathlib import Path
-from typing import Any, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from . import bash_ast
 from .dataset_io import STRINGS, check_fields, check_object, read_json, shipped
@@ -238,17 +239,12 @@ def _blocked_reason(command: str) -> str | None:
 
 
 def _provision(run_dir: Path, manifest: Mapping[str, Any]) -> None:
-    """Create ``run_dir`` and the manifest's directories and files in it,
-    after checking that no path is absolute or climbs out with ``..``."""
-    dirs, files = manifest.get("dirs", ()), manifest.get("files", {})
-    for rel in [*dirs, *files]:
-        if Path(rel).is_absolute() or ".." in Path(rel).parts:
-            raise SandboxSetupError(f"manifest path escapes workspace: {rel}")
+    """Create ``run_dir`` and the manifest's directories and files in it."""
     try:
         run_dir.mkdir(parents=True)
-        for rel in dirs:
+        for rel in manifest.get("dirs", ()):
             (run_dir / rel).mkdir(parents=True, exist_ok=True)
-        for rel, content in files.items():
+        for rel, content in manifest.get("files", {}).items():
             target = run_dir / rel
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(content, encoding="utf-8")
@@ -259,22 +255,20 @@ def _provision(run_dir: Path, manifest: Mapping[str, Any]) -> None:
 _SANDBOX_PATH = "/usr/bin:/bin"
 
 
-class _Batch(NamedTuple):
-    """What every command of one ``run_batch`` is run with."""
+@functools.cache
+def _shell() -> str:
+    """bash as the sandbox PATH finds it, else /bin/sh."""
+    return shutil.which("bash", path=_SANDBOX_PATH) or "/bin/sh"
 
-    manifest: Mapping[str, object]
-    shell: str  # bash as the sandbox PATH finds it, else /bin/sh
 
-
-def _run_one(
-    index: int, command: str, config: SandboxConfig, batch: _Batch
-) -> ValidationResult:
+def _run_one(index: int, command: str, config: SandboxConfig,
+             manifest: Mapping[str, Any]) -> ValidationResult:
     reason = _blocked_reason(command)
     if reason is not None:
         return ValidationResult(command, SPAWN_FAIL, 0.0, False, note=reason)
 
     run_dir = Path(config.workspace) / f"run_{index:05d}"
-    _provision(run_dir, batch.manifest)
+    _provision(run_dir, manifest)
     # a reduced environment rooted in the run directory
     env = {"PATH": _SANDBOX_PATH, "HOME": str(run_dir), "TMPDIR": str(run_dir),
            "LC_ALL": "C", "LANG": "C"}
@@ -282,7 +276,7 @@ def _run_one(
     start = time.perf_counter()
     try:
         proc = subprocess.Popen(
-            [batch.shell, "-c", command],
+            [_shell(), "-c", command],
             cwd=run_dir,
             env=env,
             stdin=subprocess.DEVNULL,
@@ -337,6 +331,12 @@ def run_batch(
             "subprocess backend requires explicit opt-in (allow_execution=True)"
         )
 
+    # checked once, before the workspace root is inspected, cleared or made
+    manifest = config.manifest if config.manifest is not None else load_manifest()
+    for rel in [*manifest.get("dirs", ()), *manifest.get("files", {})]:
+        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+            raise SandboxSetupError(f"manifest path escapes workspace: {rel}")
+
     root = Path(config.workspace)
     try:
         marked = (root / WORKSPACE_MARKER).exists()
@@ -352,9 +352,7 @@ def run_batch(
     except OSError as exc:
         raise SandboxSetupError(f"cannot create workspace {root}: {exc}") from exc
 
-    manifest = config.manifest if config.manifest is not None else load_manifest()
-    batch = _Batch(manifest, shutil.which("bash", path=_SANDBOX_PATH) or "/bin/sh")
     # map cancels the queued commands when one raises
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(_run_one, count(), commands, repeat(config), repeat(batch)))
+        return list(pool.map(_run_one, count(), commands, repeat(config), repeat(manifest)))
 

@@ -189,6 +189,14 @@ class TestParse:
         assert flag.arg.literal == "auto"
         assert B.render(ast) == "grep --color=auto foo a.txt"
 
+    @pytest.mark.parametrize("token", ["-", "--key=1", "-a", "--key", "--", "-cjf", "-o=x"])
+    def test_flag_token_is_what_the_parser_reads_as_that_flag(self, token):
+        [stage] = B.parse(f"sort {token} a.txt").stages
+        assert B.is_flag_token(token) == ([f.token for f in stage.flags] == [token])
+        if not B.is_flag_token(token):
+            with pytest.raises(ValueError, match="not a flag token"):
+                B.FlagNode(token)
+
     def test_flag_arg_attachment_with_hints(self, hints):
         ast = B.parse("head -n 10 access.log", hints)
         flag = ast.stages[0].items[0]

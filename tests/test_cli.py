@@ -172,6 +172,24 @@ def test_validate_exec_refuses_foreign_workspace(tmp_path, monkeypatch, capsys):
     assert (workspace / "notes.txt").read_text() == "keep me"
 
 
+def test_validate_exec_refuses_escaping_manifest_before_clearing(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.setenv(EXEC_OPT_IN_ENV, "1")
+    templates = tmp_path / "templates.jsonl"
+    main(["generate", "--utility", "ls", "--limit", "2", "--out", str(templates)])
+    workspace, escape = tmp_path / "ws", tmp_path / "escape.json"
+    escape.write_text('{"dirs": ["../escape"]}')
+    argv = ["validate", "--in", str(templates), "--out", str(tmp_path / "r.jsonl"),
+            "--exec", "--workspace", str(workspace)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--sandbox-manifest", str(escape)]) == 1
+    assert capsys.readouterr().err == "error: manifest path escapes workspace: ../escape\n"
+    # the first run's workspace is still there
+    assert (workspace / "run_00000").is_dir()
+    assert not (workspace / "escape").exists()
+
+
 def test_stage_composability(tmp_path, capsys):
     """generate -> validate (dry) -> scale -> split -> stats, no manual edits."""
     templates = tmp_path / "templates.jsonl"
@@ -774,6 +792,7 @@ def test_outputs_of_one_run_share_one_manifest(tmp_path):
     "specs directory without a spec file", "duplicate config key", "unknown config keys",
     "generate without --out", "non-integer --limit", "unknown subcommand",
     "--config without a file", "dashed config key", "nan tolerance", "nan timeout",
+    "abbreviated --limit", "abbreviated --workspace and --timeout",
 ])
 def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     monkeypatch.delenv(EXEC_OPT_IN_ENV, raising=False)
@@ -861,6 +880,13 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
         "nan timeout": (1, "timeout must be a finite number above 0, not nan",
                         ["validate", "--in", str(templates), "--out", out,
                          "--timeout", "nan"]),
+        # an abbreviation would change meaning once an option shares its prefix
+        "abbreviated --limit": (2, "unrecognized arguments: --lim 3",
+                                ["generate", "--utility", "ls", "--lim", "3", "--out", out]),
+        "abbreviated --workspace and --timeout": (
+            2, "unrecognized arguments: --work",
+            ["validate", "--in", str(templates), "--out", out,
+             "--work", str(tmp_path / "ws"), "--tim", "0.2"]),
     }[case]
     assert main(argv) == code
     err = capsys.readouterr().err

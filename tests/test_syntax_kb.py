@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bashsynth.bash_ast import PlaceholderKind
+from bashsynth.bash_ast import PlaceholderKind, is_flag_token
 from bashsynth.dataset_io import FormatError
 from bashsynth import syntax_kb as K
 
@@ -123,6 +123,16 @@ def test_duplicate_flags_rejected(tmp_path):
     assert "duplicate flag" in refusal(path)
 
 
+@pytest.mark.parametrize("token", ["-", "--key=1"])
+def test_flag_token_must_be_a_flag_to_the_parser(tmp_path, token):
+    # the parser reads `cat -` with no flag and `sort --key=1` as flag
+    # --key, so template metadata naming these tokens would disagree with it
+    path = tmp_path / "bad.json"
+    write_specs(path, {"name": "sort", "flags": [{"token": token}]})
+    assert refusal(path) == (
+        f"{path}: specs[0]: not a flag token as the parser reads it: {token!r}")
+
+
 def test_nesting_limit(tmp_path):
     # nesting the JSON decoder reads reaches the field checks; past the
     # interpreter's recursion limit the file is not JSON
@@ -164,7 +174,8 @@ _SPECS = st.lists(
         name=_NAME,
         template=st.lists(st.sampled_from(["FLAGS", *(k.value for k in K.GenArgKind)]),
                           max_size=4).map(lambda slots: ("UTILITY", *slots)),
-        flags=st.lists(st.builds(K.FlagSpec, token=_TEXT.map(lambda s: "-" + s),
+        flags=st.lists(st.builds(K.FlagSpec,
+                                 token=_TEXT.map(lambda s: "-" + s).filter(is_flag_token),
                                  arg=st.none() | st.sampled_from(K.GenArgKind)),
                        max_size=4, unique_by=lambda f: f.token).map(tuple),
         pipe_successors=st.lists(_NAME, max_size=3).map(tuple),

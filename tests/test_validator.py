@@ -497,16 +497,33 @@ class TestSubprocess:
         assert sorted(p.name for p in workspace.iterdir()) == ["notes.txt"]
 
     @pytest.mark.parametrize("escape", ["dirs", "files"])
-    def test_manifest_paths_stay_in_the_run_directory(self, tmp_path, escape):
+    def test_manifest_paths_stay_in_the_run_directory(self, tmp_path, monkeypatch, escape):
         outside = tmp_path / "outside.txt"
         manifest = ({"dirs": ["abc", "../x"]} if escape == "dirs"
                     else {"dirs": ["abc"], "files": {"a.txt": "a\n", str(outside): "x\n"}})
-        config = self._config(tmp_path, manifest=manifest)
+        ran = []
+        monkeypatch.setattr(V, "_run_one", lambda index, *rest: ran.append(index))
+        config = self._config(tmp_path, manifest=manifest, jobs=2)
         with pytest.raises(V.SandboxSetupError, match="manifest path escapes workspace"):
-            V.run_batch(["ls"], config)
-        # a refused manifest provisions nothing, inside the workspace or out
-        made = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
-        assert made == ["ws", f"ws/{V.WORKSPACE_MARKER}"]
+            V.run_batch(["ls", "pwd", "true"], config)
+        # a refused manifest runs no command and provisions nothing, not
+        # even the workspace root
+        assert ran == []
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("escape", ["dirs ..", "dirs absolute", "files ..", "files absolute"])
+    def test_refused_manifest_leaves_the_workspace_as_it_was(self, tmp_path, escape):
+        workspace = tmp_path / "ws"
+        V.run_batch(["echo hi > made.txt"], self._config(tmp_path))
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        rel = "../escape" if escape.endswith("..") else str(tmp_path / "escape")
+        manifest = {"dirs": [rel]} if escape.startswith("dirs") else {"files": {rel: "x\n"}}
+        with pytest.raises(V.SandboxSetupError, match="manifest path escapes workspace"):
+            V.run_batch(["ls"], self._config(tmp_path, manifest=manifest))
+        # the earlier batch's workspace is neither cleared nor remade
+        assert (workspace / V.WORKSPACE_MARKER).is_file()
+        assert (workspace / "run_00000" / "made.txt").is_file()
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
 
     def test_own_workspace_is_cleared(self, tmp_path):
         workspace = tmp_path / "ws"
