@@ -26,6 +26,7 @@ __all__ = [
     "ParamNode",
     "FlagNode",
     "is_flag_token",
+    "is_plain_word",
     "ExecClause",
     "Substitution",
     "UtilityNode",
@@ -277,6 +278,20 @@ def is_flag_token(token: str) -> bool:
     that starts with ``-`` and is longer than it, but not the glued
     ``--name=value`` form, which it reads as flag ``--name`` with a value."""
     return _is_flag(token) and not (token.startswith("--") and "=" in token)
+
+
+# Words the parser reads as structure wherever they stand in a stage.
+_STRUCTURE_WORDS = _EXEC_FLAGS | PRESERVED_LITERALS
+_PLAIN_WORD = re.compile(f"{_PLAIN}+")
+
+
+def is_plain_word(word: str) -> bool:
+    """Whether the parser reads ``word``, alone, as exactly that one plain
+    word: it is non-empty and holds no whitespace, no "|" and no character
+    that needs the grammar (quotes, escapes, ``$``, parentheses, ``;``,
+    ``&``, ``<``), and it is not a word the parser reads as structure
+    (``-exec`` and its kin, ``{}``, ``>``, ``-``)."""
+    return _PLAIN_WORD.fullmatch(word) is not None and word not in _STRUCTURE_WORDS
 
 
 # ---------------------------------------------------------------------------

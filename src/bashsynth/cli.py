@@ -29,7 +29,7 @@ EXEC_OPT_IN_ENV = "BASHSYNTH_ALLOW_EXEC"
 
 
 _INPUT_ARGS = ("infile", "ref", "pred", "man", "replay", "specs", "profile",
-               "fixtures", "sandbox_manifest")
+               "fixtures", "sandbox_manifest", "config")
 _OUTPUT_ARGS = ("out", "survivors", "train", "test")
 
 
@@ -73,26 +73,39 @@ def _parse_record(path: str, number: int, cmd: str, hints) -> bash_ast.BashAst:
 
 def cmd_generate(args: argparse.Namespace) -> None:
     kb = syntax_kb.SyntaxKb.load(args.specs)
-    names = args.utility or kb.utilities
+    names = dict.fromkeys(args.utility or kb.utilities)
     unknown = [name for name in names if kb.get(name) is None]
     if unknown:
         raise UsageError(f"unknown utility {unknown[0]!r}")
-    commands: list[dataset_io.TemplateEntry] = []
-    for spec in map(kb.get, names):
-        commands.extend(generator.generate_unpiped(spec, args.limit, args.seed))
-        if args.piped:
-            for successor in spec.pipe_successors:
-                tail = kb.get(successor)
-                if tail is None:
-                    continue
-                commands.extend(
-                    generator.generate_piped(
-                        spec, tail, args.head_limit, args.tail_limit, args.seed
-                    )
-                )
-    result = generator.dedup(commands)
-    dataset_io.write_templates(result.commands, args.out)
-    print(f"wrote {len(result.commands)} templates to {args.out}")
+    # refused here, as the output is written while the templates are made
+    for option in ("limit", "head_limit", "tail_limit"):
+        value = getattr(args, option)
+        if value is not None and value < 0:
+            raise UsageError(f"--{option.replace('_', '-')} must be >= 0, not {value}")
+
+    def batches():
+        for spec in map(kb.get, names):
+            yield generator.generate_unpiped(spec, args.limit, args.seed)
+            if args.piped:
+                for tail in map(kb.get, spec.pipe_successors):
+                    if tail is not None:  # a successor without a spec is skipped
+                        yield generator.generate_piped(
+                            spec, tail, args.head_limit, args.tail_limit, args.seed
+                        )
+
+    count = 0
+
+    def templates():
+        # A KB's specs make distinct templates, so each batch is written as
+        # it is made and only its length is kept.
+        nonlocal count
+        for batch in batches():
+            count += len(batch)
+            yield from batch
+            del batch  # freed before the next one is made
+
+    dataset_io.write_templates(templates(), args.out)
+    print(f"wrote {count} templates to {args.out}")
 
 
 def cmd_validate(args: argparse.Namespace) -> None:
@@ -280,14 +293,24 @@ def _config_type(action: argparse.Action) -> tuple:
 
 class _Parser(argparse.ArgumentParser):
     """Raises a refusal for :func:`main` to print instead of exiting, and
-    takes options only as spelled in full, as do the subcommand parsers
-    argparse builds from this class."""
+    takes options only as spelled in full, as do the subcommand parsers."""
 
     def __init__(self, *args, allow_abbrev: bool = False, **kwargs):
         super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")
+
+
+class _Subparser(_Parser):
+    """A subcommand's parser, which refuses the words it does not know
+    itself, so the refusal names the subcommand, not ``bashsynth``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 # Read first, as it sets the real parser's defaults; --help lists it there.
@@ -306,7 +329,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         "error. Secrets come from the environment, never from flags or config.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subparser)
 
     def add_specs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--specs", default=str(syntax_kb.default_specs_path()),
@@ -442,7 +465,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         known, argv = _CONFIG_PARSER.parse_known_args(argv)
         config = {} if known.config is None else dataset_io.read_json(Path(known.config))
-        args = build_parser(config).parse_args(argv)
+        # known keeps the --config path for the manifest's inputs
+        args = build_parser(config).parse_args(argv, namespace=known)
     except (UsageError, ValueError, OSError) as exc:
         return _error(exc, 2)
     try:

@@ -6,7 +6,10 @@ A template is text plus metadata: a ``dataset_io.TemplateEntry`` whose
 flag subset's stage is rendered once as text; a piped template joins a head
 and a tail template with " | ". Later stages read only that text and
 metadata; its parser form (``syntax_kb.to_parser_template``) parses with the
-KB's hints to the kinds the spec declares.
+KB's hints to the kinds the spec declares, and to the stages and flags the
+metadata names. The templates of specs that ``syntax_kb.UtilitySpec``
+accepts are distinct, so ``generate`` writes them as they are made; ``dedup``
+serves text from elsewhere, such as an LLM's replies.
 """
 
 from __future__ import annotations

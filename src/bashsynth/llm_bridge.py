@@ -76,6 +76,11 @@ class LlmConfig:
     concurrency: int = 4
 
     def __post_init__(self) -> None:
+        if not 0 < self.request_timeout < math.inf:  # nan too: a wait would never end
+            raise ValueError("request_timeout must be a finite number above 0, "
+                             f"not {self.request_timeout}")
+        if not 0 <= self.backoff < math.inf:  # a retry sleeps backoff × attempt
+            raise ValueError(f"backoff must be a finite number >= 0, not {self.backoff}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.concurrency < 1:

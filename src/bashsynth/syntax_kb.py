@@ -17,7 +17,9 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .bash_ast import PlaceholderKind, UtilityHints, is_flag_token
+from .bash_ast import (
+    PLACEHOLDER_BY_TOKEN, PlaceholderKind, UtilityHints, is_flag_token, is_plain_word
+)
 from .dataset_io import REQUIRED, STRINGS, FormatError, check_object, read_json, shipped
 
 __all__ = [
@@ -105,13 +107,20 @@ def to_parser_template(command: str) -> str:
     return command
 
 
+def _is_spec_word(word: str) -> bool:
+    """Whether a name or flag token stands in a template as the very word
+    written: one plain word to the parser, holding no ``[File]`` that
+    ``validator.instantiate`` would fill."""
+    return is_plain_word(word) and PLACEHOLDER_RE.search(word) is None
+
+
 @dataclass(frozen=True)
 class FlagSpec:
     token: str
     arg: GenArgKind | None = None
 
     def __post_init__(self) -> None:
-        if not is_flag_token(self.token):
+        if not (is_flag_token(self.token) and _is_spec_word(self.token)):
             raise SchemaError(f"not a flag token as the parser reads it: {self.token!r}")
 
 
@@ -120,7 +129,10 @@ class UtilitySpec:
     """Syntax template for one utility.
 
     ``template`` is an ordered slot list: the literal slots ``UTILITY`` and
-    ``FLAGS`` plus positional argument slots named by GenArgKind value.
+    ``FLAGS`` plus positional argument slots named by GenArgKind value. It
+    holds one ``FLAGS`` slot, or none when there are no flags, and the
+    successors are distinct, so every template the generator makes from
+    the spec is distinct and its metadata is what the parser reads.
     """
 
     name: str
@@ -130,7 +142,9 @@ class UtilitySpec:
     needs_review: bool = False
 
     def __post_init__(self) -> None:
-        if not self.name or any(c.isspace() for c in self.name):
+        # a stage's first word is its utility unless the parser reads it as a flag
+        if (not _is_spec_word(self.name) or self.name.startswith("-")
+                or self.name in PLACEHOLDER_BY_TOKEN):
             raise SchemaError(f"bad utility name: {self.name!r}")
         tokens = [f.token for f in self.flags]
         if len(tokens) != len(set(tokens)):
@@ -140,6 +154,13 @@ class UtilitySpec:
         for slot in self.template[1:]:
             if slot != "FLAGS" and slot not in _GEN_BY_VALUE:
                 raise SchemaError(f"{self.name}: unknown template slot {slot!r}")
+        flag_slots = self.template.count("FLAGS")
+        if flag_slots > 1:
+            raise SchemaError(f"{self.name}: template holds more than one FLAGS slot")
+        if self.flags and not flag_slots:
+            raise SchemaError(f"{self.name}: template has flags but no FLAGS slot")
+        if len(self.pipe_successors) != len(set(self.pipe_successors)):
+            raise SchemaError(f"{self.name}: duplicate pipe successors")
 
     @property
     def positional_kinds(self) -> tuple[GenArgKind, ...]:
@@ -289,9 +310,10 @@ def import_manpage(text: str, utility: str) -> UtilitySpec:
     """Draft a UtilitySpec from manual-page plain text.
 
     Flags come from lines shaped like option definitions; argument kinds
-    are inferred from the metavar keyword. The result is flagged for human
-    review when inference looks weak. Raises :class:`ManpageImportError`
-    when no flags can be extracted.
+    are inferred from the metavar keyword. A flag the parser reads as a
+    clause (``-exec``) is left out. The result is flagged for human review
+    when inference looks weak or a flag was left out. Raises
+    :class:`ManpageImportError` when no flags can be extracted.
     """
     lines = text.splitlines()
     start = 0
@@ -320,6 +342,9 @@ def import_manpage(text: str, utility: str) -> UtilitySpec:
             if token in seen:
                 continue
             seen.add(token)
+            if not is_plain_word(token):  # -exec and its kin: a clause, not a flag
+                unresolved += 1
+                continue
             flags.append(FlagSpec(token, kind))
 
     if not flags:

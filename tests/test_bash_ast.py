@@ -197,6 +197,15 @@ class TestParse:
             with pytest.raises(ValueError, match="not a flag token"):
                 B.FlagNode(token)
 
+    @pytest.mark.parametrize("word", ["ls", "-x", "--color=auto", "a>b", "-{}", "+", "é"])
+    def test_plain_word_is_read_as_written(self, word):
+        assert B.is_plain_word(word)
+        assert B.render(B.parse(f"x {word}")) == f"x {word}"
+
+    def test_empty_exec_body_rejected(self):
+        with pytest.raises(ParseError, match="empty -exec body"):
+            B.parse("find . -exec \\;")
+
     def test_flag_arg_attachment_with_hints(self, hints):
         ast = B.parse("head -n 10 access.log", hints)
         flag = ast.stages[0].items[0]
@@ -210,6 +219,14 @@ class TestParse:
         assert [f.token for f in stage.flags] == ["-cjf"]
         assert stage.items[0].arg.literal == "backup.bz2"
         assert _params(stage)[0].literal == "mydir"
+
+    def test_cluster_binds_nothing_when_an_inner_member_takes_an_argument(self):
+        # -f takes a File, so -fj cannot hand it one: the cluster is read as
+        # one flag of its own and the next word is a positional
+        hints = {"tar": UtilityHints(frozenset({"-f", "-j"}), {"-f": PlaceholderKind.FILE})}
+        assert B._expand_cluster("-fj", hints["tar"]) is None
+        (stage,) = B.parse("tar -fj a.tar", hints).stages
+        assert stage.items == (B.FlagNode("-fj"), ParamNode("a.tar", PlaceholderKind.FILE))
 
 
 class TestCategorize:
@@ -724,6 +741,22 @@ def test_property_tokenizer_matches_oracle(text):
         assert got is None
     else:
         assert got == expected
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from([*_TOKENIZER_CHUNKS, "-", "exec", "ok", "dir", ">", "{}"]),
+                max_size=4).map("".join))
+@example("-execdir")
+@example("-okdir")
+@example("-x|wc")
+@example("-a\u3000-l")
+def test_property_plain_word_matches_oracle(word):
+    oracle = (word != "" and not any(c.isspace() or c in "|()'\"\\$;&<" for c in word)
+              and word not in {"-exec", "-ok", "-execdir", "-okdir", "{}", ">", "-"})
+    assert B.is_plain_word(word) == oracle
+    if oracle:
+        # the tokenizer's grammar reads it as one word too
+        assert B._split_stages(B._scan_tokens(word)) == [(word,)]
 
 
 # Text without ( ) ' " \ $ ; & <, with pipes glued to words and any whitespace.

@@ -138,6 +138,59 @@ def test_generate_refuses_mistyped_spec(tmp_path, capsys):
     )
 
 
+def test_generate_refuses_spec_word_the_parser_splits(tmp_path, capsys):
+    # "ls -x|wc [Path]" parses as ls piped to wc, not as ls with flag -x|wc
+    specs, out = tmp_path / "specs.json", tmp_path / "t.jsonl"
+    specs.write_text(json.dumps({"specs": [
+        {"name": "ls", "template": ["UTILITY", "FLAGS", "Path"],
+         "flags": [{"token": "-a"}, {"token": "-x|wc"}]},
+    ]}))
+    assert main(["generate", "--specs", str(specs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {specs}: specs[0]: not a flag token as the parser reads it: '-x|wc'\n")
+    assert not out.exists()
+
+
+def test_generate_piped_skips_successor_without_spec(tmp_path, capsys):
+    specs, out = tmp_path / "specs.json", tmp_path / "t.jsonl"
+    specs.write_text(json.dumps({"specs": [
+        {"name": "find", "template": ["UTILITY", "Path", "FLAGS"],
+         "flags": [{"token": "-empty"}], "pipe_successors": ["sort", "wc"]},
+        {"name": "wc", "flags": [{"token": "-l"}]},
+    ]}))
+    assert main(["generate", "--specs", str(specs), "--piped", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 8 templates to {out}\n"
+    assert [e.cmd for e in D.read_templates(out)] == [
+        "find [Path]", "find [Path] -empty",
+        "find [Path] | wc", "find [Path] | wc -l",
+        "find [Path] -empty | wc", "find [Path] -empty | wc -l",
+        "wc", "wc -l",
+    ]
+
+
+def test_generate_repeated_utility_written_once(tmp_path):
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    assert main(["generate", "--utility", "ls", "--piped", "--out", str(once)]) == 0
+    assert main(["generate", "--utility", "ls", "--utility", "ls", "--piped",
+                 "--out", str(twice)]) == 0
+    assert twice.read_bytes() == once.read_bytes()
+
+
+@pytest.mark.parametrize("option", ["--limit", "--head-limit", "--tail-limit"])
+def test_negative_limit_refused_before_output_is_opened(tmp_path, capsys, option):
+    # generate writes as it generates, so the refusal must come first: a
+    # negative limit once truncated --out and wrote part of it
+    kept, absent = tmp_path / "kept.jsonl", tmp_path / "absent.jsonl"
+    kept.write_text("earlier run\n")
+    for out in (kept, absent):
+        code = main(["generate", "--utility", "find", "--piped", option, "-1",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {option} must be >= 0, not -1\n"
+    assert kept.read_text() == "earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl"]
+
+
 def test_cli_imports_no_requests_or_yaml():
     # HTTP goes through the standard library and every input is JSON: the
     # package has no runtime dependency.
@@ -767,7 +820,7 @@ def test_manifest_overrides_hold_values_off_their_builtin_defaults(tmp_path):
                  "--out", str(out), "--profile", str(profile), "--tolerance", "0.5"]) == 0
     manifest = json.loads((tmp_path / "s.jsonl.manifest.json").read_text())
     assert manifest["overrides"] == {"tolerance": 0.5}
-    assert manifest["inputs"] == [str(templates), str(profile)]
+    assert manifest["inputs"] == [str(templates), str(profile), str(config)]
     assert (manifest["subcommand"], manifest["output"], manifest["seed"]) == (
         "scale", str(out), 3)
 
@@ -792,7 +845,8 @@ def test_outputs_of_one_run_share_one_manifest(tmp_path):
     "specs directory without a spec file", "duplicate config key", "unknown config keys",
     "generate without --out", "non-integer --limit", "unknown subcommand",
     "--config without a file", "dashed config key", "nan tolerance", "nan timeout",
-    "abbreviated --limit", "abbreviated --workspace and --timeout",
+    "abbreviated --limit", "abbreviated --workspace and --timeout", "stray positional",
+    "unknown top-level option",
 ])
 def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
     monkeypatch.delenv(EXEC_OPT_IN_ENV, raising=False)
@@ -881,12 +935,16 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
                         ["validate", "--in", str(templates), "--out", out,
                          "--timeout", "nan"]),
         # an abbreviation would change meaning once an option shares its prefix
-        "abbreviated --limit": (2, "unrecognized arguments: --lim 3",
+        "abbreviated --limit": (2, "bashsynth generate: unrecognized arguments: --lim 3",
                                 ["generate", "--utility", "ls", "--lim", "3", "--out", out]),
         "abbreviated --workspace and --timeout": (
-            2, "unrecognized arguments: --work",
+            2, "bashsynth validate: unrecognized arguments: --work",
             ["validate", "--in", str(templates), "--out", out,
              "--work", str(tmp_path / "ws"), "--tim", "0.2"]),
+        "stray positional": (2, "bashsynth generate: unrecognized arguments: extra",
+                             ["generate", "--out", out, "extra"]),
+        "unknown top-level option": (2, "bashsynth: unrecognized arguments: --bogus",
+                                     ["--bogus", "generate", "--out", out]),
     }[case]
     assert main(argv) == code
     err = capsys.readouterr().err

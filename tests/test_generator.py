@@ -3,11 +3,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bashsynth import bash_ast
 from bashsynth import generator as G
 from bashsynth.syntax_kb import (
-    PLACEHOLDER_RE, FlagSpec, GenArgKind, UtilitySpec, to_parser_template
+    PLACEHOLDER_RE, FlagSpec, GenArgKind, SchemaError, SyntaxKb, UtilitySpec,
+    to_parser_template,
 )
 
 
@@ -109,6 +111,61 @@ class TestPlaceholderKinds:
                     assert bash_ast.PLACEHOLDER_BY_TOKEN[param.literal] == declared, text
                 checked += 1
         assert checked == 1770
+
+
+# Mostly plain words, and words with pieces the parser splits at, reads as
+# structure or reads as placeholders, so that some drawn names and flags
+# are refused.
+_PIECES = ["a", "b", "-", "=", "."]
+_PLAIN_WORD = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=3).map("".join)
+_WORD = st.one_of(_PLAIN_WORD, _PLAIN_WORD, _PLAIN_WORD, st.lists(st.sampled_from(
+    [*_PIECES, "|", " ", "(", "$", "'", "exec", "{}", ">", "_FILE", "[File]"]
+), max_size=3).map("".join))
+
+
+def _accepted(build, *args):
+    """What ``build(*args)`` makes, or None when the KB refuses it."""
+    try:
+        return build(*args)
+    except SchemaError:
+        return None
+
+
+@st.composite
+def _kbs(draw) -> SyntaxKb:
+    """A KB of the specs the rules accept among drawn names, slots, flags
+    and successors."""
+    names = draw(st.lists(_WORD, min_size=1, max_size=4, unique=True))
+    specs = []
+    for name in names:
+        drawn = draw(st.lists(st.tuples(_WORD, st.none() | st.sampled_from(GenArgKind)),
+                              max_size=4, unique_by=lambda t: t[0]))
+        flags = tuple(f for f in (_accepted(FlagSpec, "-" + w, k) for w, k in drawn) if f)
+        slots = draw(st.lists(st.sampled_from(["File", "Path", "Quantity"]), max_size=2))
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):  # FLAGS slots
+            slots.insert(draw(st.integers(0, len(slots))), "FLAGS")
+        successors = draw(st.lists(st.sampled_from(names), max_size=3))
+        spec = _accepted(UtilitySpec, name, ("UTILITY", *slots), flags, tuple(successors))
+        if spec is not None:
+            specs.append(spec)
+    return SyntaxKb(specs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kbs())
+def test_property_templates_are_distinct_and_their_metadata_is_their_parse(kb):
+    templates = []
+    for spec in kb.specs():
+        templates += G.generate_unpiped(spec)
+        for successor in spec.pipe_successors:
+            if successor in kb:
+                templates += G.generate_piped(spec, kb.get(successor))
+    assert len({t.cmd for t in templates}) == len(templates)
+    hints = kb.parser_hints()
+    for t in templates:
+        ast = bash_ast.parse(to_parser_template(t.cmd), hints)
+        assert t.utilities == tuple(stage.name for stage in ast.stages), t.cmd
+        assert t.flags == tuple(f.token for s in ast.stages for f in s.flags), t.cmd
 
 
 class TestGeneratePiped:

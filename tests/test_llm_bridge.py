@@ -63,6 +63,22 @@ class TestConfig:
     def test_requests_per_minute_accepted(self, rpm):
         assert L.LlmConfig(requests_per_minute=rpm).requests_per_minute == rpm
 
+    @pytest.mark.parametrize("backoff", [-1.0, float("nan"), float("inf")])
+    def test_bad_backoff(self, backoff):
+        # a negative one ended the first retry in time.sleep's ValueError
+        with pytest.raises(ValueError, match=f"backoff must be a finite number >= 0, "
+                                             f"not {backoff}"):
+            L.LlmConfig(backoff=backoff)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_request_timeout(self, timeout):
+        with pytest.raises(ValueError, match=f"request_timeout must be a finite number "
+                                             f"above 0, not {timeout}"):
+            L.LlmConfig(request_timeout=timeout)
+
+    def test_zero_backoff_accepted(self):
+        assert L.LlmConfig(backoff=0.0).backoff == 0.0
+
 
 class TestGenCommands:
     def test_three_commands_from_stub(self, replay_entries):
@@ -77,6 +93,10 @@ class TestGenCommands:
             ScriptedTransport(["```bash\ndu -sh /var\n```"]),
         )
         assert session.gen_commands(1) == ["du -sh /var"]
+
+    def test_blank_reply_dropped(self):
+        session = L.LlmSession(L.LlmConfig(), ScriptedTransport(["ls", "  \n", "pwd"]))
+        assert session.gen_commands(3) == ["ls", "pwd"]
 
     def test_auth_error_propagates(self):
         session = L.LlmSession(L.LlmConfig(), FailingTransport(L.AuthError("401")))
@@ -200,6 +220,20 @@ class TestHttpTransport:
             session.backtranslate("ls")
         assert len(endpoint.seen) == 3
         assert all("malformed completion response" in e["error"] for e in _lines(log))
+
+    @pytest.mark.parametrize("reply", [
+        {}, {"choices": []}, {"choices": [{}]}, {"choices": [{"message": {}}]},
+        {"choices": [None]},
+    ], ids=["no choices", "empty choices", "no message", "no content", "null choice"])
+    def test_completion_without_content_is_retried(self, endpoint, tmp_path, reply):
+        endpoint.replies = [(200, {}, json.dumps(reply).encode()),
+                            (200, {}, _completion("list files"))]
+        log = tmp_path / "log.jsonl"
+        assert _live(endpoint.url, log).backtranslate("ls") == "list files"
+        first, second = _lines(log)
+        assert first["error"].startswith("malformed completion response: ")
+        assert second["error"] is None
+        assert len(endpoint.seen) == 2
 
     def test_refused_connection_raises_transport_error(self, monkeypatch, tmp_path):
         with socket.socket() as sock:  # a port nothing listens on once closed

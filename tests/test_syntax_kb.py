@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bashsynth.bash_ast import PlaceholderKind, is_flag_token
+from bashsynth.bash_ast import PlaceholderKind
 from bashsynth.dataset_io import FormatError
 from bashsynth import syntax_kb as K
 
@@ -123,14 +123,55 @@ def test_duplicate_flags_rejected(tmp_path):
     assert "duplicate flag" in refusal(path)
 
 
-@pytest.mark.parametrize("token", ["-", "--key=1"])
+@pytest.mark.parametrize("token", ["-", "--key=1", "-a -l", "-x|wc", "-exec", "-[File]"])
 def test_flag_token_must_be_a_flag_to_the_parser(tmp_path, token):
-    # the parser reads `cat -` with no flag and `sort --key=1` as flag
-    # --key, so template metadata naming these tokens would disagree with it
+    # the parser reads `cat -` with no flag, `sort --key=1` as flag --key,
+    # `ls -a -l` as two flags, `ls -x|wc` as a pipe and `find -exec` as a
+    # clause, and validate fills `-[File]`, so template metadata naming
+    # these tokens would disagree with the parse
     path = tmp_path / "bad.json"
     write_specs(path, {"name": "sort", "flags": [{"token": token}]})
     assert refusal(path) == (
         f"{path}: specs[0]: not a flag token as the parser reads it: {token!r}")
+
+
+# Each of these would give a template whose metadata disagrees with its
+# parse (a name the parser splits, pipes or reads as a flag, a word
+# instantiate fills), or two equal templates (flags without a FLAGS slot
+# to hold them, a successor listed twice), or is malformed.
+REFUSED_SPECS = {
+    "piped name": ({"name": "cat|wc"}, "bad utility name: 'cat|wc'"),
+    "quoted name": ({"name": "'ls'"}, "bad utility name: \"'ls'\""),
+    "placeholder in a name": ({"name": "ls[File]"}, "bad utility name: 'ls[File]'"),
+    "parser token name": ({"name": "_FILE"}, "bad utility name: '_FILE'"),
+    "flag name": ({"name": "-x"}, "bad utility name: '-x'"),
+    "empty name": ({"name": ""}, "bad utility name: ''"),
+    "flags without FLAGS": ({"name": "cat", "template": ["UTILITY", "File"],
+                             "flags": [{"token": "-n"}, {"token": "-b"}]},
+                            "cat: template has flags but no FLAGS slot"),
+    "two FLAGS": ({"name": "ls", "template": ["UTILITY", "FLAGS", "Path", "FLAGS"]},
+                  "ls: template holds more than one FLAGS slot"),
+    "repeated successor": ({"name": "find", "pipe_successors": ["sort", "sort"]},
+                           "find: duplicate pipe successors"),
+    "template without UTILITY first": ({"name": "ls", "template": ["FLAGS", "UTILITY"]},
+                                       "ls: template must start with UTILITY"),
+    "unknown slot": ({"name": "ls", "template": ["UTILITY", "Gizmo"]},
+                     "ls: unknown template slot 'Gizmo'"),
+    "entry not an object": (["ls"], "expected an object, got list"),
+}
+
+
+@pytest.mark.parametrize("entry, want", REFUSED_SPECS.values(), ids=list(REFUSED_SPECS))
+def test_spec_refused(tmp_path, entry, want):
+    path = tmp_path / "bad.json"
+    write_specs(path, entry)
+    assert refusal(path) == f"{path}: specs[0]: {want}"
+
+
+def test_template_without_flags_needs_no_flags_slot(tmp_path):
+    path = tmp_path / "cd.json"
+    write_specs(path, {"name": "cd", "template": ["UTILITY", "Directory"]})
+    assert K.load_specs(path) == [K.UtilitySpec("cd", ("UTILITY", "Directory"))]
 
 
 def test_nesting_limit(tmp_path):
@@ -167,20 +208,42 @@ def test_shipped_kb_is_as_save_specs_writes_it(tmp_path, kb):
 
 # Any text UTF-8 can encode: no surrogates.
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
-_NAME = _TEXT.filter(lambda s: s and not any(c.isspace() for c in s))
-_SPECS = st.lists(
-    st.builds(
+
+
+def _accepted(build, *args) -> bool:
+    try:
+        build(*args)
+    except K.SchemaError:
+        return False
+    return True
+
+
+_NAME = _TEXT.filter(lambda s: _accepted(K.UtilitySpec, s))
+_SLOTS = st.lists(st.sampled_from([k.value for k in K.GenArgKind]), max_size=4)
+
+
+def _spec_strategy(template, flags):
+    return st.builds(
         K.UtilitySpec,
         name=_NAME,
-        template=st.lists(st.sampled_from(["FLAGS", *(k.value for k in K.GenArgKind)]),
-                          max_size=4).map(lambda slots: ("UTILITY", *slots)),
-        flags=st.lists(st.builds(K.FlagSpec,
-                                 token=_TEXT.map(lambda s: "-" + s).filter(is_flag_token),
-                                 arg=st.none() | st.sampled_from(K.GenArgKind)),
-                       max_size=4, unique_by=lambda f: f.token).map(tuple),
-        pipe_successors=st.lists(_NAME, max_size=3).map(tuple),
+        template=template,
+        flags=flags,
+        pipe_successors=st.lists(_NAME, max_size=3, unique=True).map(tuple),
         needs_review=st.booleans(),
-    ),
+    )
+
+
+# A template holds at most one FLAGS slot, and one whenever its spec has flags.
+_SPECS = st.lists(
+    _spec_strategy(
+        st.tuples(_SLOTS, st.integers(0, 4)).map(
+            lambda t: ("UTILITY", *t[0][:t[1]], "FLAGS", *t[0][t[1]:])),
+        st.lists(st.builds(K.FlagSpec,
+                           token=_TEXT.map(lambda s: "-" + s).filter(
+                               lambda t: _accepted(K.FlagSpec, t)),
+                           arg=st.none() | st.sampled_from(K.GenArgKind)),
+                 max_size=4, unique_by=lambda f: f.token).map(tuple),
+    ) | _spec_strategy(_SLOTS.map(lambda slots: ("UTILITY", *slots)), st.just(())),
     max_size=4, unique_by=lambda spec: spec.name,
 )
 
@@ -253,6 +316,14 @@ class TestImportManpage:
     def test_no_flags_raises(self):
         with pytest.raises(K.ManpageImportError):
             K.import_manpage("DESCRIPTION\nnothing useful here\n", "true")
+
+    def test_exec_clause_left_out_for_review(self):
+        spec = K.import_manpage(
+            "OPTIONS\n  -name PATTERN  base name\n  -exec CMD  run CMD\n  -empty\n",
+            "find",
+        )
+        assert [f.token for f in spec.flags] == ["-name", "-empty"]
+        assert spec.needs_review
 
     def test_low_confidence_flagged_for_review(self):
         spec = K.import_manpage("OPTIONS\n  -x WIDGET  mystery argument\n", "odd")

@@ -80,6 +80,11 @@ class TestInstantiate:
             V.instantiate("grep [Pattern] [File]", {"File": ["temp.txt"]})
         assert exc.value.kind == "Pattern"
 
+    def test_unknown_bracket_kind_named_in_refusal(self, fixtures):
+        with pytest.raises(V.MissingFixture) as exc:
+            V.instantiate("echo [Foo]", fixtures)
+        assert str(exc.value) == "no fixture values for argument kind 'Foo'"
+
     def test_round_robin_per_kind(self, fixtures):
         out = V.instantiate("diff [File] [File]", fixtures)
         assert out == "diff temp.txt a.txt"
