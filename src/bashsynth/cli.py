@@ -88,10 +88,9 @@ def cmd_generate(args: argparse.Namespace) -> None:
             yield generator.generate_unpiped(spec, args.limit, args.seed)
             if args.piped:
                 for tail in map(kb.get, spec.pipe_successors):
-                    if tail is not None:  # a successor without a spec is skipped
-                        yield generator.generate_piped(
-                            spec, tail, args.head_limit, args.tail_limit, args.seed
-                        )
+                    yield generator.generate_piped(
+                        spec, tail, args.head_limit, args.tail_limit, args.seed
+                    )
 
     count = 0
 

@@ -28,7 +28,6 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -258,7 +257,7 @@ def read_json(path: str | Path) -> dict:
 
 def shipped(name: str) -> Path:
     """The path of ``data/<name>``, a file shipped with the package."""
-    return Path(resources.files("bashsynth").joinpath(f"data/{name}"))
+    return Path(__file__).parent / "data" / name
 
 
 def _checked(path: str | Path, schema: dict) -> Iterator[list]:

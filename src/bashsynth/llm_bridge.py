@@ -17,14 +17,12 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Protocol, Sequence, TypeVar
 
 from . import bash_ast
 from .dataset_io import DatasetRecord, encode_line, read_exchanges
-from .generator import dedup
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -382,6 +380,9 @@ class LlmSession:
                 self._free_slot()
                 item.index = item.cut = None
 
+        # imported here, so a process that runs no session never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
         workers = 1 if self._replay else 2 * self.config.concurrency - 1
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
@@ -443,10 +444,8 @@ class LlmSession:
 
     def pipeline(self, n: int, out_path: str | Path | None = None) -> list[DatasetRecord]:
         """generate -> dedup -> parse filter -> backtranslate -> records."""
-        commands = self.gen_commands(n)
-        unique = dedup(commands).commands
         survivors = []
-        for cmd in unique:
+        for cmd in dict.fromkeys(self.gen_commands(n)):
             try:
                 bash_ast.parse(cmd)
             except bash_ast.ParseError:

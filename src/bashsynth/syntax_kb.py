@@ -206,14 +206,15 @@ def _spec_from_doc(doc: object, where: str) -> UtilitySpec:
 
 def load_specs(path: str | Path) -> list[UtilitySpec]:
     """Load utility specs from a spec file or a directory of them (its
-    ``*.json`` files); each utility name may appear once among them all.
-    A refused file raises FormatError naming it, a SchemaError when an
-    entry breaks the schema."""
+    ``*.json`` files); each utility name may appear once among them all,
+    and each pipe successor must name one of them. A refused file raises
+    FormatError naming it, a SchemaError when an entry breaks the schema."""
     path = Path(path)
     files = sorted(path.glob("*.json")) if path.is_dir() else [path]
     if not files:
         raise SchemaError("directory holds no *.json spec file", path)
     specs: dict[str, UtilitySpec] = {}
+    where: dict[str, str] = {}
     for file in files:
         entries, = check_object(read_json(file), _SPEC_FILE, file)
         for index, entry in enumerate(entries):
@@ -221,6 +222,12 @@ def load_specs(path: str | Path) -> list[UtilitySpec]:
             if spec.name in specs:
                 raise SchemaError(f"duplicate utility spec: {spec.name}", file)
             specs[spec.name] = spec
+            where[spec.name] = f"{file}: specs[{index}]"
+    for spec in specs.values():
+        for successor in spec.pipe_successors:
+            if successor not in specs:
+                raise SchemaError(f"{where[spec.name]}: {spec.name}: "
+                                  f"pipe successor {successor!r} has no spec")
     return list(specs.values())
 
 

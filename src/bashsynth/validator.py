@@ -20,7 +20,6 @@ import shutil
 import signal
 import subprocess
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count, repeat
 from pathlib import Path
@@ -197,16 +196,33 @@ _QUOTING = re.compile(r"""['"\\]""")
 _SHELL_BREAKS = re.compile(r"[\s;&|()]+")
 
 
-def _launched_names(node: bash_ast.UtilityNode) -> Iterator[str]:
-    """The basename of each word a launcher node may run: every parameter
-    word (a flag's argument included) without its quoting, split at
-    whitespace and command separators, so the first word of a ``-c``
-    string is one of them."""
+def _param_words(node: bash_ast.UtilityNode) -> Iterator[str]:
+    """Each parameter word of a node, a flag's argument included, without
+    its quoting."""
     for item in node.items:
         param = item.arg if isinstance(item, bash_ast.FlagNode) else item
         if isinstance(param, bash_ast.ParamNode):
-            for word in _SHELL_BREAKS.split(_QUOTING.sub("", param.literal)):
-                yield word.rsplit("/", 1)[-1]
+            yield _QUOTING.sub("", param.literal)
+
+
+def _launched_names(node: bash_ast.UtilityNode) -> Iterator[str]:
+    """The basename of each word a launcher node may run: every parameter
+    word split at whitespace and command separators, so the first word of
+    a ``-c`` string is one of them."""
+    for word in _param_words(node):
+        for name in _SHELL_BREAKS.split(word):
+            yield name.rsplit("/", 1)[-1]
+
+
+# A word naming a path outside the run directory: absolute, another user's
+# home (~root; ~ alone is HOME, the run directory), or climbing with ..
+_OTHER_HOME = re.compile(r"~[^/]")
+
+
+def _escapes(word: str) -> bool:
+    return ((word.startswith("/") and word != "/dev/null")
+            or _OTHER_HOME.match(word) is not None
+            or ".." in word.split("/"))
 
 
 def _blocked_reason(command: str) -> str | None:
@@ -231,6 +247,10 @@ def _blocked_reason(command: str) -> str | None:
             launched = _NETWORK_UTILITIES.intersection(_launched_names(node))
             if launched:
                 return f"network utility {min(launched)!r} blocked under {name!r}"
+    for node in ast.walk_utilities():
+        for word in _param_words(node):
+            if _escapes(word):
+                return f"path {word!r} escapes the workspace"
     return None
 
 
@@ -351,6 +371,9 @@ def run_batch(
         (root / WORKSPACE_MARKER).touch()
     except OSError as exc:
         raise SandboxSetupError(f"cannot create workspace {root}: {exc}") from exc
+
+    # imported here, so a dry run never loads it
+    from concurrent.futures import ThreadPoolExecutor
 
     # map cancels the queued commands when one raises
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:

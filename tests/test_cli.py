@@ -151,21 +151,18 @@ def test_generate_refuses_spec_word_the_parser_splits(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_generate_piped_skips_successor_without_spec(tmp_path, capsys):
+def test_generate_refuses_successor_without_spec(tmp_path, capsys):
+    # a misspelt successor once dropped its pipelines without a word
     specs, out = tmp_path / "specs.json", tmp_path / "t.jsonl"
     specs.write_text(json.dumps({"specs": [
         {"name": "find", "template": ["UTILITY", "Path", "FLAGS"],
-         "flags": [{"token": "-empty"}], "pipe_successors": ["sort", "wc"]},
+         "flags": [{"token": "-empty"}], "pipe_successors": ["wc", "wcc"]},
         {"name": "wc", "flags": [{"token": "-l"}]},
     ]}))
-    assert main(["generate", "--specs", str(specs), "--piped", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == f"wrote 8 templates to {out}\n"
-    assert [e.cmd for e in D.read_templates(out)] == [
-        "find [Path]", "find [Path] -empty",
-        "find [Path] | wc", "find [Path] | wc -l",
-        "find [Path] -empty | wc", "find [Path] -empty | wc -l",
-        "wc", "wc -l",
-    ]
+    assert main(["generate", "--specs", str(specs), "--piped", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {specs}: specs[0]: find: pipe successor 'wcc' has no spec\n")
+    assert not out.exists()
 
 
 def test_generate_repeated_utility_written_once(tmp_path):
@@ -191,15 +188,29 @@ def test_negative_limit_refused_before_output_is_opened(tmp_path, capsys, option
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl"]
 
 
+def _imported_by(module: str, check: str) -> subprocess.CompletedProcess:
+    # -S: no site .pth hook may preload a module the check looks for
+    code = f"import sys, {module}; loaded = set(sys.modules); sys.exit({check} or None)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bash_ast.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
 def test_cli_imports_no_requests_or_yaml():
     # HTTP goes through the standard library and every input is JSON: the
     # package has no runtime dependency.
-    # The HTTP stack loads with the first request, so no other run pays for it.
-    code = ("import sys, bashsynth.cli; sys.exit(sorted("
-            "{'requests', 'yaml', 'http.client', 'urllib.request'} & set(sys.modules)) or None)")
-    env = {**os.environ, "PYTHONPATH": str(Path(bash_ast.__file__).parents[1])}
-    child = subprocess.run([sys.executable, "-c", code], env=env,
-                           capture_output=True, text=True)
+    # The HTTP stack and the thread pools load with their first use, and
+    # shipped data is found beside the package, so no other run pays for them.
+    child = _imported_by("bashsynth.cli", "sorted(loaded & {"
+                         "'requests', 'yaml', 'http.client', 'urllib.request', "
+                         "'concurrent.futures', 'importlib.resources'})")
+    assert child.returncode == 0, child.stderr
+
+
+def test_bash_ast_imports_no_other_bashsynth_module():
+    # the package root holds only __version__, so a module loads what it runs
+    child = _imported_by("bashsynth.bash_ast", "sorted(m for m in loaded if "
+                         "m.startswith('bashsynth.') and m != 'bashsynth.bash_ast')")
     assert child.returncode == 0, child.stderr
 
 

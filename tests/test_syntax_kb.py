@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -138,7 +139,8 @@ def test_flag_token_must_be_a_flag_to_the_parser(tmp_path, token):
 # Each of these would give a template whose metadata disagrees with its
 # parse (a name the parser splits, pipes or reads as a flag, a word
 # instantiate fills), or two equal templates (flags without a FLAGS slot
-# to hold them, a successor listed twice), or is malformed.
+# to hold them, a successor listed twice), or names a successor with no spec
+# (its pipelines would be dropped), or is malformed.
 REFUSED_SPECS = {
     "piped name": ({"name": "cat|wc"}, "bad utility name: 'cat|wc'"),
     "quoted name": ({"name": "'ls'"}, "bad utility name: \"'ls'\""),
@@ -153,6 +155,8 @@ REFUSED_SPECS = {
                   "ls: template holds more than one FLAGS slot"),
     "repeated successor": ({"name": "find", "pipe_successors": ["sort", "sort"]},
                            "find: duplicate pipe successors"),
+    "misspelt successor": ({"name": "find", "pipe_successors": ["find", "sotr"]},
+                           "find: pipe successor 'sotr' has no spec"),
     "template without UTILITY first": ({"name": "ls", "template": ["FLAGS", "UTILITY"]},
                                        "ls: template must start with UTILITY"),
     "unknown slot": ({"name": "ls", "template": ["UTILITY", "Gizmo"]},
@@ -228,9 +232,17 @@ def _spec_strategy(template, flags):
         name=_NAME,
         template=template,
         flags=flags,
-        pipe_successors=st.lists(_NAME, max_size=3, unique=True).map(tuple),
         needs_review=st.booleans(),
     )
+
+
+def _with_successors(specs):
+    # each successor names a drawn spec, as load_specs requires
+    names = [spec.name for spec in specs]
+    return st.tuples(*(
+        st.lists(st.sampled_from(names), max_size=3, unique=True) for _ in specs
+    )).map(lambda drawn: [dataclasses.replace(spec, pipe_successors=tuple(successors))
+                          for spec, successors in zip(specs, drawn)])
 
 
 # A template holds at most one FLAGS slot, and one whenever its spec has flags.
@@ -245,7 +257,7 @@ _SPECS = st.lists(
                  max_size=4, unique_by=lambda f: f.token).map(tuple),
     ) | _spec_strategy(_SLOTS.map(lambda slots: ("UTILITY", *slots)), st.just(())),
     max_size=4, unique_by=lambda spec: spec.name,
-)
+).flatmap(_with_successors)
 
 
 @settings(max_examples=100, deadline=None,
@@ -258,7 +270,8 @@ def test_property_save_load_round_trip(tmp_path, specs):
 
 
 def test_load_specs_from_directory(tmp_path):
-    write_specs(tmp_path / "b.json", {"name": "ls"})
+    # a successor may name a spec in another of the files
+    write_specs(tmp_path / "b.json", {"name": "ls", "pipe_successors": ["tar"]})
     write_specs(tmp_path / "a.json", TAR_FIXTURE)
     # not spec files: a directory's *.json files are
     (tmp_path / "c.yaml").write_text("name: cd\n")

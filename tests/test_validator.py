@@ -466,6 +466,27 @@ class TestSubprocess:
     def test_launched_local_utilities_pass_the_policy(self, command):
         assert V._blocked_reason(command) is None
 
+    @pytest.mark.parametrize(
+        "command, word",
+        [("cp a.txt /etc/x", "/etc/x"), ("sort -o /etc/y a", "/etc/y"),
+         ("ls > /etc/z", "/etc/z"), ("cat ../../etc/shadow", "../../etc/shadow"),
+         ("find / -name x", "/"), ("sort --output='/etc/y' a", "/etc/y"),
+         ("cat ~root/.profile", "~root/.profile"), ("ls abc/../..", "abc/../.."),
+         ("find . -exec cp {} /tmp \\;", "/tmp")],
+    )
+    def test_path_escapes_are_refused(self, tmp_path, command, word):
+        # the run directory is the only confinement, and commands run as
+        # whoever runs validate
+        note = f"path {word!r} escapes the workspace"
+        assert V._blocked_reason(command) == note
+        [result] = V.run_batch([command], self._config(tmp_path))
+        assert (result.exit_status, result.note) == (V.SPAWN_FAIL, note)
+
+    @pytest.mark.parametrize(
+        "command", ["ls > /dev/null", "cat ~/a.txt", "ls ~", "ls ./abc", "grep -e a.. a.txt"])
+    def test_paths_inside_the_workspace_pass_the_policy(self, command):
+        assert V._blocked_reason(command) is None
+
     def test_kb_xargs_templates_pass_the_policy(self, kb, fixtures):
         xargs = kb.get("xargs")
         templates = generate_unpiped(xargs) + [
