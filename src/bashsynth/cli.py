@@ -112,8 +112,8 @@ def cmd_validate(args: argparse.Namespace) -> None:
         raise UsageError(
             "refusing to execute commands: set "
             f"{EXEC_OPT_IN_ENV}=1 to confirm you understand that generated "
-            "commands run on this machine (isolated workspace, deny-list, "
-            f"{validator.DEFAULT_TIMEOUT_SECONDS}s timeout)"
+            "commands run on this machine (isolated workspace, safety policy, "
+            f"{args.timeout}s timeout)"
         )
 
     fixtures = validator.load_fixture_values(args.fixtures)
@@ -136,10 +136,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
 
     results = validator.run_batch(concrete, config)
 
-    # one line per result: its fields in order, wall time rounded
-    dataset_io.write_lines(
-        ({**r.as_dict(), "wall_time": round(r.wall_time, 4)} for r in results), args.out
-    )
+    dataset_io.write_lines(map(validator.ValidationResult.as_dict, results), args.out)
     if args.survivors:
         dataset_io.write_templates(
             (e for e, r in zip(entries, results) if r.verdict), args.survivors

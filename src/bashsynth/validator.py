@@ -6,7 +6,8 @@ text (``_FILE``, as ``scale`` writes it) names no pool and is refused.
 
 Execution is opt-in. The subprocess backend runs each command in a fresh
 workspace populated from a fixture manifest, with a reduced environment, a
-hard timeout, and a deny-list for destructive or network-reaching commands.
+hard timeout, and a policy that refuses commands naming a blocked utility
+or a path outside the workspace.
 The dry_run backend substitutes a parse check so pipelines stay testable
 without executing anything.
 """
@@ -97,8 +98,9 @@ class ValidationResult:
     note: str = ""
 
     def as_dict(self) -> dict:
+        """The results line: the fields in order, wall time rounded."""
         return {"command": self.command, "exit_status": self.exit_status,
-                "wall_time": self.wall_time, "verdict": self.verdict,
+                "wall_time": round(self.wall_time, 4), "verdict": self.verdict,
                 "note": self.note}
 
 
@@ -166,92 +168,70 @@ def instantiate(template: str, fixtures: Mapping[str, Sequence[str]]) -> str:
 # ---------------------------------------------------------------------------
 # Safety policy
 
-_DENY_PATTERNS = tuple(
-    re.compile(p)
-    for p in (
-        r"\brm\b[^|]*\s/(\s|$|\*)",  # delete from filesystem root
-        r"\bmkfs",
-        r"\bdd\b.*\bof=/dev/",
-        r">\s*/dev/(sd|hd|nvme|mem)",
-        r":\s*\(\s*\)\s*\{",  # fork bomb definition
-        r"\b(shutdown|reboot|poweroff|halt)\b",
-        r"\bsudo\b",
-        r"\bchmod\b.*\s/(\s|$)",
-        r"\bchown\b.*\s/(\s|$)",
-    )
-)
-
-_NETWORK_UTILITIES = frozenset(
-    {"curl", "wget", "nc", "ncat", "netcat", "ssh", "scp", "sftp", "ftp",
-     "telnet", "rsync", "ping"}
-)
-
-
-# Utilities that run a command named by their words: xargs curl -O, env
-# wget x, timeout 5 nc, nohup, nice -n 5, sh -c 'curl x'
-_LAUNCHERS = frozenset({"xargs", "env", "sh", "bash", "timeout", "nohup", "nice"})
-# Quoting, dropped before a word is split: "cu"rl and 'curl x' name curl
+# Utilities no word may name: network clients, privilege, power and
+# filesystem creation. A name is blocked wherever it stands, since no list
+# of launchers is complete: xargs, env, eval, command, time, sh -c and awk's
+# system() each run a word they are given.
+_BLOCKED_UTILITIES = frozenset({
+    "curl", "wget", "nc", "ncat", "netcat", "ssh", "scp", "sftp", "ftp", "telnet",
+    "rsync", "ping", "sudo", "shutdown", "reboot", "poweroff", "halt", "mkfs"})
+# The one shape that names neither a utility nor a path: :(){ :|:& };:
+_FORK_BOMB = re.compile(r":\s*\(\s*\)\s*\{")
+# Quoting, dropped before a word is read: c''url, "cu"rl and \curl name curl
 _QUOTING = re.compile(r"""['"\\]""")
-# What ends a program name in shell text: whitespace and ls;curl
-_SHELL_BREAKS = re.compile(r"[\s;&|()]+")
-
-
-def _param_words(node: bash_ast.UtilityNode) -> Iterator[str]:
-    """Each parameter word of a node, a flag's argument included, without
-    its quoting."""
-    for item in node.items:
-        param = item.arg if isinstance(item, bash_ast.FlagNode) else item
-        if isinstance(param, bash_ast.ParamNode):
-            yield _QUOTING.sub("", param.literal)
-
-
-def _launched_names(node: bash_ast.UtilityNode) -> Iterator[str]:
-    """The basename of each word a launcher node may run: every parameter
-    word split at whitespace and command separators, so the first word of
-    a ``-c`` string is one of them."""
-    for word in _param_words(node):
-        for name in _SHELL_BREAKS.split(word):
-            yield name.rsplit("/", 1)[-1]
-
-
-# A word naming a path outside the run directory: absolute, another user's
-# home (~root; ~ alone is HOME, the run directory), or climbing with ..
+# Runs that may name a utility (mkfs.ext4, {curl,-s}, x=1 curl); mkfs as a prefix too
+_NAME_RUN = re.compile(r"mkfs|\w+")
+# What ends a path inside a word: shell separators and redirects (a -c
+# string, >/dev/sda), dd's of=, and brace lists
+_PATH_BREAKS = re.compile(r"[\s;&|()<>=,{}]+")
+_LEADING_FLAG = re.compile(r"^-[\w-]*")
+# A path outside the run directory: absolute, another user's home (~root;
+# ~ alone is HOME, the run directory), or climbing with ..
 _OTHER_HOME = re.compile(r"~[^/]")
 
 
-def _escapes(word: str) -> bool:
-    return ((word.startswith("/") and word != "/dev/null")
-            or _OTHER_HOME.match(word) is not None
-            or ".." in word.split("/"))
+def _words(node: bash_ast.UtilityNode) -> Iterator[str]:
+    """Each word of a node as written: its name, flag tokens, flag
+    arguments and parameters."""
+    yield node.name
+    for item in node.items:
+        if isinstance(item, bash_ast.FlagNode):
+            yield item.token
+            item = item.arg
+        if isinstance(item, bash_ast.ParamNode):
+            yield item.literal
+
+
+# Words repeat across commands (utility names, flags, fixture values)
+@functools.lru_cache(maxsize=1 << 16)
+def _word_reason(word: str) -> str | None:
+    """Why a word is refused, or None. Names are read as written (x'sudo') and
+    unquoted (c''url); paths unquoted, whole (~,x) and split (-o/etc/x, of=/dev/sda)."""
+    unquoted = _QUOTING.sub("", word)
+    blocked = _BLOCKED_UTILITIES.intersection(_NAME_RUN.findall(f"{word} {unquoted}"))
+    if blocked:
+        return f"utility {min(blocked)!r} blocked"
+    for piece in (unquoted, *_PATH_BREAKS.split(unquoted)):
+        piece = _LEADING_FLAG.sub("", piece)
+        if ((piece.startswith("/") and piece != "/dev/null")
+                or _OTHER_HOME.match(piece) or ".." in piece.split("/")):
+            return f"path {piece!r} escapes the workspace"
+    return None
 
 
 def _blocked_reason(command: str) -> str | None:
-    for pattern in _DENY_PATTERNS:
-        if pattern.search(command):
-            return f"deny-list pattern {pattern.pattern!r}"
+    """Why the policy refuses ``command``, or None: a word of a utility node
+    names a blocked utility or a path outside the workspace."""
     try:
         ast = bash_ast.parse(command)
     except bash_ast.ParseError as exc:
         return f"does not parse: {exc}"
-    # A substitution the parse did not make a node of, joined to a word or
-    # quoted, or a backtick one, would run a command the checks below miss.
-    substitutions = sum(isinstance(it, bash_ast.Substitution)
-                        for stage in ast.stages for it in stage.items)
-    if "`" in command or command.count("$(") > substitutions:
-        return "command substitution inside a word"
-    for node in ast.walk_utilities():
-        name = node.name.rsplit("/", 1)[-1]
-        if name in _NETWORK_UTILITIES:
-            return f"network utility {name!r} blocked"
-        if name in _LAUNCHERS:
-            launched = _NETWORK_UTILITIES.intersection(_launched_names(node))
-            if launched:
-                return f"network utility {min(launched)!r} blocked under {name!r}"
-    for node in ast.walk_utilities():
-        for word in _param_words(node):
-            if _escapes(word):
-                return f"path {word!r} escapes the workspace"
-    return None
+    if "$" in command or "`" in command:
+        return "expansion or substitution: the policy cannot read what it names"
+    if _FORK_BOMB.search(command):
+        return "fork bomb"
+    words = (word for node in ast.walk_utilities() for word in _words(node))
+    return next(filter(None, map(_word_reason, words)), None)
 
 
 # ---------------------------------------------------------------------------

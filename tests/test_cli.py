@@ -849,7 +849,8 @@ def test_outputs_of_one_run_share_one_manifest(tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "unknown utility", "exec without opt-in", "backtranslate without endpoint",
+    "unknown utility", "exec without opt-in", "exec without opt-in at --timeout 2",
+    "backtranslate without endpoint",
     "llm-pipeline without endpoint", "infeasible profile", "count mismatch",
     "man page without flags", "parser-form validate", "deep config", "deep profile",
     "deep fixtures", "deep specs", "non-UTF-8 specs",
@@ -893,6 +894,11 @@ def test_refusal_prints_one_error_line(tmp_path, monkeypatch, capsys, case):
         "exec without opt-in": (2, f"refusing to execute commands: set {EXEC_OPT_IN_ENV}=1",
                                 ["validate", "--in", str(templates), "--out", out, "--exec",
                                  "--workspace", str(tmp_path / "ws")]),
+        # the refusal names the timeout the run would have used
+        "exec without opt-in at --timeout 2": (
+            2, "(isolated workspace, safety policy, 2.0s timeout)",
+            ["validate", "--in", str(templates), "--out", out, "--exec", "--timeout", "2",
+             "--workspace", str(tmp_path / "ws")]),
         "backtranslate without endpoint": (2, "--endpoint or --replay is required",
                                            ["backtranslate", "--in", str(templates),
                                             "--out", out]),

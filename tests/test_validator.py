@@ -3,12 +3,15 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import time
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bashsynth import bash_ast
 from bashsynth import validator as V
 from bashsynth.bash_ast import PLACEHOLDER_BY_TOKEN, ParseError, parse
 from bashsynth.generator import generate_piped, generate_unpiped
@@ -17,6 +20,7 @@ from bashsynth.syntax_kb import PLACEHOLDER_RE, GenArgKind, to_parser_template
 
 # Refused as unparseable before the network check could see its ssh.
 _UNPARSEABLE = 'echo "open | ssh host'
+_EXPANSION = "expansion or substitution: the policy cannot read what it names"
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +293,198 @@ class TestDryRun:
         assert all(r.verdict for r in results)
 
 
+# ---------------------------------------------------------------------------
+# The policy before every word was read one way, verbatim: a regex deny-list
+# over the raw text, network names on node names and launcher words, a
+# substitution count and a path check on parameter words. Every command it
+# refuses must still be refused, except one writing to /dev/null.
+
+_DENY_PATTERNS = tuple(
+    re.compile(p)
+    for p in (
+        r"\brm\b[^|]*\s/(\s|$|\*)",  # delete from filesystem root
+        r"\bmkfs",
+        r"\bdd\b.*\bof=/dev/",
+        r">\s*/dev/(sd|hd|nvme|mem)",
+        r":\s*\(\s*\)\s*\{",  # fork bomb definition
+        r"\b(shutdown|reboot|poweroff|halt)\b",
+        r"\bsudo\b",
+        r"\bchmod\b.*\s/(\s|$)",
+        r"\bchown\b.*\s/(\s|$)",
+    )
+)
+
+_NETWORK_UTILITIES = frozenset(
+    {"curl", "wget", "nc", "ncat", "netcat", "ssh", "scp", "sftp", "ftp",
+     "telnet", "rsync", "ping"}
+)
+
+
+# Utilities that run a command named by their words: xargs curl -O, env
+# wget x, timeout 5 nc, nohup, nice -n 5, sh -c 'curl x'
+_LAUNCHERS = frozenset({"xargs", "env", "sh", "bash", "timeout", "nohup", "nice"})
+# Quoting, dropped before a word is split: "cu"rl and 'curl x' name curl
+_QUOTING = re.compile(r"""['"\\]""")
+# What ends a program name in shell text: whitespace and ls;curl
+_SHELL_BREAKS = re.compile(r"[\s;&|()]+")
+
+
+def _param_words(node: bash_ast.UtilityNode) -> Iterator[str]:
+    """Each parameter word of a node, a flag's argument included, without
+    its quoting."""
+    for item in node.items:
+        param = item.arg if isinstance(item, bash_ast.FlagNode) else item
+        if isinstance(param, bash_ast.ParamNode):
+            yield _QUOTING.sub("", param.literal)
+
+
+def _launched_names(node: bash_ast.UtilityNode) -> Iterator[str]:
+    """The basename of each word a launcher node may run: every parameter
+    word split at whitespace and command separators, so the first word of
+    a ``-c`` string is one of them."""
+    for word in _param_words(node):
+        for name in _SHELL_BREAKS.split(word):
+            yield name.rsplit("/", 1)[-1]
+
+
+# A word naming a path outside the run directory: absolute, another user's
+# home (~root; ~ alone is HOME, the run directory), or climbing with ..
+_OTHER_HOME = re.compile(r"~[^/]")
+
+
+def _escapes(word: str) -> bool:
+    return ((word.startswith("/") and word != "/dev/null")
+            or _OTHER_HOME.match(word) is not None
+            or ".." in word.split("/"))
+
+
+def _deny_list_reason(command: str) -> str | None:
+    for pattern in _DENY_PATTERNS:
+        if pattern.search(command):
+            return f"deny-list pattern {pattern.pattern!r}"
+    try:
+        ast = bash_ast.parse(command)
+    except bash_ast.ParseError as exc:
+        return f"does not parse: {exc}"
+    # A substitution the parse did not make a node of, joined to a word or
+    # quoted, or a backtick one, would run a command the checks below miss.
+    substitutions = sum(isinstance(it, bash_ast.Substitution)
+                        for stage in ast.stages for it in stage.items)
+    if "`" in command or command.count("$(") > substitutions:
+        return "command substitution inside a word"
+    for node in ast.walk_utilities():
+        name = node.name.rsplit("/", 1)[-1]
+        if name in _NETWORK_UTILITIES:
+            return f"network utility {name!r} blocked"
+        if name in _LAUNCHERS:
+            launched = _NETWORK_UTILITIES.intersection(_launched_names(node))
+            if launched:
+                return f"network utility {min(launched)!r} blocked under {name!r}"
+    for node in ast.walk_utilities():
+        for word in _param_words(node):
+            if _escapes(word):
+                return f"path {word!r} escapes the workspace"
+    return None
+
+
+# Words drawn from what the deny-list refused: its shapes, network names,
+# launchers, glued options and escaping paths, among harmless words. No
+# fragment names /dev/null, the one target the deny-list refused (dd
+# of=/dev/null) that the policy allows.
+_POLICY_FRAGMENTS = [
+    *sorted(_NETWORK_UTILITIES), "sudo", "shutdown", "reboot", "poweroff", "halt", "mkfs",
+    "mkfs.ext4", "xargs", "env", "sh", "bash", "timeout", "nohup", "nice", "eval",
+    "command", "time", "stdbuf", "setsid", "-c", "-i", "-n", "5",
+    "ls", "cat", "grep", "sort", "rm", "-rf", "dd", "chmod", "chown", "777", "tar", "cp",
+    "find", "-exec", "{}", "\\;", ".", "-name", "a.txt", "abc", "x", "-l", "*", "if=a.txt",
+    "of", "-o", "-C", "/", "/*", "/etc", "/etc/passwd", "/dev/sda", "/dev/hda",
+    "/dev/nvme0n1", "/dev/mem", "/dev/zero", "/bin/ls", "/usr/bin/nc", "../x", "a/../..",
+    "..", "~root/.profile", "~root", "~", "~/a.txt", "-o/etc/passwd", "-C/etc",
+    "--output=/etc/y", "of=/dev/sda", ">/dev/sda", ">", ">/dev/mem", "-f../x",
+    ":(){ :|:& };:",
+]
+# What may join two fragments into one word, or stages into a pipeline
+_POLICY_JOINS = ["", "=", ",", "/", "-", ".", ":", " ", "|", "\\", "{", "}"]
+
+
+@st.composite
+def _quoted_fragment(draw) -> str:
+    text = draw(st.sampled_from(_POLICY_FRAGMENTS))
+    how = draw(st.sampled_from(["", "", "'", '"', "\\", "inside"]))
+    if how == "inside":
+        cut = draw(st.integers(0, len(text)))
+        return text[:cut] + draw(st.sampled_from(["''", '""', "\\"])) + text[cut:]
+    return how + text + ("" if how == "\\" else how)
+
+
+def _c_string(launcher_and_stage: tuple[str, str]) -> str:
+    """A launcher with a whole stage as its single-quoted -c string."""
+    launcher, stage = launcher_and_stage
+    return launcher + " '" + stage.replace("'", "") + "'"
+
+
+_policy_word = st.lists(st.one_of(_quoted_fragment(), st.sampled_from(_POLICY_JOINS)),
+                        min_size=1, max_size=4).map("".join)
+_policy_stage = st.lists(_policy_word, min_size=1, max_size=5).map(" ".join)
+_policy_c_string = st.tuples(
+    st.sampled_from(["sh -c", "bash -c", "xargs sh -c"]), _policy_stage).map(_c_string)
+_policy_command = st.lists(st.one_of(_policy_stage, _policy_c_string),
+                           min_size=1, max_size=3).map(" | ".join)
+
+
+class TestPolicy:
+    @pytest.mark.parametrize("command, reason", [
+        ("sh -c 'rm -rf /etc'", "path '/etc' escapes the workspace"),
+        ("sort -o/etc/passwd a.txt", "path '/etc/passwd' escapes the workspace"),
+        ("tar -C/etc -xf a.tar", "path '/etc' escapes the workspace"),
+        ("cp a.txt $BASH", _EXPANSION),
+        ("rm -rf ${HOME%/*/*}", _EXPANSION),
+        ("c''url x", "utility 'curl' blocked"),
+        ('"curl" x', "utility 'curl' blocked"),
+        ("eval curl x", "utility 'curl' blocked"),
+        ("command curl x", "utility 'curl' blocked"),
+        ("x=1 curl x", "utility 'curl' blocked"),
+        (">/dev/null curl x", "utility 'curl' blocked"),
+        ("re''boot", "utility 'reboot' blocked"),
+        ("{curl,-s} x", "utility 'curl' blocked"),
+        ("mkfs.ext4 a.txt", "utility 'mkfs' blocked"),
+        ("echo x >/dev/sda", "path '/dev/sda' escapes the workspace"),
+        ("sh -c ':(){ :|:& };:'", "fork bomb"),
+    ])
+    def test_every_word_is_read(self, command, reason):
+        # Each word is read without its quoting, flag tokens and names
+        # included, wherever it stands: any word may be run (eval, command,
+        # an assignment or redirect before the name, a brace list). Only
+        # the policy is called; nothing here is run.
+        assert V._blocked_reason(command) == reason
+
+    @pytest.mark.parametrize("command", [
+        "grep curl a.txt", "xargs grep curl", "echo $HOME", "grep -v '^$' x", "/bin/ls"])
+    def test_documented_over_refusals(self, command):
+        # a blocked name as data, any expansion and an absolute program name
+        assert V._blocked_reason(command) is not None
+
+    def test_shipped_kb_passes_the_policy(self, kb, fixtures):
+        # every unpiped template, and a seeded few of each (head, tail) pair
+        unpiped = [entry for spec in kb.specs() for entry in generate_unpiped(spec)]
+        piped = [entry for head in kb.specs() for tail in head.pipe_successors
+                 for entry in generate_piped(head, kb.get(tail), 2, 2)]
+        assert {t.utilities for t in piped} == {
+            (head.name, tail) for head in kb.specs() for tail in head.pipe_successors}
+        for template in unpiped + piped:
+            command = V.instantiate(template.cmd, fixtures)
+            assert V._blocked_reason(command) is None, command
+
+    @settings(max_examples=500, deadline=None)
+    @given(_policy_command)
+    @example("echo x'sudo'")
+    @example("ls mkfsx")
+    @example("cat '~,x'")
+    def test_refuses_all_the_deny_list_refused(self, command):
+        if _deny_list_reason(command) is not None:
+            assert V._blocked_reason(command) is not None
+
+
 class TestSubprocess:
     def _config(self, tmp_path, **kw):
         return V.SandboxConfig(
@@ -395,19 +591,21 @@ class TestSubprocess:
         assert (result.exit_status, result.verdict) == (0, True)
 
     def test_deny_list_blocks_destructive(self, tmp_path):
-        results = V.run_batch(
-            ["rm -rf /", "sudo reboot", "dd if=temp.txt of=/dev/sda"],
-            self._config(tmp_path),
-        )
+        commands = ["rm -rf /", "sudo reboot", "dd if=temp.txt of=/dev/sda"]
+        # refused before anything runs: a policy that let one through would
+        # run it here
+        assert all(V._blocked_reason(c) is not None for c in commands)
+        results = V.run_batch(commands, self._config(tmp_path))
         for r in results:
             assert r.exit_status == V.SPAWN_FAIL
             assert r.verdict is False
             assert r.note
 
     def test_network_utilities_blocked(self, tmp_path):
+        assert V._blocked_reason("curl http://example.com") == "utility 'curl' blocked"
         blocked = V.run_batch(["curl http://example.com"], self._config(tmp_path))
         assert blocked[0].exit_status == V.SPAWN_FAIL
-        assert blocked[0].note == "network utility 'curl' blocked"
+        assert blocked[0].note == "utility 'curl' blocked"
 
     @pytest.mark.parametrize(
         "command, utility",
@@ -416,13 +614,15 @@ class TestSubprocess:
          (_UNPARSEABLE, "ssh")],
     )
     def test_network_block_sees_nested_utilities(self, tmp_path, command, utility):
-        [result] = V.run_batch([command], self._config(tmp_path))
-        assert result.exit_status == V.SPAWN_FAIL
+        reason = V._blocked_reason(command)
         if command == _UNPARSEABLE:
-            assert result.note == "does not parse: unbalanced quote"
+            assert reason == "does not parse: unbalanced quote"
+        elif "$" in command:
+            assert reason == _EXPANSION
         else:
-            assert result.note == f"network utility {utility!r} blocked"
-        assert V._blocked_reason(command) == result.note
+            assert reason == f"utility {utility!r} blocked"
+        [result] = V.run_batch([command], self._config(tmp_path))
+        assert (result.exit_status, result.note) == (V.SPAWN_FAIL, reason)
 
     @pytest.mark.parametrize(
         "command",
@@ -430,16 +630,18 @@ class TestSubprocess:
          "echo a$(ssh h)b"],
     )
     def test_hidden_substitution_refused(self, tmp_path, command):
-        # Each parses with no Substitution node for its $(...) or backtick,
-        # so no utility inside it reached the network block. The policy is
-        # checked before anything runs.
-        assert V._blocked_reason(command) == "command substitution inside a word"
+        # Each parses with no Substitution node for its $(...) or backtick;
+        # any "$" or backtick is refused, so no substitution reaches the walk
+        # over the words. The policy is checked before anything runs.
+        assert V._blocked_reason(command) == _EXPANSION
         [result] = V.run_batch([command], self._config(tmp_path))
         assert result.exit_status == V.SPAWN_FAIL
-        assert result.note == "command substitution inside a word"
+        assert result.note == _EXPANSION
 
-    def test_whole_word_substitutions_pass_the_policy(self):
-        assert V._blocked_reason("echo $(ls) $(pwd | wc -l)") is None
+    def test_whole_word_substitutions_are_refused(self):
+        # the policy cannot read what a substitution prints: here /etc/passwd
+        for command in ["echo $(ls) $(pwd | wc -l)", r"cat $(printf '\57etc\57passwd')"]:
+            assert V._blocked_reason(command) == _EXPANSION
 
     @pytest.mark.parametrize(
         "command, utility, launcher",
@@ -453,9 +655,12 @@ class TestSubprocess:
     def test_network_block_sees_launched_utilities(self, tmp_path, command, utility,
                                                    launcher):
         # The network utility is a parameter word of its launcher, or in the
-        # launcher's -c string, not a utility node of the parse.
-        assert utility not in {node.name for node in parse(command).walk_utilities()}
-        note = f"network utility {utility!r} blocked under {launcher!r}"
+        # launcher's -c string, not a utility node of the parse. An absolute
+        # launcher (/usr/bin/env) is refused first, as a path.
+        names = {node.name.rsplit("/", 1)[-1] for node in parse(command).walk_utilities()}
+        assert launcher in names and utility not in names
+        note = (f"path {command.split()[0]!r} escapes the workspace"
+                if command.startswith("/") else f"utility {utility!r} blocked")
         assert V._blocked_reason(command) == note
         [result] = V.run_batch([command], self._config(tmp_path))
         assert (result.exit_status, result.note) == (V.SPAWN_FAIL, note)
@@ -483,7 +688,8 @@ class TestSubprocess:
         assert (result.exit_status, result.note) == (V.SPAWN_FAIL, note)
 
     @pytest.mark.parametrize(
-        "command", ["ls > /dev/null", "cat ~/a.txt", "ls ~", "ls ./abc", "grep -e a.. a.txt"])
+        "command", ["ls > /dev/null", "cat ~/a.txt", "ls ~", "ls ./abc", "grep -e a.. a.txt",
+                    "dd if=a.txt of=/dev/null", "ls >/dev/null"])
     def test_paths_inside_the_workspace_pass_the_policy(self, command):
         assert V._blocked_reason(command) is None
 
