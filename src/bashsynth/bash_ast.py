@@ -38,7 +38,6 @@ __all__ = [
     "templatize",
     "fill",
     "quote",
-    "vocabulary",
 ]
 
 
@@ -201,8 +200,9 @@ def _walk(nodes: Iterable[UtilityNode]) -> Iterator[UtilityNode]:
 # Tokenizer
 
 
-# A word is a run of pieces: plain characters, '...', "...", a backslash
-# pair (a trailing backslash stands alone), a "$" not followed by "(", and a
+# A word is a run of pieces: plain characters, '...', "..." (in which a
+# backslash escapes the next character, "\"" included), a backslash pair (a
+# trailing backslash stands alone), a "$" not followed by "(", and a
 # one-level "$(...)" whose body holds no unquoted parenthesis and no "$(".
 # An unquoted ";", "&" or "<" is no plain character: the grammar is one
 # pipeline, so lists, background jobs and input redirects do not parse.
@@ -219,7 +219,7 @@ def _walk(nodes: Iterable[UtilityNode]) -> Iterator[UtilityNode]:
 # plain. Quotes, escapes and substitutions need the grammar, so any other
 # text goes through _TOKEN_RE.
 _NOT_PLAIN = r"""()'"\\$;&<"""
-_SPECIAL = r"""'[^']*'|"[^"]*"|\\(?:.|\Z)|\$(?!\()"""
+_SPECIAL = r"""'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*"|\\(?:.|\Z)|\$(?!\()"""
 _BODY = rf"""[^()'"\\$]*(?:(?:{_SPECIAL})[^()'"\\$]*)*"""
 _PIECE = rf"""{_SPECIAL}|\$\({_BODY}\)"""
 _PLAIN = rf"[^\s|{_NOT_PLAIN}]"
@@ -621,7 +621,7 @@ def fill(
 
 
 # ---------------------------------------------------------------------------
-# Vocabulary
+# Words
 
 
 def _stage_tokens(
@@ -648,17 +648,3 @@ def _stage_tokens(
                 yield it.closer
         else:
             yield "$(" + " | ".join(_render_stage(s, word) for s in it.stages) + ")"
-
-
-def vocabulary(corpus: Iterable[BashAst], templatized: bool = False) -> set[str]:
-    """Distinct tokens across a corpus, optionally after templatization."""
-    asts = list(corpus)
-    if not asts:
-        raise ValueError("empty corpus")
-    vocab: set[str] = set()
-    for ast in asts:
-        if templatized:
-            ast = templatize(ast)
-        for stage in ast.stages:
-            vocab.update(_stage_tokens(stage))
-    return vocab

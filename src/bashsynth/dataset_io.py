@@ -92,7 +92,7 @@ class DatasetRecord:
                 "valid": self.valid}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TemplateEntry:
     id: str
     cmd: str
@@ -282,25 +282,12 @@ def read_templates(path: str | Path) -> list[TemplateEntry]:
     ``utilities`` tuples and ``pipe_partner`` values are one object across
     the entries: a file holds a few hundred distinct values, repeated on
     every line."""
-    path = Path(path)
     # A memo local to the call, not sys.intern: it keeps nothing alive beyond
     # the entries. Each line's flags tuple stays its own, as almost every
     # line's is distinct.
     share = {}.setdefault
-    is_str = str.__instancecheck__
     entries = []
-    for lineno, obj in read_lines(path):
-        # _TEMPLATE's tests in one pass. A line that fails them, or lacks
-        # utilities or flags, goes through check_fields, which fills the
-        # defaults or raises the message naming the key.
-        get = obj.get
-        id_, cmd, utilities, flags, partner = (
-            get("id"), get("cmd"), get("utilities"), get("flags"), get("pipe_partner"))
-        if not (isinstance(id_, str) and id_ and isinstance(cmd, str) and cmd
-                and isinstance(utilities, list) and all(map(is_str, utilities))
-                and isinstance(flags, list) and all(map(is_str, flags))
-                and (partner is None or isinstance(partner, str))):
-            id_, cmd, utilities, flags, partner = check_fields(obj, _TEMPLATE, path, lineno)
+    for id_, cmd, utilities, flags, partner in _checked(path, _TEMPLATE):
         utilities = tuple(map(share, utilities, utilities))
         entries.append(TemplateEntry(
             id_, cmd, share(utilities, utilities), tuple(map(share, flags, flags)),

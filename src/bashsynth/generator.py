@@ -8,8 +8,10 @@ and a tail template with " | ". Later stages read only that text and
 metadata; its parser form (``syntax_kb.to_parser_template``) parses with the
 KB's hints to the kinds the spec declares, and to the stages and flags the
 metadata names. The templates of specs that ``syntax_kb.UtilitySpec``
-accepts are distinct, so ``generate`` writes them as they are made; ``dedup``
-serves text from elsewhere, such as an LLM's replies.
+accepts are distinct, so ``generate`` writes them as they are made.
+``dedup``'s one caller is perfbench's synth_full workload, which pools every
+template first; ``LlmSession.pipeline`` drops repeated replies with
+``dict.fromkeys``.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def generate_piped(
 
 def dedup(commands: Sequence) -> DedupResult:
     """Order-preserving removal of equal commands: a string is its own key,
-    a template or record is keyed by its ``cmd``."""
+    a template or record is keyed by its ``cmd``. Only perfbench's
+    synth_full workload calls it, on the pool it generates."""
     seen: set[str] = set()
     unique = []
     dropped = 0

@@ -22,7 +22,6 @@ from .bash_ast import BashAst, ParseError, UtilityHints, parse
 __all__ = [
     "flag_score",
     "raw_flag_score",
-    "utility_score",
     "ScoredPair",
     "score_pair",
     "dataset_accuracy",
@@ -70,15 +69,6 @@ def _aligned_score(pred_seq: _Sequence, ref_seq: _Sequence) -> float:
     for _ in range(abs(len(pred_seq) - len(ref_seq))):
         total -= 1.0
     return total / max(len(pred_seq), len(ref_seq))
-
-
-def utility_score(
-    pred: BashAst | str,
-    ref: BashAst | str,
-    hints: Mapping[str, UtilityHints] | None = None,
-) -> float:
-    """Positional utility alignment score in [-1, 1]."""
-    return _aligned_score(_utility_sequence(pred, hints), _utility_sequence(ref, hints))
 
 
 @dataclass(frozen=True)

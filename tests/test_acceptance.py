@@ -53,7 +53,7 @@ def test_criterion_01_metric_oracle_equivalence():
         for i, pred in enumerate(group_a):
             pred_ast = asts[offset_a + i]
             for j, ref in enumerate(group_b):
-                got = M.utility_score(pred_ast, asts[offset_b + j])
+                got = M.score_pair(asts[offset_b + j], [(pred_ast, 1.0)]).final
                 want = oracle_utility_score(list(pred), list(ref))
                 assert got == want, (pred, ref)
                 cases += 1
@@ -69,8 +69,8 @@ def test_criterion_02_identity_scoring(corpus_lines, hints):
     pairs = []
     for command in corpus_lines:
         ast = B.parse(command, hints)
-        assert M.utility_score(ast, ast) == 1.0, command
         pairs.append(M.score_pair(ast, [(ast, 1.0)], hints))
+        assert pairs[-1].final == 1.0, command
     accuracy = M.dataset_accuracy(pairs)
     assert accuracy == 100.0
     _verdict(2, f"self-score 1.0 for {len(corpus_lines)} commands, accuracy {accuracy}%")
@@ -89,18 +89,27 @@ def test_criterion_04_parser_round_trip(corpus_lines, hints):
     _verdict(4, f"parse -> render -> parse stable for all {len(corpus_lines)} commands")
 
 
+def _vocabulary(corpus, templatized=False):
+    """The distinct words of the rendered commands, after templatization
+    when asked."""
+    if templatized:
+        corpus = map(B.templatize, corpus)
+    return {word for ast in corpus for word in B.render(ast).split()} - {"|"}
+
+
 def test_criterion_05_vocabulary_reduction(corpus_lines, hints):
     synthetic = [
         B.parse(f"ls /dir{i}") for i in range(40)
     ] + [
         B.parse(f"head -n {i} file{i}.txt", hints) for i in range(40)
     ]
-    raw = B.vocabulary(synthetic)
-    templated = B.vocabulary(synthetic, templatized=True)
+    raw = _vocabulary(synthetic)
+    templated = _vocabulary(synthetic, templatized=True)
+    assert templated == {"ls", "_PATH", "head", "-n", "_NUMBER", "_FILE"}
     assert len(templated) < len(raw)
 
     corpus = [B.parse(line, hints) for line in corpus_lines]
-    assert len(B.vocabulary(corpus, templatized=True)) < len(B.vocabulary(corpus))
+    assert len(_vocabulary(corpus, templatized=True)) < len(_vocabulary(corpus))
 
     note = ""
     nl2bash = Path(__file__).parent / "data" / "nl2bash_commands.txt"
@@ -111,8 +120,8 @@ def test_criterion_05_vocabulary_reduction(corpus_lines, hints):
                 parsed.append(B.parse(line, hints))
             except B.ParseError:
                 continue
-        reduced = len(B.vocabulary(parsed, templatized=True))
-        full = len(B.vocabulary(parsed))
+        reduced = len(_vocabulary(parsed, templatized=True))
+        full = len(_vocabulary(parsed))
         assert reduced < full
         note = f"; public corpus {full} -> {reduced}"
     else:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import re
 import shlex
+import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -37,6 +39,12 @@ def _oracle_scan_tokens(source: str) -> tuple[list[str], int]:
     while i < n:
         ch = source[i]
         if quote:
+            if quote == '"' and ch == "\\" and i + 1 < n:
+                # a backslash escapes the next character inside "..."
+                buf.append(ch)
+                buf.append(source[i + 1])
+                i += 2
+                continue
             buf.append(ch)
             if ch == quote:
                 quote = ""
@@ -91,6 +99,16 @@ def _oracle_scan_tokens(source: str) -> tuple[list[str], int]:
     return tokens, deepest
 
 
+# Inside "...", a backslash escapes the next character: each command and
+# the parameters it parses to, then a text whose last quote is escaped.
+_ESCAPED_QUOTES = [
+    (r'echo "a\"b"', [r'"a\"b"']),
+    (r'grep "say \"hi\"" a.txt', [r'"say \"hi\""', "a.txt"]),
+    (r'echo "a\\" "b"', [r'"a\\"', '"b"']),
+]
+_OPEN_ESCAPED_QUOTE = r'x "\} + *\"'
+
+
 class TestParse:
     def test_single_stage(self):
         ast = B.parse("grep -w foo bar")
@@ -117,6 +135,18 @@ class TestParse:
     def test_unbalanced_quote(self):
         with pytest.raises(ParseError):
             B.parse('grep "foo bar')
+
+    @pytest.mark.parametrize("command, params", _ESCAPED_QUOTES)
+    def test_backslash_escapes_inside_double_quotes(self, command, params):
+        ast = B.parse(command)
+        (stage,) = ast.stages
+        assert [p.literal for p in _params(stage)] == params
+        assert B.render(ast) == command
+
+    def test_escaped_closing_quote_leaves_the_quote_open(self):
+        # bash -n refuses this text as an unterminated quote too
+        with pytest.raises(ParseError, match="unbalanced quote"):
+            B.parse(_OPEN_ESCAPED_QUOTE)
 
     def test_stage_without_utility(self):
         with pytest.raises(ParseError):
@@ -408,24 +438,22 @@ class TestRoundTrip:
             assert B.parse(B.render(ast)) == ast, line
 
 
-class TestVocabulary:
-    def test_raw(self):
-        corpus = [B.parse("ls /a"), B.parse("ls /b")]
-        assert B.vocabulary(corpus) == {"ls", "/a", "/b"}
-
-    def test_templatized(self):
-        corpus = [B.parse("ls /a"), B.parse("ls /b")]
-        assert B.vocabulary(corpus, templatized=True) == {"ls", "_PATH"}
-
-    def test_empty_corpus(self):
-        with pytest.raises(ValueError):
-            B.vocabulary([])
-
-    def test_templatized_never_larger(self, corpus_lines, hints):
-        corpus = [B.parse(line, hints) for line in corpus_lines]
-        raw = B.vocabulary(corpus)
-        templ = B.vocabulary(corpus, templatized=True)
-        assert len(templ) <= len(raw)
+@pytest.mark.skipif(shutil.which("bash") is None, reason="bash is not installed")
+def test_parse_accepts_what_bash_accepts(corpus_lines):
+    # bash -n reads the text and runs none of it
+    escaped = [command for command, _ in _ESCAPED_QUOTES] + [_OPEN_ESCAPED_QUOTE]
+    disagree = []
+    for command in [*corpus_lines, *escaped]:
+        try:
+            B.parse(command)
+            parses = True
+        except ParseError:
+            parses = False
+        checked = subprocess.run(["bash", "--norc", "--noprofile", "-n", "-c", command],
+                                 stdin=subprocess.DEVNULL, capture_output=True)
+        if parses != (checked.returncode == 0):
+            disagree.append(command)
+    assert disagree == []
 
 
 _WORD = st.text(
@@ -802,6 +830,7 @@ def test_property_plain_text_tokens_match_regex(text):
         "$" * 20_000,
         "'" * 20_001,
         '"' * 20_001,
+        '"' + '\\"' * 10_000,
         "echo " + "'a" * 10_000,
         "$('" * 7_000,
         "\\" * 20_001,

@@ -124,26 +124,31 @@ class TestFlagScore:
         assert scores == sorted(scores)
 
 
+def utility_score(pred, ref, hints=None):
+    """A single candidate at confidence 1 scores its utility score."""
+    return M.score_pair(ref, [(pred, 1.0)], hints).final
+
+
 class TestUtilityScore:
     def test_exact_match(self):
-        assert M.utility_score("grep -w foo bar", "grep -w foo bar") == 1.0
+        assert utility_score("grep -w foo bar", "grep -w foo bar") == 1.0
 
     def test_single_mismatch(self):
-        assert M.utility_score("ls", "find") == -1.0
+        assert utility_score("ls", "find") == -1.0
 
     def test_half_match_pipeline(self):
-        assert M.utility_score("find -name x | sort", "find -name x | wc") == 0.0
+        assert utility_score("find -name x | sort", "find -name x | wc") == 0.0
 
     def test_length_mismatch_pads_with_mismatch(self):
-        score = M.utility_score("find .", "find . | sort")
+        score = utility_score("find .", "find . | sort")
         assert score == pytest.approx(0.0)
 
     def test_identity_on_corpus(self, corpus_lines, hints):
         for line in corpus_lines:
-            assert M.utility_score(B.parse(line, hints), B.parse(line, hints)) == 1.0
+            assert utility_score(B.parse(line, hints), B.parse(line, hints)) == 1.0
 
     def test_parameters_do_not_matter(self):
-        assert M.utility_score("grep -w foo a.txt", "grep -w other b.txt") == 1.0
+        assert utility_score("grep -w foo a.txt", "grep -w other b.txt") == 1.0
 
 
 class TestOracleEquivalence:
@@ -160,7 +165,7 @@ class TestOracleEquivalence:
         for pred in single:
             pred_ast = ast_of([pred])
             for ref in single:
-                got = M.utility_score(pred_ast, ast_of([ref]))
+                got = utility_score(pred_ast, ast_of([ref]))
                 want = oracle_utility_score([pred], [ref])
                 assert got == want
                 cases += 1
@@ -190,8 +195,8 @@ def test_property_scores_match_oracle_on_nested_commands(data):
             want.append(-1.0)
             continue
         want.append(oracle_utility_score(oracle_stages(cand_ast), ref_stages))
-        assert M.utility_score(cand_ast, ref_ast) == want[-1]
-        assert M.utility_score(text, ref, NESTING_HINTS) == want[-1]
+        assert utility_score(cand_ast, ref_ast) == want[-1]
+        assert utility_score(text, ref, NESTING_HINTS) == want[-1]
     pair = M.score_pair(ref, candidates, NESTING_HINTS)
     assert pair.per_candidate == tuple(want)
     assert pair.final == oracle_final(want, [c for _, c in candidates])
