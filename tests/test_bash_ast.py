@@ -438,6 +438,16 @@ class TestRoundTrip:
             assert B.parse(B.render(ast)) == ast, line
 
 
+class TestVocabulary:
+    def test_templatized_never_larger(self, corpus_lines, hints):
+        corpus = [B.parse(line, hints) for line in corpus_lines]
+        raw = {word for ast in corpus for word in B.render(ast).split()}
+        templ = {
+            word for ast in corpus for word in B.render(B.templatize(ast)).split()
+        }
+        assert len(templ) <= len(raw)
+
+
 @pytest.mark.skipif(shutil.which("bash") is None, reason="bash is not installed")
 def test_parse_accepts_what_bash_accepts(corpus_lines):
     # bash -n reads the text and runs none of it
