@@ -206,6 +206,9 @@ def _walk(nodes: Iterable[UtilityNode]) -> Iterator[UtilityNode]:
 # one-level "$(...)" whose body holds no unquoted parenthesis and no "$(".
 # An unquoted ";", "&" or "<" is no plain character: the grammar is one
 # pipeline, so lists, background jobs and input redirects do not parse.
+# A "#" that starts the text or a token after a space, a tab or a "|" starts
+# a comment, dropped up to the end. After other whitespace bash reads it in a
+# word and runs what follows ("; curl x"), so there it does not parse.
 # Every piece is told apart by its first character and the loops are
 # unrolled (plain* (piece plain*)*), so a failed match backtracks in linear
 # time without possessive quantifiers, which Python 3.10 lacks.
@@ -216,16 +219,18 @@ def _walk(nodes: Iterable[UtilityNode]) -> Iterator[UtilityNode]:
 # and the regex's \s agree on all 29 whitespace code points, so _scan_stages
 # splits such text with str methods and skips the regex's per-character
 # work; the commands the generator makes with the shipped fixtures are all
-# plain. Quotes, escapes and substitutions need the grammar, so any other
-# text goes through _TOKEN_RE.
+# plain. Quotes, escapes, substitutions and comments need the grammar, so
+# text holding any of _NEEDS_GRAMMAR's characters goes through _TOKEN_RE.
 _NOT_PLAIN = r"""()'"\\$;&<"""
 _SPECIAL = r"""'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*"|\\(?:.|\Z)|\$(?!\()"""
 _BODY = rf"""[^()'"\\$]*(?:(?:{_SPECIAL})[^()'"\\$]*)*"""
 _PIECE = rf"""{_SPECIAL}|\$\({_BODY}\)"""
 _PLAIN = rf"[^\s|{_NOT_PLAIN}]"
-_HAS_NOT_PLAIN = re.compile(f"[{_NOT_PLAIN}]")
+_PLAIN_START = rf"[^\s|#{_NOT_PLAIN}]"  # a word never starts with "#"
+_NEEDS_GRAMMAR = re.compile(f"[{_NOT_PLAIN}#]")
 _TOKEN_RE = re.compile(
-    rf"(\||(?:{_PLAIN}|{_PIECE}){_PLAIN}*(?:(?:{_PIECE}){_PLAIN}*)*)", re.DOTALL
+    rf"(\||(?:{_PLAIN_START}|{_PIECE}){_PLAIN}*(?:(?:{_PIECE}){_PLAIN}*)*|(?<![^ \t|])#.*)",
+    re.DOTALL,
 )
 # A word is a command substitution only when one $(...) piece is all of it;
 # joined to other text on either side it is one parameter.
@@ -239,17 +244,19 @@ _LEFTOVER_ERRORS = {
     ";": "command lists are not supported",
     "&": "command lists and background jobs are not supported",
     "<": "input redirection is not supported",
+    "#": "a comment must follow a space, a tab or a pipe",
 }
 
 
 def _scan_tokens(source: str) -> list[str]:
     """Split a command into tokens with _TOKEN_RE, keeping quotes and $(...)
-    groups intact; a pipe is a token of its own."""
+    groups intact; a pipe is a token of its own and a comment is dropped."""
     parts = _TOKEN_RE.split(source)
     gaps = "".join(parts[::2])
     if gaps and not gaps.isspace():
         raise ParseError(_LEFTOVER_ERRORS[gaps.lstrip()[0]])
-    return parts[1::2]
+    tokens = parts[1::2]
+    return tokens[:-1] if tokens and tokens[-1][0] == "#" else tokens  # a comment
 
 
 def _is_flag(token: str) -> bool:
@@ -265,15 +272,15 @@ def is_flag_token(token: str) -> bool:
 
 # Words the parser reads as structure wherever they stand in a stage.
 _STRUCTURE_WORDS = _EXEC_FLAGS | PRESERVED_LITERALS
-_PLAIN_WORD = re.compile(f"{_PLAIN}+")
+_PLAIN_WORD = re.compile(f"{_PLAIN_START}{_PLAIN}*")
 
 
 def is_plain_word(word: str) -> bool:
     """Whether the parser reads ``word``, alone, as exactly that one plain
-    word: it is non-empty and holds no whitespace, no "|" and no character
-    that needs the grammar (quotes, escapes, ``$``, parentheses, ``;``,
-    ``&``, ``<``), and it is not a word the parser reads as structure
-    (``-exec`` and its kin, ``{}``, ``>``, ``-``)."""
+    word: it is non-empty, does not start a comment with ``#``, holds no
+    whitespace, no "|" and no character that needs the grammar (quotes,
+    escapes, ``$``, parentheses, ``;``, ``&``, ``<``), and it is not a word
+    the parser reads as structure (``-exec`` and its kin, ``{}``, ``>``, ``-``)."""
     return _PLAIN_WORD.fullmatch(word) is not None and word not in _STRUCTURE_WORDS
 
 
@@ -406,7 +413,7 @@ def parse(source: str, hints: Mapping[str, UtilityHints] | None = None) -> BashA
 def _scan_stages(source: str) -> list[tuple[str, ...]]:
     """The tokens of each pipeline stage of a command; every stage must
     hold at least one token."""
-    if _HAS_NOT_PLAIN.search(source):
+    if _NEEDS_GRAMMAR.search(source):
         stages = _split_stages(_scan_tokens(source))
     else:
         stages = [tuple(part.split()) for part in source.split("|")]

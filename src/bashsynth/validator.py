@@ -4,10 +4,10 @@ Templates hold generator placeholders (``[File]``), which
 :func:`instantiate` fills from the fixture pool of that name. Parser-form
 text (``_FILE``, as ``scale`` writes it) names no pool and is refused.
 
-Execution is opt-in. The subprocess backend runs each command in a fresh
-workspace populated from a fixture manifest, with a reduced environment, a
-hard timeout, and a policy that refuses commands naming a blocked utility
-or a path outside the workspace.
+Execution is opt-in. The subprocess backend runs each command in a run
+directory of its own, populated from a fixture manifest and removed after its
+verdict, with a reduced environment, a hard timeout, and a policy that refuses
+commands naming a blocked utility or a path outside the workspace.
 The dry_run backend substitutes a parse check so pipelines stay testable
 without executing anything.
 """
@@ -22,7 +22,7 @@ import signal
 import subprocess
 import time
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -33,7 +33,6 @@ from .syntax_kb import PLACEHOLDER_RE
 __all__ = [
     "MissingFixture",
     "SandboxSetupError",
-    "WORKSPACE_MARKER",
     "SandboxConfig",
     "ValidationResult",
     "load_fixture_values",
@@ -48,9 +47,6 @@ SPAWN_FAIL = "SPAWN_FAIL"
 DEFAULT_TIMEOUT_SECONDS = 0.5
 DEFAULT_FIXTURES = shipped("sandbox/values.json")
 DEFAULT_MANIFEST = shipped("sandbox/manifest.json")
-
-# Marks a workspace root run_batch created; it clears no other non-empty one.
-WORKSPACE_MARKER = ".bashsynth-workspace"
 
 
 class MissingFixture(KeyError):
@@ -239,9 +235,8 @@ def _blocked_reason(command: str) -> str | None:
 
 
 def _provision(run_dir: Path, manifest: Mapping[str, Any]) -> None:
-    """Create ``run_dir`` and the manifest's directories and files in it."""
+    """Create the manifest's directories and files in ``run_dir``."""
     try:
-        run_dir.mkdir(parents=True)
         for rel in manifest.get("dirs", ()):
             (run_dir / rel).mkdir(parents=True, exist_ok=True)
         for rel, content in manifest.get("files", {}).items():
@@ -261,45 +256,52 @@ def _shell() -> str:
     return shutil.which("bash", path=_SANDBOX_PATH) or "/bin/sh"
 
 
-def _run_one(index: int, command: str, config: SandboxConfig,
+def _run_one(command: str, config: SandboxConfig,
              manifest: Mapping[str, Any]) -> ValidationResult:
     reason = _blocked_reason(command)
     if reason is not None:
         return ValidationResult(command, SPAWN_FAIL, 0.0, False, note=reason)
 
-    run_dir = Path(config.workspace) / f"run_{index:05d}"
-    _provision(run_dir, manifest)
-    # a reduced environment rooted in the run directory
-    env = {"PATH": _SANDBOX_PATH, "HOME": str(run_dir), "TMPDIR": str(run_dir),
-           "LC_ALL": "C", "LANG": "C"}
-
-    start = time.perf_counter()
+    # imported here, so a dry run never loads it
+    import tempfile
     try:
-        proc = subprocess.Popen(
-            [_shell(), "-c", command],
-            cwd=run_dir,
-            env=env,
-            stdin=subprocess.DEVNULL,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            start_new_session=True,
-        )
+        run_dir = Path(tempfile.mkdtemp(prefix="run_", dir=config.workspace))
     except OSError as exc:
-        return ValidationResult(
-            command, SPAWN_FAIL, time.perf_counter() - start, False, note=str(exc)
-        )
-
+        raise SandboxSetupError(f"cannot provision workspace: {exc}") from exc
     try:
-        status = proc.wait(timeout=config.timeout)
-        wall = time.perf_counter() - start
-    except subprocess.TimeoutExpired:
+        _provision(run_dir, manifest)
+        # a reduced environment rooted in the run directory
+        env = {"PATH": _SANDBOX_PATH, "HOME": str(run_dir), "TMPDIR": str(run_dir),
+               "LC_ALL": "C", "LANG": "C"}
+        start = time.perf_counter()
         try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
-        wall = time.perf_counter() - start
-        return ValidationResult(command, TIMEOUT, wall, False, note="killed")
+            proc = subprocess.Popen(
+                [_shell(), "-c", command],
+                cwd=run_dir,
+                env=env,
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                start_new_session=True,
+            )
+        except OSError as exc:
+            return ValidationResult(
+                command, SPAWN_FAIL, time.perf_counter() - start, False, note=str(exc)
+            )
+
+        try:
+            status = proc.wait(timeout=config.timeout)
+            wall = time.perf_counter() - start
+        except subprocess.TimeoutExpired:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            wall = time.perf_counter() - start
+            return ValidationResult(command, TIMEOUT, wall, False, note="killed")
+    finally:
+        shutil.rmtree(run_dir, ignore_errors=True)
 
     # a command that was not killed finished in time: the verdict is its exit
     note = "utility not installed" if status == 127 else ""
@@ -309,7 +311,7 @@ def _run_one(index: int, command: str, config: SandboxConfig,
 def run_batch(
     commands: Sequence[str], config: SandboxConfig
 ) -> list[ValidationResult]:
-    """Run commands in a fresh workspace each; results in input order.
+    """Run commands in a fresh run directory each; results in input order.
 
     The subprocess backend requires ``allow_execution=True``. The dry_run
     backend marks a command valid iff it parses.
@@ -331,7 +333,7 @@ def run_batch(
             "subprocess backend requires explicit opt-in (allow_execution=True)"
         )
 
-    # checked once, before the workspace root is inspected, cleared or made
+    # checked once, before the workspace root is made
     manifest = config.manifest if config.manifest is not None else load_manifest()
     for rel in [*manifest.get("dirs", ()), *manifest.get("files", {})]:
         if Path(rel).is_absolute() or ".." in Path(rel).parts:
@@ -339,16 +341,7 @@ def run_batch(
 
     root = Path(config.workspace)
     try:
-        marked = (root / WORKSPACE_MARKER).exists()
-        if root.is_dir() and not marked and any(root.iterdir()):
-            raise SandboxSetupError(
-                f"refusing to clear {root}: not empty and not a bashsynth "
-                f"workspace (no {WORKSPACE_MARKER})"
-            )
-        if root.exists():
-            shutil.rmtree(root)
-        root.mkdir(parents=True)
-        (root / WORKSPACE_MARKER).touch()
+        root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise SandboxSetupError(f"cannot create workspace {root}: {exc}") from exc
 
@@ -357,5 +350,4 @@ def run_batch(
 
     # map cancels the queued commands when one raises
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(_run_one, count(), commands, repeat(config), repeat(manifest)))
-
+        return list(pool.map(_run_one, commands, repeat(config), repeat(manifest)))

@@ -24,7 +24,9 @@ def _params(stage: B.UtilityNode) -> list[ParamNode]:
 
 def _oracle_scan_tokens(source: str) -> tuple[list[str], int]:
     """The per-character tokenizer that the regex one replaced, kept as the
-    reference. Also returns the deepest $(...)/paren nesting it reached."""
+    reference. Also returns the deepest $(...)/paren nesting it reached.
+    An unquoted "#" that starts a word after a space, a tab or a "|" starts
+    a comment, which is dropped; after other whitespace it is refused."""
     tokens: list[str] = []
     buf: list[str] = []
     quote = ""
@@ -75,6 +77,11 @@ def _oracle_scan_tokens(source: str) -> tuple[list[str], int]:
             buf.append(ch)
             i += 1
             continue
+        if ch == "#" and not buf:
+            # a comment, to the end; bash starts one only after these
+            if i and source[i - 1] not in " \t|":
+                raise ParseError("a comment must follow a space, a tab or a pipe")
+            break
         if ch in "()":
             raise ParseError("subshell groups are not supported")
         if ch in ";&<":
@@ -107,6 +114,20 @@ _ESCAPED_QUOTES = [
     (r'echo "a\\" "b"', [r'"a\\"', '"b"']),
 ]
 _OPEN_ESCAPED_QUOTE = r'x "\} + *\"'
+
+# An unquoted "#" that starts a word starts a comment, which runs to the end
+# of the text: each command and the text the parser reads, then "#"s that
+# start no comment (inside a word, quoted, escaped).
+_COMMENTS = [
+    ("ls a.txt #comment", "ls a.txt"),
+    ("ls x #'", "ls x"),
+    ("ls #;curl x", "ls"),
+    ("ls | sort #x | wc", "ls | sort"),
+    ("echo a#b", "echo a#b"),
+    ("echo 'a #b'", "echo 'a #b'"),
+    (r"ls \#x", r"ls \#x"),
+    ("grep -v '^#' config.ini", "grep -v '^#' config.ini"),
+]
 
 
 class TestParse:
@@ -147,6 +168,25 @@ class TestParse:
         # bash -n refuses this text as an unterminated quote too
         with pytest.raises(ParseError, match="unbalanced quote"):
             B.parse(_OPEN_ESCAPED_QUOTE)
+
+    @pytest.mark.parametrize("command, read", _COMMENTS)
+    def test_comment_runs_to_the_end(self, command, read):
+        ast = B.parse(command)
+        assert ast == B.parse(read)
+        assert B.render(ast) == read
+
+    def test_comment_is_no_parameter_or_stage(self):
+        (stage,) = B.parse("ls a.txt #comment").stages
+        assert [p.literal for p in _params(stage)] == ["a.txt"]
+        assert [s.name for s in B.parse("ls | sort #x | wc").stages] == ["ls", "sort"]
+
+    @pytest.mark.parametrize("command", ["ls\u3000#x; curl x", "ls\r#x | curl x"])
+    def test_comment_after_whitespace_bash_keeps_in_a_word_is_refused(self, command):
+        # bash splits words only at spaces and tabs: to it "ls\u3000#x" is one
+        # word and "curl x" runs, so no comment may hide it from the policy
+        with pytest.raises(ParseError, match="a comment must follow a space, a tab or a pipe"):
+            B.parse(command)
+        assert validator._blocked_reason(command).startswith("does not parse: ")
 
     def test_stage_without_utility(self):
         with pytest.raises(ParseError):
@@ -452,8 +492,9 @@ class TestVocabulary:
 def test_parse_accepts_what_bash_accepts(corpus_lines):
     # bash -n reads the text and runs none of it
     escaped = [command for command, _ in _ESCAPED_QUOTES] + [_OPEN_ESCAPED_QUOTE]
+    comments = [command for command, _ in _COMMENTS]
     disagree = []
-    for command in [*corpus_lines, *escaped]:
+    for command in [*corpus_lines, *escaped, *comments]:
         try:
             B.parse(command)
             parses = True
@@ -748,14 +789,14 @@ def test_property_categorize_matches_rule_list(literal, flag, utility):
             is _oracle_categorize(literal, utility=utility, flag=flag))
 
 
-# Single characters of the alphabet a - | ( ) ' " \ $ { } ; & < space tab,
+# Single characters of the alphabet a - | ( ) ' " \ $ { } ; & < # space tab,
 # plus "$(" as one draw so that substitutions, nested or not, come up often,
 # and whitespace beyond ASCII's that str.split() and the regex's \s both
 # break at. _scan_tokens runs the regex on every drawn text;
 # test_property_plain_text_tokens_match_regex ties the plain-text stage
 # split to the regex.
 _WHITESPACE = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
-_TOKENIZER_CHUNKS = [*"a-|()'\"\\${};&< \t", "$(", *_WHITESPACE]
+_TOKENIZER_CHUNKS = [*"a-|()'\"\\${};&<# \t", "$(", *_WHITESPACE]
 
 
 @settings(max_examples=1000)
@@ -764,6 +805,10 @@ _TOKENIZER_CHUNKS = [*"a-|()'\"\\${};&< \t", "$(", *_WHITESPACE]
 @example("$(a(b)")
 @example("a\\")
 @example("a\\; 'b;c' \"&<\" $(d; e)")
+@example("a #b' | c")
+@example("a|#b")
+@example("a\u3000#b")
+@example("a#b $(c #d)")
 def test_property_tokenizer_matches_oracle(text):
     try:
         expected, deepest = _oracle_scan_tokens(text)
@@ -789,7 +834,8 @@ def test_property_tokenizer_matches_oracle(text):
 @example("-x|wc")
 @example("-a\u3000-l")
 def test_property_plain_word_matches_oracle(word):
-    oracle = (word != "" and not any(c.isspace() or c in "|()'\"\\$;&<" for c in word)
+    oracle = (word != "" and not word.startswith("#")
+              and not any(c.isspace() or c in "|()'\"\\$;&<" for c in word)
               and word not in {"-exec", "-ok", "-execdir", "-okdir", "{}", ">", "-"})
     assert B.is_plain_word(word) == oracle
     if oracle:
@@ -800,7 +846,7 @@ def test_property_plain_word_matches_oracle(word):
 # Text without ( ) ' " \ $ ; & <, with pipes glued to words and any whitespace.
 _PLAIN_TEXT = st.lists(
     st.one_of(
-        st.sampled_from(["a", "|", "a|b", "||", " ", "\t", *_WHITESPACE]),
+        st.sampled_from(["a", "|", "a|b", "||", " ", "\t", "#", *_WHITESPACE]),
         st.characters(exclude_characters="()'\"\\$;&<", exclude_categories=("Cs",)),
     ),
     max_size=20,
@@ -815,7 +861,16 @@ def _stages_or_error(split, text):
 
 
 def _regex_stages(text):
-    stages = B._split_stages(B._TOKEN_RE.split(text)[1::2])
+    # the regex's own gaps and tokens, read by the comment rule: a "#" in a
+    # gap follows whitespace bash does not split at, and a token that starts
+    # with "#" is a comment
+    parts = B._TOKEN_RE.split(text)
+    if "#" in "".join(parts[::2]):
+        raise ParseError("a comment must follow a space, a tab or a pipe")
+    tokens = parts[1::2]
+    if tokens and tokens[-1].startswith("#"):
+        tokens.pop()
+    stages = B._split_stages(tokens)
     if not all(stages):
         raise ParseError("pipeline stage with no utility token")
     return stages
@@ -826,8 +881,10 @@ def _regex_stages(text):
 @example("a|b | c")
 @example("\u3000a\x1c|\x85b")
 @example("a || b")
+@example("a #b | c")
+@example("a\x85#b")
 def test_property_plain_text_tokens_match_regex(text):
-    assert not B._HAS_NOT_PLAIN.search(text)
+    assert not set(B._NOT_PLAIN) & set(text)
     assert (_stages_or_error(B._scan_stages, text)
             == _stages_or_error(_regex_stages, text))
 

@@ -199,11 +199,12 @@ def _imported_by(module: str, check: str) -> subprocess.CompletedProcess:
 def test_cli_imports_no_requests_or_yaml():
     # HTTP goes through the standard library and every input is JSON: the
     # package has no runtime dependency.
-    # The HTTP stack and the thread pools load with their first use, and
-    # shipped data is found beside the package, so no other run pays for them.
+    # The HTTP stack, the thread pools and the run directories' tempfile load
+    # with their first use, and shipped data is found beside the package, so
+    # no other run pays for them.
     child = _imported_by("bashsynth.cli", "sorted(loaded & {"
                          "'requests', 'yaml', 'http.client', 'urllib.request', "
-                         "'concurrent.futures', 'importlib.resources'})")
+                         "'concurrent.futures', 'tempfile', 'importlib.resources'})")
     assert child.returncode == 0, child.stderr
 
 
@@ -222,36 +223,33 @@ def test_validate_checks_config_before_reading_input(tmp_path, capsys):
     assert capsys.readouterr().err == "error: jobs must be >= 1\n"
 
 
-def test_validate_exec_refuses_foreign_workspace(tmp_path, monkeypatch, capsys):
+def test_validate_exec_leaves_user_files_in_the_workspace(tmp_path, monkeypatch):
     monkeypatch.setenv(EXEC_OPT_IN_ENV, "1")
     templates = tmp_path / "templates.jsonl"
     main(["generate", "--utility", "ls", "--limit", "2", "--out", str(templates)])
     workspace = tmp_path / "ws"
     workspace.mkdir()
-    (workspace / "notes.txt").write_text("keep me")
+    (workspace / "notes.txt").write_bytes(b"keep me\n")
     code = main(["validate", "--in", str(templates), "--out", str(tmp_path / "r.jsonl"),
                  "--exec", "--workspace", str(workspace)])
-    assert code == 1
-    assert "not a bashsynth workspace" in capsys.readouterr().err
-    assert (workspace / "notes.txt").read_text() == "keep me"
+    assert code == 0
+    assert (workspace / "notes.txt").read_bytes() == b"keep me\n"
+    assert [p.name for p in workspace.iterdir()] == ["notes.txt"]
 
 
-def test_validate_exec_refuses_escaping_manifest_before_clearing(tmp_path, monkeypatch,
-                                                                 capsys):
+def test_validate_exec_refuses_escaping_manifest(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(EXEC_OPT_IN_ENV, "1")
     templates = tmp_path / "templates.jsonl"
     main(["generate", "--utility", "ls", "--limit", "2", "--out", str(templates)])
     workspace, escape = tmp_path / "ws", tmp_path / "escape.json"
     escape.write_text('{"dirs": ["../escape"]}')
     argv = ["validate", "--in", str(templates), "--out", str(tmp_path / "r.jsonl"),
-            "--exec", "--workspace", str(workspace)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert main([*argv, "--sandbox-manifest", str(escape)]) == 1
+            "--exec", "--workspace", str(workspace), "--sandbox-manifest", str(escape)]
+    assert main(argv) == 1
     assert capsys.readouterr().err == "error: manifest path escapes workspace: ../escape\n"
-    # the first run's workspace is still there
-    assert (workspace / "run_00000").is_dir()
-    assert not (workspace / "escape").exists()
+    # refused before the workspace root is made
+    assert not workspace.exists()
+    assert not (tmp_path / "escape").exists()
 
 
 def test_stage_composability(tmp_path, capsys):

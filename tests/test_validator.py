@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import tempfile
 import time
 from typing import Iterator
 
@@ -568,17 +569,46 @@ class TestSubprocess:
     def test_error_stops_queued_commands(self, tmp_path, monkeypatch, jobs):
         ran = []
 
-        def run_one(index, command, config, manifest):
-            ran.append(index)
-            if index == 3:
-                raise V.SandboxSetupError("cannot create workspace")
+        def run_one(command, config, manifest):
+            ran.append(command)
+            if command == "echo 3":
+                raise V.SandboxSetupError("cannot provision workspace")
             time.sleep(0.01)
             return V.ValidationResult(command, 0, 0.0, True)
 
         monkeypatch.setattr(V, "_run_one", run_one)
         with pytest.raises(V.SandboxSetupError):
-            V.run_batch(["true"] * 50, self._config(tmp_path, jobs=jobs))
+            V.run_batch([f"echo {i}" for i in range(50)], self._config(tmp_path, jobs=jobs))
         assert len(ran) < 15
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_no_run_directory_outlives_its_verdict(self, tmp_path, monkeypatch, jobs):
+        made = []
+        provision = V._provision
+
+        def record(run_dir, manifest):
+            made.append(run_dir)
+            provision(run_dir, manifest)
+
+        monkeypatch.setattr(V, "_provision", record)
+        commands = ["ls", "cat no_such_file", "sleep 5", "curl x", "echo hi > made.txt"]
+        results = V.run_batch(commands, self._config(tmp_path, timeout=0.2, jobs=jobs))
+        assert (results[2].exit_status, results[3].exit_status) == (V.TIMEOUT, V.SPAWN_FAIL)
+        assert [r.verdict for r in results] == [True, False, False, False, True]
+        # each command that ran had a directory of its own in the root, and
+        # none is left: not after a failure, a kill or a written file
+        root = tmp_path / "ws"
+        assert len(set(made)) == 4
+        assert all(d.parent == root and d.name.startswith("run_") for d in made)
+        assert list(root.iterdir()) == []
+
+    def test_run_directory_error_is_a_setup_error(self, tmp_path, monkeypatch):
+        def refuse(**kw):
+            raise PermissionError("denied")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        with pytest.raises(V.SandboxSetupError, match="cannot provision workspace"):
+            V.run_batch(["ls"], self._config(tmp_path))
 
     def test_shell_is_found_on_the_sandbox_path(self, tmp_path, monkeypatch):
         # a bash earlier on the caller's PATH than the sandbox's is not run
@@ -719,14 +749,15 @@ class TestSubprocess:
         assert result.note.startswith("does not parse: ")
         assert error in result.note
 
-    def test_foreign_workspace_refused(self, tmp_path):
+    def test_user_files_in_the_workspace_are_untouched(self, tmp_path):
         workspace = tmp_path / "ws"
         workspace.mkdir()
-        (workspace / "notes.txt").write_text("mine")
-        with pytest.raises(V.SandboxSetupError, match="not a bashsynth workspace"):
-            V.run_batch(["ls"], self._config(tmp_path))
-        assert (workspace / "notes.txt").read_text() == "mine"
-        assert sorted(p.name for p in workspace.iterdir()) == ["notes.txt"]
+        (workspace / "notes.txt").write_bytes(b"mine\n")
+        results = V.run_batch(["ls", "cat no_such_file", "echo hi > made.txt"],
+                              self._config(tmp_path))
+        assert [r.verdict for r in results] == [True, False, True]
+        assert (workspace / "notes.txt").read_bytes() == b"mine\n"
+        assert [p.name for p in workspace.iterdir()] == ["notes.txt"]
 
     @pytest.mark.parametrize("escape", ["dirs", "files"])
     def test_manifest_paths_stay_in_the_run_directory(self, tmp_path, monkeypatch, escape):
@@ -734,7 +765,7 @@ class TestSubprocess:
         manifest = ({"dirs": ["abc", "../x"]} if escape == "dirs"
                     else {"dirs": ["abc"], "files": {"a.txt": "a\n", str(outside): "x\n"}})
         ran = []
-        monkeypatch.setattr(V, "_run_one", lambda index, *rest: ran.append(index))
+        monkeypatch.setattr(V, "_run_one", lambda *args: ran.append(args))
         config = self._config(tmp_path, manifest=manifest, jobs=2)
         with pytest.raises(V.SandboxSetupError, match="manifest path escapes workspace"):
             V.run_batch(["ls", "pwd", "true"], config)
@@ -746,26 +777,26 @@ class TestSubprocess:
     @pytest.mark.parametrize("escape", ["dirs ..", "dirs absolute", "files ..", "files absolute"])
     def test_refused_manifest_leaves_the_workspace_as_it_was(self, tmp_path, escape):
         workspace = tmp_path / "ws"
-        V.run_batch(["echo hi > made.txt"], self._config(tmp_path))
-        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        workspace.mkdir()
+        (workspace / "notes.txt").write_bytes(b"mine\n")
         rel = "../escape" if escape.endswith("..") else str(tmp_path / "escape")
         manifest = {"dirs": [rel]} if escape.startswith("dirs") else {"files": {rel: "x\n"}}
         with pytest.raises(V.SandboxSetupError, match="manifest path escapes workspace"):
             V.run_batch(["ls"], self._config(tmp_path, manifest=manifest))
-        # the earlier batch's workspace is neither cleared nor remade
-        assert (workspace / V.WORKSPACE_MARKER).is_file()
-        assert (workspace / "run_00000" / "made.txt").is_file()
-        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "ws", "ws/notes.txt"]
+        assert (workspace / "notes.txt").read_bytes() == b"mine\n"
 
     def test_own_workspace_is_cleared(self, tmp_path):
+        # what a batch makes in the root is removed with its verdicts, so a
+        # later batch in the same root starts from the manifest alone
         workspace = tmp_path / "ws"
-        workspace.mkdir()  # an empty directory is accepted
-        V.run_batch(["echo hi > made.txt"], self._config(tmp_path))
-        assert (workspace / V.WORKSPACE_MARKER).is_file()
-        assert (workspace / "run_00000" / "made.txt").is_file()
+        [made] = V.run_batch(["echo hi > made.txt"], self._config(tmp_path))
+        assert made.verdict is True
+        assert list(workspace.iterdir()) == []
         [result] = V.run_batch(["ls made.txt"], self._config(tmp_path))
-        assert result.verdict is False  # the earlier run's files are gone
-        assert (workspace / V.WORKSPACE_MARKER).is_file()
+        assert result.verdict is False
+        assert list(workspace.iterdir()) == []
 
     def test_verdict_invariant(self, tmp_path):
         results = V.run_batch(
