@@ -470,7 +470,12 @@ def _parse_stage(
             inner = sub[1].strip()
             if not inner:
                 raise ParseError("empty command substitution")
-            stages = tuple(_parse_stage(st, hints, 1) for st in _scan_stages(inner))
+            inner_stages = _scan_stages(inner)
+            # bash reads a comment in $(...) up to the end of the line, past
+            # the ")" that would close it
+            if "#" in inner and _TOKEN_RE.findall(inner)[-1][0] == "#":
+                raise ParseError("a comment inside $(...) hides its closing parenthesis")
+            stages = tuple(_parse_stage(st, hints, 1) for st in inner_stages)
             items.append(Substitution(stages))
             i += 1
             continue

@@ -1,12 +1,13 @@
 """Subsample a command pool to match a target head-utility distribution
 and pipe fraction.
 
-Water-filling over cells (head group x piped/unpiped), the head groups being
-the constrained utilities plus one unconstrained group: find the largest
-output size T at which every constrained utility supplies round(T * share),
-the unconstrained group covers the rest and the cells together supply
-round(T * pipe_fraction) piped commands, then sample exactly those counts
-with a seeded shuffle. Heads and pipes come from ``utilities`` metadata.
+Water-filling over cells (head group x piped/unpiped), the groups being the
+constrained utilities plus one unconstrained group. One bisection over a
+continuous relaxation bounds the output size; a walk down from that bound
+finds the largest size T at which each constrained utility supplies
+round(T * share), the unconstrained group the rest and the cells
+round(T * pipe_fraction) piped commands. A seeded shuffle samples exactly
+those counts. Heads and pipes come from ``utilities`` metadata.
 """
 
 from __future__ import annotations
@@ -94,29 +95,37 @@ def _head_and_piped(item: object) -> tuple[str, bool] | None:
     return stages[0].name, len(stages) > 1
 
 
-def _pipe_split_cap(
-    shares: Sequence[float], unpiped: Sequence[int], pipe_target: float, upper: int
-) -> int:
-    """Largest size in [0, upper] that can meet the pipe split.
+def _size_cap(shares: Sequence[float], available: Sequence[int],
+              unpiped: Sequence[int], pipe_target: float | None) -> int:
+    """Largest size in [0, sum(available)] that a continuous relaxation of
+    the profile admits: no larger size can satisfy it.
 
-    At size T each group takes within its rounding slack of T * share (the
-    unconstrained group, last, within half a unit per constrained share) and
-    must fill what its unpiped cell lacks with piped commands, which number
-    round(T * pipe_target). The continuous relaxation of that need minus the
-    quota is convex in T and 0 at T = 0, so the sizes meeting it form a
-    prefix of the integers; bisect for its end. The extra half unit on the
-    quota absorbs float error in the products.
+    At size T a group takes within its rounding slack of T * share (half a
+    unit; the unconstrained group, last, takes the rest: half a unit per
+    constrained share), which its cell must hold. With a pipe target each
+    group fills what its unpiped cell lacks with piped commands, round(T *
+    pipe_target) in all, and the pool must hold that many piped. That test
+    keeps a slack of len(shares) units on purpose: the walk down from the
+    bound must reach every size whose heads fit, so that its error names
+    pipe_fraction. Each test holds at T = 0 and fails from some T on (need
+    minus quota is convex), so bisect for the end of the sizes they admit.
+    The extra half unit in the cell and quota tests absorbs float error.
     """
-    slacks = [0.5] * (len(shares) - 1) + [(len(shares) - 1) / 2]
+    constrained = len(shares) - 1
+    slacks = [0.5] * constrained + [constrained / 2]
+    piped = sum(available) - sum(unpiped)
 
     def fits(total: int) -> bool:
-        need = sum(
-            max(0.0, total * s - u - slack)
-            for s, u, slack in zip(shares, unpiped, slacks)
-        )
-        return need <= total * pipe_target + 1.0
+        over = [total * s - slack for s, slack in zip(shares, slacks)]
+        if any(o > a + 0.5 for o, a in zip(over, available)):
+            return False
+        if pipe_target is None:
+            return True
+        need = sum(max(0.0, o - u) for o, u in zip(over, unpiped))
+        quota = total * pipe_target
+        return need <= quota + 1.0 and quota <= piped + constrained + 1
 
-    low, high = 0, upper
+    low, high = 0, sum(available)
     while low < high:
         mid = (low + high + 1) // 2
         if fits(mid):
@@ -158,19 +167,9 @@ def scale(
     if not sum(available):
         raise InfeasibleProfile("no parseable commands in pool")
 
-    # round() lands within 1/2 of T * share, so `count` items cannot fill
-    # a share at any T above (count + len(shares) + 1) / share.
     group_shares = [shares[g] for g in cells if g is not None]
-    cell_shares = [*group_shares, 1.0 - sum(group_shares)]
-    margins = list(zip(available, cell_shares))
-    if pipe_target is not None:
-        margins += [(sum(unpiped), 1.0 - pipe_target), (sum(piped), pipe_target)]
-    upper = sum(available)
-    for count, share in margins:
-        if share > 0:
-            upper = min(upper, int((count + len(shares) + 1) / share))
-    if pipe_target is not None:
-        upper = _pipe_split_cap(cell_shares, unpiped, pipe_target, upper)
+    upper = _size_cap([*group_shares, 1.0 - sum(group_shares)], available, unpiped,
+                      pipe_target)
 
     heads_fit = False
     for total in range(upper, 0, -1):

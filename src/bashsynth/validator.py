@@ -265,10 +265,13 @@ def _run_one(command: str, config: SandboxConfig,
     # imported here, so a dry run never loads it
     import tempfile
     try:
-        run_dir = Path(tempfile.mkdtemp(prefix="run_", dir=config.workspace))
+        # cleanup restores the permissions a command took from its own files
+        run_tmp = tempfile.TemporaryDirectory(prefix="run_", dir=config.workspace,
+                                              ignore_cleanup_errors=True)
     except OSError as exc:
         raise SandboxSetupError(f"cannot provision workspace: {exc}") from exc
-    try:
+    with run_tmp as name:
+        run_dir = Path(name)
         _provision(run_dir, manifest)
         # a reduced environment rooted in the run directory
         env = {"PATH": _SANDBOX_PATH, "HOME": str(run_dir), "TMPDIR": str(run_dir),
@@ -300,8 +303,6 @@ def _run_one(command: str, config: SandboxConfig,
             proc.wait()
             wall = time.perf_counter() - start
             return ValidationResult(command, TIMEOUT, wall, False, note="killed")
-    finally:
-        shutil.rmtree(run_dir, ignore_errors=True)
 
     # a command that was not killed finished in time: the verdict is its exit
     note = "utility not installed" if status == 127 else ""

@@ -493,8 +493,10 @@ def test_parse_accepts_what_bash_accepts(corpus_lines):
     # bash -n reads the text and runs none of it
     escaped = [command for command, _ in _ESCAPED_QUOTES] + [_OPEN_ESCAPED_QUOTE]
     comments = [command for command, _ in _COMMENTS]
+    # in $(...) a comment runs past the closing parenthesis
+    substituted = ["echo $(ls #x)", 'echo $(ls "#x")', "echo $(ls a#b)"]
     disagree = []
-    for command in [*corpus_lines, *escaped, *comments]:
+    for command in [*corpus_lines, *escaped, *comments, *substituted]:
         try:
             B.parse(command)
             parses = True

@@ -200,6 +200,30 @@ class TestPipeFraction:
             scale(pool, load_profile(default_profile_path()))
         assert 0 < len(tried) <= 10
 
+    def test_scarce_pipes_stop_early(self, monkeypatch):
+        # 1k piped commands cap the output near 1k / 0.3136 however many
+        # unpiped ones the pool holds: only the piped-supply test says so.
+        find, ls = _entry(0, "find", False), _entry(1, "ls", False)
+        pool = [find] * 200_000 + [ls] * 100_000 + _entries(
+            {("find", True): 500, ("ls", True): 500})
+        tried: list[int] = []
+
+        def counting_range(*args):
+            for total in range(*args):
+                tried.append(total)
+                yield total
+
+        monkeypatch.setattr(scaler_mod, "range", counting_range, raising=False)
+        out = scale(pool, load_profile(default_profile_path()))
+        assert sum(len(e.utilities) > 1 for e in out) == round(len(out) * 0.3136)
+        assert 0 < len(tried) <= 10
+
+    def test_float_error_in_the_rest_keeps_the_exact_size(self):
+        # 110 * (1 - 0.45) is 60.50000000000001 in floats: a cell test
+        # without room for that error would cap the size at 109
+        out = scale(_pool(50, 60), DistributionProfile({"find": 0.45}))
+        assert len(out) == 110
+
 
 # ---------------------------------------------------------------------------
 # Property tests against brute-force oracles
@@ -249,8 +273,9 @@ def _within(size: int, profile: DistributionProfile, tolerance: float) -> bool:
 
 
 @st.composite
-def pools(draw):
-    counts = {(head, p): draw(st.integers(0, 5)) for head in HEADS for p in (False, True)}
+def pools(draw, most_piped: int = 5):
+    counts = {(head, p): draw(st.integers(0, most_piped if p else 5))
+              for head in HEADS for p in (False, True)}
     kinds = draw(st.permutations([k for k, c in counts.items() for _ in range(c)]))
     return [_entry(i, head, p) for i, (head, p) in enumerate(kinds)]
 
@@ -306,6 +331,31 @@ class TestScaleProperties:
         with _no_parse():
             out = _scale_or_none(pool, profile, seed, 1.0)
         assert (None if out is None else len(out)) == size
+
+
+class TestSizeCap:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 5]).flatmap(pools),
+        profiles(piped=False),
+        st.sampled_from([None, 0.0, 1.0, 0.3]),
+    )
+    def test_cap_is_never_below_the_exact_size(self, pool, profile, pipe):
+        # the walk down from the cap must reach the largest size its exact
+        # check accepts, found here by trying every size
+        if not pool:
+            return
+        profile = DistributionProfile(profile.proportions, pipe_fraction=pipe)
+        groups = [*sorted(profile.proportions), None]
+        available, unpiped = [0] * len(groups), [0] * len(groups)
+        for e in pool:
+            g = groups.index(e.utilities[0] if e.utilities[0] in groups else None)
+            available[g] += 1
+            unpiped[g] += pipe is None or len(e.utilities) == 1
+        shares = [profile.proportions[g] for g in groups[:-1]]
+        cap = scaler_mod._size_cap([*shares, 1.0 - sum(shares)], available, unpiped, pipe)
+        exact = (_parent_scan_size if pipe is None else _oracle_size)(pool, profile)
+        assert cap >= (exact or 0)
 
 
 class TestProfileOf:

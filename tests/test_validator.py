@@ -602,8 +602,16 @@ class TestSubprocess:
         assert all(d.parent == root and d.name.startswith("run_") for d in made)
         assert list(root.iterdir()) == []
 
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores file modes")
+    def test_run_directory_that_strips_its_modes_is_removed(self, tmp_path):
+        # the command takes every permission from a directory of its run
+        # directory; a plain rmtree could not list it and would leave both
+        results = V.run_batch(["chmod 000 tree", "ls"], self._config(tmp_path))
+        assert [r.verdict for r in results] == [True, True]
+        assert list((tmp_path / "ws").iterdir()) == []
+
     def test_run_directory_error_is_a_setup_error(self, tmp_path, monkeypatch):
-        def refuse(**kw):
+        def refuse(*args, **kw):
             raise PermissionError("denied")
 
         monkeypatch.setattr(tempfile, "mkdtemp", refuse)
