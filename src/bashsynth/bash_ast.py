@@ -8,7 +8,8 @@ string and the rendered string re-parses to an equal tree.
 Parameters are categorized into a closed set of placeholder kinds
 (``_PATH``, ``_NUMBER``, ...) by an ordered rule list; templatization swaps
 each parameter literal for its placeholder token, and :func:`fill` puts
-typed values back into placeholder slots.
+typed values back into placeholder slots. :func:`stage_words` is the one
+word walk, for :func:`render`, :func:`fill` and the sandbox policy.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "templatize",
     "fill",
     "quote",
+    "stage_words",
 ]
 
 
@@ -138,11 +140,7 @@ class UtilityNode:
         return tuple(out)
 
     def flag_tokens(self) -> frozenset[str]:
-        return frozenset(
-            it.token if isinstance(it, FlagNode) else it.flag
-            for it in self.items
-            if isinstance(it, (FlagNode, ExecClause))
-        )
+        return frozenset(flag.token for flag in self.flags)
 
     # The views below are computed on first use and kept in the instance
     # __dict__ (the class has no __slots__), outside the dataclass fields, so
@@ -246,6 +244,25 @@ _LEFTOVER_ERRORS = {
     "<": "input redirection is not supported",
     "#": "a comment must follow a space, a tab or a pipe",
 }
+
+
+# The pieces of a word that may hold a $(...): the text of a "..." piece
+# (group 1), whose own $(...) pieces _QUOTED_BODY finds, and an unquoted
+# $(...) piece (group 2); a '...' piece or a backslash pair is skipped.
+_WORD_PIECE = re.compile(
+    rf"""'[^']*'|"([^"\\]*(?:\\.[^"\\]*)*)"|\\(?:.|\Z)|\$\(({_BODY})\)""", re.DOTALL)
+_QUOTED_BODY = re.compile(rf"\\.|\$\(({_BODY})\)", re.DOTALL)
+
+
+def _hides_closer(token: str) -> bool:
+    """Whether a $(...) in the word, unquoted or in double quotes, holds a
+    comment: bash reads it to the end of the line, past the closing ")"."""
+    for quoted, unquoted in _WORD_PIECE.findall(token):
+        for body in _QUOTED_BODY.findall(quoted) if quoted else [unquoted]:
+            words = _TOKEN_RE.findall(body) if "#" in body else []
+            if words and words[-1][0] == "#":
+                return True
+    return False
 
 
 def _scan_tokens(source: str) -> list[str]:
@@ -414,7 +431,10 @@ def _scan_stages(source: str) -> list[tuple[str, ...]]:
     """The tokens of each pipeline stage of a command; every stage must
     hold at least one token."""
     if _NEEDS_GRAMMAR.search(source):
-        stages = _split_stages(_scan_tokens(source))
+        tokens = _scan_tokens(source)
+        if "$(" in source and "#" in source and any(map(_hides_closer, tokens)):
+            raise ParseError("a comment inside $(...) hides its closing parenthesis")
+        stages = _split_stages(tokens)
     else:
         stages = [tuple(part.split()) for part in source.split("|")]
     if not all(stages):
@@ -470,12 +490,7 @@ def _parse_stage(
             inner = sub[1].strip()
             if not inner:
                 raise ParseError("empty command substitution")
-            inner_stages = _scan_stages(inner)
-            # bash reads a comment in $(...) up to the end of the line, past
-            # the ")" that would close it
-            if "#" in inner and _TOKEN_RE.findall(inner)[-1][0] == "#":
-                raise ParseError("a comment inside $(...) hides its closing parenthesis")
-            stages = tuple(_parse_stage(st, hints, 1) for st in inner_stages)
+            stages = tuple(_parse_stage(st, hints, 1) for st in _scan_stages(inner))
             items.append(Substitution(stages))
             i += 1
             continue
@@ -562,7 +577,7 @@ def render(ast: BashAst) -> str:
 
 
 def _render_stage(node: UtilityNode, word: Callable[[str], str] = str) -> str:
-    return " ".join(_stage_tokens(node, word))
+    return " ".join(stage_words(node, word))
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +651,11 @@ def fill(
 # Words
 
 
-def _stage_tokens(
+def stage_words(
     node: UtilityNode, word: Callable[[str], str] = str
 ) -> Iterator[str]:
-    """The words of a stage in order; ``word`` maps each parameter literal
-    to the word written for it (``str`` writes it as it is)."""
+    """The words of a stage in order, for render, fill and the sandbox policy;
+    ``word`` writes each parameter literal (``str`` writes it as it is)."""
     yield node.name
     for it in node.items:
         if isinstance(it, FlagNode):
@@ -655,7 +670,7 @@ def _stage_tokens(
             yield word(it.literal)
         elif isinstance(it, ExecClause):
             yield it.flag
-            yield from _stage_tokens(it.body, word)
+            yield from stage_words(it.body, word)
             if it.closer:
                 yield it.closer
         else:

@@ -7,9 +7,9 @@ text (``_FILE``, as ``scale`` writes it) names no pool and is refused.
 Execution is opt-in. The subprocess backend runs each command in a run
 directory of its own, populated from a fixture manifest and removed after its
 verdict, with a reduced environment, a hard timeout, and a policy that refuses
-commands naming a blocked utility or a path outside the workspace.
-The dry_run backend substitutes a parse check so pipelines stay testable
-without executing anything.
+any word naming a blocked utility or a path outside the workspace, as the one
+word walk :func:`bash_ast.stage_words` writes them. The dry_run backend
+substitutes a parse check so pipelines stay testable without executing anything.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import bash_ast
 from .dataset_io import STRINGS, check_fields, check_object, read_json, shipped
@@ -186,38 +186,28 @@ _LEADING_FLAG = re.compile(r"^-[\w-]*")
 _OTHER_HOME = re.compile(r"~[^/]")
 
 
-def _words(node: bash_ast.UtilityNode) -> Iterator[str]:
-    """Each word of a node as written: its name, flag tokens, flag
-    arguments and parameters."""
-    yield node.name
-    for item in node.items:
-        if isinstance(item, bash_ast.FlagNode):
-            yield item.token
-            item = item.arg
-        if isinstance(item, bash_ast.ParamNode):
-            yield item.literal
-
-
 # Words repeat across commands (utility names, flags, fixture values)
 @functools.lru_cache(maxsize=1 << 16)
 def _word_reason(word: str) -> str | None:
     """Why a word is refused, or None. Names are read as written (x'sudo') and
-    unquoted (c''url); paths unquoted, whole (~,x) and split (-o/etc/x, of=/dev/sda)."""
+    unquoted (c''url); paths unquoted, whole (~,x) and split (-o/etc/x, of=/dev/sda),
+    a glued --flag=value as the parser splits it, flag then value."""
     unquoted = _QUOTING.sub("", word)
     blocked = _BLOCKED_UTILITIES.intersection(_NAME_RUN.findall(f"{word} {unquoted}"))
     if blocked:
         return f"utility {min(blocked)!r} blocked"
-    for piece in (unquoted, *_PATH_BREAKS.split(unquoted)):
-        piece = _LEADING_FLAG.sub("", piece)
-        if ((piece.startswith("/") and piece != "/dev/null")
-                or _OTHER_HOME.match(piece) or ".." in piece.split("/")):
-            return f"path {piece!r} escapes the workspace"
+    for part in unquoted.split("=", 1) if word.startswith("--") else (unquoted,):
+        for piece in (part, *_PATH_BREAKS.split(part)):
+            piece = _LEADING_FLAG.sub("", piece)
+            if ((piece.startswith("/") and piece != "/dev/null")
+                    or _OTHER_HOME.match(piece) or ".." in piece.split("/")):
+                return f"path {piece!r} escapes the workspace"
     return None
 
 
 def _blocked_reason(command: str) -> str | None:
-    """Why the policy refuses ``command``, or None: a word of a utility node
-    names a blocked utility or a path outside the workspace."""
+    """Why the policy refuses ``command``, or None: the first word, in the order
+    :func:`bash_ast.stage_words` writes, naming a blocked utility or an outside path."""
     try:
         ast = bash_ast.parse(command)
     except bash_ast.ParseError as exc:
@@ -226,7 +216,7 @@ def _blocked_reason(command: str) -> str | None:
         return "expansion or substitution: the policy cannot read what it names"
     if _FORK_BOMB.search(command):
         return "fork bomb"
-    words = (word for node in ast.walk_utilities() for word in _words(node))
+    words = (word for stage in ast.stages for word in bash_ast.stage_words(stage))
     return next(filter(None, map(_word_reason, words)), None)
 
 

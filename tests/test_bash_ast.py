@@ -259,6 +259,37 @@ class TestParse:
         assert flag.arg.literal == "auto"
         assert B.render(ast) == "grep --color=auto foo a.txt"
 
+    def test_stage_words_are_the_rendered_words(self):
+        # the one walk render, fill and the sandbox policy read: a clause's
+        # flag, body and closer in place, --flag=value and $(...) whole
+        ast = B.parse("find . -exec grep --color=auto x {} \\; -name $(ls)")
+        (stage,) = ast.stages
+        words = list(B.stage_words(stage))
+        assert words == ["find", ".", "-exec", "grep", "--color=auto", "x", "{}", "\\;",
+                         "-name", "$(ls)"]
+        assert " ".join(words) == B.render(ast)
+        assert stage.flag_tokens() == {"-exec", "-name"} == {f.token for f in stage.flags}
+
+    @pytest.mark.parametrize("source, parses", [
+        ("echo $(ls #x)", False),
+        ("echo a$(ls #x)", False),
+        ('echo "$(ls #x)"', False),
+        ("echo \"'$(ls #x)'\"", False),
+        ("echo '$(ls #x)'", True),
+        ('echo a$(ls "#x")', True),
+        ('echo "$(ls a#b)"', True),
+        ('echo "\\$(ls #x)"', True),
+        ("ls # $(ls #x)", True),
+    ])
+    def test_comment_in_substitution_hides_its_closer(self, source, parses):
+        # bash reads a comment in $(...) to the end of the line, whether the
+        # $(...) is a word of its own, joined to other text or double-quoted
+        if parses:
+            B.parse(source)
+        else:
+            with pytest.raises(ParseError, match="hides its closing parenthesis"):
+                B.parse(source)
+
     @pytest.mark.parametrize("token", ["-", "--key=1", "-a", "--key", "--", "-cjf", "-o=x"])
     def test_flag_token_is_what_the_parser_reads_as_that_flag(self, token):
         [stage] = B.parse(f"sort {token} a.txt").stages
@@ -494,7 +525,10 @@ def test_parse_accepts_what_bash_accepts(corpus_lines):
     escaped = [command for command, _ in _ESCAPED_QUOTES] + [_OPEN_ESCAPED_QUOTE]
     comments = [command for command, _ in _COMMENTS]
     # in $(...) a comment runs past the closing parenthesis
-    substituted = ["echo $(ls #x)", 'echo $(ls "#x")', "echo $(ls a#b)"]
+    substituted = ["echo $(ls #x)", 'echo $(ls "#x")', "echo $(ls a#b)",
+                   "echo a$(ls #x)", 'echo "$(ls #x)"', "echo '$(ls #x)'",
+                   'echo a$(ls "#x")', 'echo "$(ls a#b)"', "echo \"'$(ls #x)'\"",
+                   'echo "\\$(ls #x)"', "ls # $(ls #x)"]
     disagree = []
     for command in [*corpus_lines, *escaped, *comments, *substituted]:
         try:

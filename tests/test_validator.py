@@ -402,7 +402,7 @@ _POLICY_FRAGMENTS = [
     "/dev/nvme0n1", "/dev/mem", "/dev/zero", "/bin/ls", "/usr/bin/nc", "../x", "a/../..",
     "..", "~root/.profile", "~root", "~", "~/a.txt", "-o/etc/passwd", "-C/etc",
     "--output=/etc/y", "of=/dev/sda", ">/dev/sda", ">", ">/dev/mem", "-f../x",
-    ":(){ :|:& };:",
+    ":(){ :|:& };:", "-ok", "-execdir", "+", "--o=/etc/x,y",
 ]
 # What may join two fragments into one word, or stages into a pipeline
 _POLICY_JOINS = ["", "=", ",", "/", "-", ".", ":", " ", "|", "\\", "{", "}"]
@@ -431,6 +431,42 @@ _policy_c_string = st.tuples(
     st.sampled_from(["sh -c", "bash -c", "xargs sh -c"]), _policy_stage).map(_c_string)
 _policy_command = st.lists(st.one_of(_policy_stage, _policy_c_string),
                            min_size=1, max_size=3).map(" | ".join)
+
+
+# A reference walk over a command's words, the one the policy read before
+# bash_ast.stage_words: per walk_utilities() node, its name, flag tokens, flag
+# arguments and parameters, so an -exec body comes after all of its node's
+# own words. It reads no clause word (-exec, \;, +), splits a glued
+# --flag=value in two and reads $(...) stages as nodes.
+def _reference_words(node: bash_ast.UtilityNode) -> Iterator[str]:
+    yield node.name
+    for item in node.items:
+        if isinstance(item, bash_ast.FlagNode):
+            yield item.token
+            item = item.arg
+        if isinstance(item, bash_ast.ParamNode):
+            yield item.literal
+
+
+def _reference_reason(command: str) -> str | None:
+    try:
+        ast = parse(command)
+    except ParseError as exc:
+        return f"does not parse: {exc}"
+    if "$" in command or "`" in command:
+        return _EXPANSION
+    if V._FORK_BOMB.search(command):
+        return "fork bomb"
+    words = (word for node in ast.walk_utilities() for word in _reference_words(node))
+    return next(filter(None, map(V._word_reason, words)), None)
+
+
+def _has_clause(command: str) -> bool:
+    try:
+        stages = parse(command).stages
+    except ParseError:
+        return False
+    return any(isinstance(it, bash_ast.ExecClause) for stage in stages for it in stage.items)
 
 
 class TestPolicy:
@@ -475,6 +511,34 @@ class TestPolicy:
         for template in unpiped + piped:
             command = V.instantiate(template.cmd, fixtures)
             assert V._blocked_reason(command) is None, command
+
+    @settings(max_examples=500, deadline=None)
+    @given(_policy_command)
+    @example("sort --o=/etc/x,y a.txt")
+    @example("sort '--o=/etc/x,y' a.txt")
+    @example("find . -ok ls {} + -execdir ls {} \\;")
+    @example("find . -exec curl {} \\; -newer /etc/x")
+    def test_reads_what_the_node_walk_read(self, command):
+        # The same verdict as the walk over walk_utilities() nodes, and the
+        # same note unless a clause moves a body's words before later ones.
+        reason = V._blocked_reason(command)
+        reference = _reference_reason(command)
+        assert (reason is None) == (reference is None)
+        if not _has_clause(command):
+            assert reason == reference
+
+    @pytest.mark.parametrize("command, reason", [
+        ("find . -exec curl {} \\; -newer /etc/x", "utility 'curl' blocked"),
+        ("find . -newer /etc/x -exec curl {} \\;", "path '/etc/x' escapes the workspace"),
+        ("find . -ok rm ../x + -name curl", "path '../x' escapes the workspace"),
+        ("sort --output=/etc/x,y a.txt", "path '/etc/x,y' escapes the workspace"),
+        ("sort '--output=/etc/x,y' a.txt", "path '/etc/x' escapes the workspace"),
+    ])
+    def test_note_is_the_first_refused_word_in_writing_order(self, command, reason):
+        # stage_words gives an -exec clause's words in place, so a refused
+        # word in a body comes before one after the clause's closer; a glued
+        # --flag=value is read as the parser splits it, its value whole
+        assert V._blocked_reason(command) == reason
 
     @settings(max_examples=500, deadline=None)
     @given(_policy_command)
